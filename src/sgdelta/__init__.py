@@ -48,7 +48,6 @@ from .families import (
 from .infinity import (
     PeriodicityCertificate,
     StructureConstants,
-    delta_inf_of_element,
     delta_inf_semigroup,
     dominant_length_set,
     infinity_length_set,
@@ -85,7 +84,6 @@ from .semigroup import (
 from .zero import (
     SupportProfile,
     check_l0_interval,
-    delta0_of_element,
     delta0_semigroup,
     delta0_stability_bound,
     delta0_union_brute,

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Budget:
     max_element: int
-    max_factorizations: int = 10_000_000
-    max_seconds: float | None = None
 
 
 # The max-norm engine walks every element up to its certificate horizon, so

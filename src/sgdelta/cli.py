@@ -18,9 +18,9 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .budget import DEFAULT_INF_BUDGET, DEFAULT_ZERO_BUDGET, Budget
+from .budget import Budget
 from .errors import BudgetExceeded, SemigroupError
-from .factorization import P0, P1, PINF, delta_set_of_element, length_set
+from .factorization import P0, P1, PINF, delta_of_sorted_set, length_set
 from .families import construct_family, parse_family, predicted_delta
 from .infinity import delta_inf_semigroup
 from .presentation import betti_elements, minimal_presentation, trade_value
@@ -61,24 +61,13 @@ def _parse_gens(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.replace(" ", "").split(",") if t)
 
 
-def _budget(args, default: Budget) -> Budget | None:
-    if args.budget_elements is None and args.budget_factorizations is None and args.budget_seconds is None:
-        return None
-    return Budget(
-        max_element=args.budget_elements or default.max_element,
-        max_factorizations=args.budget_factorizations or default.max_factorizations,
-        max_seconds=args.budget_seconds,
-    )
+def _budget(args) -> Budget | None:
+    """None leaves every engine its own per-norm default."""
+    return None if args.budget_elements is None else Budget(max_element=args.budget_elements)
 
 
 def _budget_echo(budget: Budget | None) -> dict:
-    if budget is None:
-        return {"defaults": True}
-    return {
-        "max_element": budget.max_element,
-        "max_factorizations": budget.max_factorizations,
-        "max_seconds": budget.max_seconds,
-    }
+    return {"defaults": True} if budget is None else {"max_element": budget.max_element}
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +117,7 @@ def _cmd_compute(args) -> tuple[dict, int]:
         "x": args.x,
         "m": args.m,
         "p": args.p,
-        "budget": _budget_echo(_budget(args, DEFAULT_INF_BUDGET)),
+        "budget": _budget_echo(_budget(args)),
     }
     key = _cache_key(key_payload)
     cached = _cache_get(cdir, key)
@@ -171,16 +160,16 @@ def _cmd_compute(args) -> tuple[dict, int]:
         result["p"] = _p_name(p)
         result["lengths"] = list(ls.values)
         if what == "delta":
-            result["delta"] = list(delta_set_of_element(s, args.x, p).values)
+            result["delta"] = list(delta_of_sorted_set(ls.values).values)
     elif what == "delta-semigroup":
         p = _parse_p(args.p)
         result["p"] = _p_name(p)
         if p == P0:
-            d = delta0_semigroup(s, budget=_budget(args, DEFAULT_ZERO_BUDGET))
+            d = delta0_semigroup(s, budget=_budget(args))
             result["delta"] = list(d.values)
             result["stability_bound"] = delta0_stability_bound(s)
         elif p == PINF:
-            d, cert = delta_inf_semigroup(s, budget=_budget(args, DEFAULT_INF_BUDGET))
+            d, cert = delta_inf_semigroup(s, budget=_budget(args))
             result["delta"] = list(d.values)
             certificate = {
                 "start": cert.start,
@@ -206,7 +195,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         "quick": args.quick,
         "extended": args.extended,
         "workers": args.threads,
-        "budget": _budget(args, DEFAULT_INF_BUDGET),
+        "budget": _budget(args),
     }
     if args.m:
         params["m_range"] = _parse_range(args.m)
@@ -237,14 +226,14 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 def _cmd_search(args) -> tuple[dict, int]:
     p = _parse_p(args.p)
-    budget = _budget(args, DEFAULT_ZERO_BUDGET if p == P0 else DEFAULT_INF_BUDGET)
     report = search_delta(
         _parse_gens(args.target),
         p,
         max_dim=args.max_dim,
         max_gen=args.max_gen,
-        budget=budget,
+        budget=_budget(args),
         workers=args.threads,
+        max_seconds=args.budget_seconds,
     )
     result = {
         "target": list(report.target),
@@ -270,9 +259,9 @@ def _cmd_family(args) -> tuple[dict, int]:
         entry: dict = {"predicted": pred.describe() if pred else "unspecified"}
         try:
             if p == P0:
-                computed = delta0_semigroup(s, budget=_budget(args, DEFAULT_ZERO_BUDGET))
+                computed = delta0_semigroup(s, budget=_budget(args))
             else:
-                computed = delta_inf_semigroup(s, budget=_budget(args, DEFAULT_INF_BUDGET))[0]
+                computed = delta_inf_semigroup(s, budget=_budget(args))[0]
             entry["computed"] = list(computed.values)
             if pred is not None:
                 entry["match"] = pred.matches(computed)
@@ -335,7 +324,7 @@ def _emit(args, command: str, envelope: dict, started: float) -> None:
         "input": {k: v for k, v in vars(args).items() if k not in ("func", "format") and v is not None},
         "result": envelope.get("result"),
         "timing": {"seconds": round(time.monotonic() - started, 6), "cached": envelope.get("cached", False)},
-        "budget": _budget_echo(_budget(args, DEFAULT_INF_BUDGET)),
+        "budget": _budget_echo(_budget(args)),
     }
     if "certificate" in envelope:
         out["certificate"] = envelope["certificate"]
@@ -349,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("json", "csv"), default="json")
     shared.add_argument("--budget-elements", type=int, default=None)
-    shared.add_argument("--budget-factorizations", type=int, default=None)
-    shared.add_argument("--budget-seconds", type=float, default=None)
     shared.add_argument("--threads", type=int, default=1)
     shared.add_argument("--cache-dir", default=None)
 
@@ -395,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--p", required=True, help="0 or inf")
     se.add_argument("--max-dim", type=int, default=3)
     se.add_argument("--max-gen", type=int, required=True)
+    se.add_argument("--budget-seconds", type=float, default=None, help="start no batch after S seconds")
     se.set_defaults(func=_cmd_search)
 
     f = sub.add_parser("family", parents=[shared], help="construct, predict and check")

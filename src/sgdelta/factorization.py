@@ -3,7 +3,10 @@
 A factorization of x is an exponent tuple z with sum(z_i * a_i) = x, aligned
 to the generator order. Enumeration recurses from the largest generator down
 (tightest branch bound first) and prunes every branch whose remainder cannot
-be finished by the remaining prefix of generators.
+be finished by the remaining prefix of generators. It serves callers that
+need the tuples themselves and is the independent oracle for the length
+sets, which come from one exact engine per norm: the support cones (p = 0),
+a least-part-count table (p = 1) and the min-max tables (p = inf).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .arith import INF
 from .errors import CapExceeded, NotAMember
 from .semigroup import NumericalSemigroup, contains
 
@@ -22,8 +26,6 @@ P1 = 1
 PINF = math.inf
 
 DEFAULT_FACTORIZATION_CAP = 10_000_000
-
-Factorization = tuple  # exponent tuple; validated by make_factorization
 
 
 def make_factorization(s: NumericalSemigroup, exponents, x: int | None = None) -> tuple[int, ...]:
@@ -182,19 +184,49 @@ def delta_of_sorted_set(values) -> DeltaSet:
     return DeltaSet.from_iterable(b - a for a, b in zip(vals, vals[1:]))
 
 
+def _one_norm_lengths(s: NumericalSemigroup, x: int) -> np.ndarray:
+    """1-lengths of a member x, the 1-norm analogue of the min-max tables.
+
+    A length-l factorization puts l - (z_2 + ... + z_k) copies on a_1, so l is
+    a length iff m[x - l * a_1] <= l, where m[y] is the least number of parts
+    a_i - a_1 (i >= 2) summing to y. Part b relaxes m[y] to m[y - b] + 1: a
+    running minimum of m[y] - j down each residue class r mod b, y = j*b + r.
+    """
+    gens = s.generators
+    a1 = gens[0]
+    lo = -(-x // gens[-1])
+    n = x - lo * a1
+    m = np.full(n + 1, INF, dtype=np.int64)
+    m[0] = 0
+    for b in (a - a1 for a in gens[1:]):
+        rows = n // b + 1
+        grid = np.full(rows * b, INF, dtype=np.int64)
+        grid[: n + 1] = m
+        j = np.arange(rows, dtype=np.int64)[:, None]
+        m = (np.minimum.accumulate(grid.reshape(rows, b) - j, axis=0) + j).ravel()[: n + 1]
+    ls = np.arange(lo, x // a1 + 1, dtype=np.int64)
+    return ls[m[x - ls * a1] <= ls]
+
+
 def length_set(s: NumericalSemigroup, x: int, p) -> LengthSet:
-    """Sorted distinct p-lengths of x; streaming fold, never materializes."""
+    """Sorted distinct p-lengths of x from the exact engine of that norm;
+    no factorization is enumerated."""
+    from .infinity import infinity_length_set
+    from .zero import support_length_set
+
     if x < 0 or not contains(s, x):
         raise NotAMember(f"{x} is not in {s}")
-    seen: set[int] = set()
-    for z in iter_factorizations(s, x):
-        seen.add(p_length(z, p))
-    return LengthSet(p, tuple(sorted(seen)))
+    if p == P0:
+        return LengthSet(p, support_length_set(s, x))
+    if p == P1:
+        return LengthSet(p, tuple(_one_norm_lengths(s, x).tolist()))
+    if p == PINF:
+        return infinity_length_set(s, x)
+    raise ValueError(f"p must be 0, 1 or inf, got {p!r}")
 
 
 def delta_set_of_element(s: NumericalSemigroup, x: int, p) -> DeltaSet:
-    ls = length_set(s, x, p)
-    return delta_of_sorted_set(ls.values)
+    return delta_of_sorted_set(length_set(s, x, p).values)
 
 
 def dominant_factorizations(

@@ -241,11 +241,6 @@ def dominant_length_set(s: NumericalSemigroup, x: int, i: int) -> LengthSet:
     return LengthSet(PINF, tuple(eng.dominant_values(x, i).tolist()))
 
 
-def delta_inf_of_element(s: NumericalSemigroup, x: int) -> DeltaSet:
-    ls = infinity_length_set(s, x)
-    return DeltaSet.from_iterable(b - a for a, b in zip(ls.values, ls.values[1:]))
-
-
 # ---------------------------------------------------------------------------
 # shift-identity validity bounds
 

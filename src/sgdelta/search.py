@@ -35,8 +35,9 @@ class SearchReport:
     exhausted: bool
 
 
-def _candidates(max_dim: int, max_gen: int):
-    for k in range(2, max_dim + 1):
+def candidates(max_dim: int, max_gen: int, min_dim: int = 2):
+    """Canonical generator tuples by ascending embedding dimension, then lexicographically."""
+    for k in range(min_dim, max_dim + 1):
         for gens in combinations(range(2, max_gen + 1), k):
             g = 0
             for a in gens:
@@ -74,11 +75,14 @@ def search_delta(
     max_gen: int,
     budget: Budget | None = None,
     workers: int = 1,
+    max_seconds: float | None = None,
 ) -> SearchReport:
     """Collect every canonical semigroup in the bounded space whose exact
     delta set equals `target`. Requires 1 in the target: a nonempty 0-delta
     set always contains 1 (0-length sets are eventually intervals), and so
-    does a max-norm delta set (unit gaps always occur for large elements)."""
+    does a max-norm delta set (unit gaps always occur for large elements).
+    Past `max_seconds` no further batch starts and the report is not
+    exhausted."""
     if p not in (P0, PINF):
         raise ValueError("search supports p = 0 and p = inf")
     target = DeltaSet.from_iterable(target)
@@ -89,10 +93,8 @@ def search_delta(
             else "every max-norm delta set of a numerical semigroup contains 1"
         )
         raise ValueError(f"unrealizable target {list(target.values)}: {reason}")
-    deadline = None
-    if budget is not None and budget.max_seconds is not None:
-        deadline = time.monotonic() + budget.max_seconds
-    cands = list(_candidates(max_dim, max_gen))
+    deadline = None if max_seconds is None else time.monotonic() + max_seconds
+    cands = list(candidates(max_dim, max_gen))
     hits: list[tuple[int, ...]] = []
     skipped: list[tuple[tuple[int, ...], str]] = []
     tested = 0

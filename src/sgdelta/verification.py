@@ -12,10 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .errors import BudgetExceeded, SemigroupError
-from .factorization import P0, PINF, DeltaSet, delta_set_of_element, enumerate_factorizations
+from .errors import BudgetExceeded
+from .factorization import (
+    P0,
+    PINF,
+    DeltaSet,
+    delta_of_sorted_set,
+    enumerate_factorizations,
+    iter_factorizations,
+    p_length,
+)
 from .families import (
     FamilySpec,
     construct_family,
@@ -38,6 +45,7 @@ from .infinity import (
 )
 from .parallel import pmap
 from .presentation import delta0_3gen, minimal_presentation
+from .search import candidates
 from .semigroup import NumericalSemigroup, contains, make_semigroup
 from .zero import (
     check_l0_interval,
@@ -348,17 +356,7 @@ def _three_gen_case(gens):
 
 def three_generated_semigroups(max_gen: int):
     """All canonical 3-generated semigroups with largest generator <= max_gen."""
-    out = []
-    for gens in combinations(range(2, max_gen + 1), 3):
-        if math.gcd(math.gcd(gens[0], gens[1]), gens[2]) != 1:
-            continue
-        try:
-            s = make_semigroup(gens)
-        except SemigroupError:
-            continue
-        if s.generators == gens:
-            out.append(gens)
-    return out
+    return list(candidates(3, max_gen, min_dim=3))
 
 
 def _run_three_gen_gluing(params) -> list[Instance]:
@@ -415,19 +413,8 @@ def _run_gaps_family(params) -> list[Instance]:
     for k in range(lo, hi + 1):
         spec = family("gaps", k=k)
         s = construct_family(spec)
-        top = s.generators[-1]
-        # enumeration is the cheap exact route here: these elements have a
-        # handful of factorizations even at k = 10
-        d3 = delta_set_of_element(s, 3 * top, P0)
-        d2 = delta_set_of_element(s, 2 * top, P0)
-        ok_el = d3 == DeltaSet((k,)) and d2 == DeltaSet((k - 1,))
         out.append(
-            _inst(
-                "gaps-family",
-                f"gaps:k={k} element deltas at 2x and 3x top generator",
-                ok_el,
-                "" if ok_el else f"got {list(d2.values)} / {list(d3.values)}",
-            )
+            _inst("gaps-family", f"gaps:k={k} element deltas at 2x and 3x top generator", *_gaps_element_check(s, k))
         )
         pres = minimal_presentation(s)
         got = {t.sides() for t in pres.trades}
@@ -451,20 +438,25 @@ def _run_gaps_family(params) -> list[Instance]:
     return out
 
 
+def _gaps_element_check(s: NumericalSemigroup, k: int) -> tuple[bool, str]:
+    """The 0-deltas of twice and three times the top generator are {k-1} and
+    {k}. Support sizes are read off the factorizations, the route independent
+    of the support engine: these elements have a handful of factorizations
+    even at k = 16, where the engine would build 2^17 cones."""
+    top = s.generators[-1]
+    d2, d3 = (
+        delta_of_sorted_set(sorted({p_length(z, P0) for z in iter_factorizations(s, c * top)}))
+        for c in (2, 3)
+    )
+    ok = d3 == DeltaSet((k,)) and d2 == DeltaSet((k - 1,))
+    return ok, "" if ok else f"got {list(d2.values)} / {list(d3.values)}"
+
+
 def _gaps_membership_half(k: int) -> Instance:
     """Element-level facts at proof scale: the two forced elements pin the
     top of the window, i.e. {k-1, k} is contained in the 0-delta set."""
     s = construct_family(family("gaps", k=k))
-    top = s.generators[-1]
-    d3 = delta_set_of_element(s, 3 * top, P0)
-    d2 = delta_set_of_element(s, 2 * top, P0)
-    ok = d3 == DeltaSet((k,)) and d2 == DeltaSet((k - 1,))
-    return _inst(
-        "gaps-family",
-        f"gaps:k={k} membership half {{k-1, k}}",
-        ok,
-        "" if ok else f"got {list(d2.values)} / {list(d3.values)}",
-    )
+    return _inst("gaps-family", f"gaps:k={k} membership half {{k-1, k}}", *_gaps_element_check(s, k))
 
 
 def _gaps_window_scan(s, k, params) -> Instance:

@@ -83,13 +83,6 @@ def check_l0_interval(s: NumericalSemigroup, x: int) -> bool:
     return sizes[-1] - sizes[0] + 1 == len(sizes)
 
 
-def delta0_of_element(s: NumericalSemigroup, x: int) -> DeltaSet:
-    sizes = support_length_set(s, x)
-    if not sizes:
-        raise NotAMember(f"{x} is not in {s}")
-    return DeltaSet.from_iterable(b - a for a, b in zip(sizes, sizes[1:]))
-
-
 def _delta_union_to(s: NumericalSemigroup, horizon: int) -> set[int]:
     """Union of per-element 0-delta sets over x in [0, horizon], vectorized:
     one membership pass per support subset, then per-x size bitmasks."""

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sgdelta.cli import main
 
 
@@ -58,6 +60,27 @@ def test_compute_budget_exit_code(capsys):
     )
     assert code == 3
     assert doc["error"]["code"] == "budget-exceeded"
+
+
+def test_budget_flags(capsys):
+    # --budget-seconds is honoured by search alone, so elsewhere it is a
+    # usage error instead of a silently defaulted element budget
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "interval-family", "--budget-seconds", "1000"])
+    assert exc.value.code == 2
+    # without --budget-elements every engine keeps its per-norm default
+    code, doc = run_json(capsys, "compute", "--gens", "3,10,11", "delta-semigroup", "--p", "0")
+    assert code == 0 and doc["budget"] == {"defaults": True}
+    # an explicit 0 is a budget, not a request for the default
+    code, doc = run_json(
+        capsys, "compute", "--gens", "3,10,11", "delta-semigroup", "--p", "0", "--budget-elements", "0"
+    )
+    assert code == 3 and doc["error"]["code"] == "budget-exceeded"
+    code, doc = run_json(
+        capsys, "search", "--target", "1", "--p", "0", "--max-gen", "12", "--budget-seconds", "0"
+    )
+    assert code == 0
+    assert doc["result"]["tested"] == 0 and doc["result"]["exhausted"] is False
 
 
 def test_compute_apery_and_membership(capsys):

@@ -42,6 +42,8 @@ def test_engine_routes_agree_on_random_instances():
             assert tuple(eng.dominant_values(x, i).tolist()) == dom, (s, x, i)
             sizes = tuple(sorted({sum(1 for c in z if c) for z in zs}))
             assert support_length_set(s, x) == sizes, (s, x)
+            if zs:
+                assert sg.length_set(s, x, sg.P1).values == tuple(sorted({sum(z) for z in zs})), (s, x)
 
 
 def test_delta0_engine_on_random_instances():

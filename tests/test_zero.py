@@ -5,12 +5,14 @@ from sgdelta import (
     P0,
     check_l0_interval,
     contains,
-    delta0_of_element,
     delta0_semigroup,
     delta0_stability_bound,
     delta0_union_brute,
+    delta_of_sorted_set,
     delta_set_of_element,
+    iter_factorizations,
     make_semigroup,
+    p_length,
     support_length_set,
     support_profiles,
 )
@@ -58,7 +60,8 @@ def test_delta0_of_element_matches_enumeration(mcnugget, med3):
         for x in range(1, 120):
             if not contains(s, x):
                 continue
-            assert delta0_of_element(s, x) == delta_set_of_element(s, x, P0), (s, x)
+            sizes = sorted({p_length(z, P0) for z in iter_factorizations(s, x)})
+            assert delta_set_of_element(s, x, P0) == delta_of_sorted_set(sizes), (s, x)
 
 
 def test_delta0_semigroup_equals_double_horizon_brute(geo, med3, mcnugget, genarith):
@@ -82,4 +85,4 @@ def test_delta_values_stay_below_embedding_dim(geo, med3, mcnugget):
         x0 = delta0_stability_bound(s)
         for x in range(1, min(x0, 150)):
             if contains(s, x):
-                assert all(v <= k - 1 for v in delta0_of_element(s, x).values)
+                assert all(v <= k - 1 for v in delta_set_of_element(s, x, P0).values)
