@@ -27,11 +27,6 @@ def ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def strictly_above(num: int, den: int) -> int:
-    """Least integer x with x > num / den (den > 0)."""
-    return num // den + 1
-
-
 def modinv(a: int, m: int) -> int:
     """Inverse of a modulo m in [0, m-1]; m >= 1 and gcd(a, m) = 1."""
     if m == 1:

@@ -10,6 +10,7 @@ JSON output is stable: keys sorted, arrays sorted. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -81,25 +82,36 @@ def _cache_dir(args) -> Path | None:
     return Path(env) if env else None
 
 
+# Part of every cache key: raise it when a change alters what a command returns.
+RESULT_SCHEMA = 1
+
+
 def _cache_key(payload: dict) -> str:
-    blob = json.dumps({"version": __version__, **payload}, sort_keys=True)
+    blob = json.dumps({"version": __version__, "schema": RESULT_SCHEMA, **payload}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _cache_get(cdir: Path | None, key: str):
+    """The stored payload, or None on a miss. An unreadable entry is a miss,
+    so the result is recomputed and the entry overwritten."""
     if cdir is None:
         return None
-    f = cdir / f"{key}.json"
-    if f.exists():
-        return json.loads(f.read_text())
-    return None
+    try:
+        doc = json.loads((cdir / f"{key}.json").read_text())
+    except (OSError, ValueError):
+        return None
+    return doc if isinstance(doc, dict) and "result" in doc else None
 
 
 def _cache_put(cdir: Path | None, key: str, value: dict) -> None:
+    """Writes a per-process temp file and renames it over the entry, so no
+    reader ever sees a partly written entry."""
     if cdir is None:
         return
     cdir.mkdir(parents=True, exist_ok=True)
-    (cdir / f"{key}.json").write_text(json.dumps(value, sort_keys=True))
+    tmp = cdir / f"{key}.{os.getpid()}.tmp"
+    tmp.write_text(json.dumps(value, sort_keys=True))
+    os.replace(tmp, cdir / f"{key}.json")
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +121,15 @@ def _cache_put(cdir: Path | None, key: str, value: dict) -> None:
 def _cmd_compute(args) -> tuple[dict, int]:
     gens = _parse_gens(args.gens)
     what = args.what
+    budget = _budget(args)
+    if what in ("membership", "lengths", "delta"):
+        if args.x is None:
+            raise ValueError(f"{what} needs --x")
+        if budget is not None and args.x > budget.max_element:
+            raise BudgetExceeded(f"x={args.x} exceeds element budget {budget.max_element}")
+    if what == "apery" and args.m is None:
+        raise ValueError("apery needs --m")
+
     cdir = _cache_dir(args)
     key_payload = {
         "command": "compute",
@@ -117,23 +138,18 @@ def _cmd_compute(args) -> tuple[dict, int]:
         "x": args.x,
         "m": args.m,
         "p": args.p,
-        "budget": _budget_echo(_budget(args)),
+        "budget": _budget_echo(budget),
     }
     key = _cache_key(key_payload)
     cached = _cache_get(cdir, key)
     if cached is not None:
-        return {"result": cached["result"], **({"certificate": cached["certificate"]} if "certificate" in cached else {}), "cached": True}, EXIT_OK
-
-    if what in ("membership", "lengths", "delta") and args.x is None:
-        raise ValueError(f"{what} needs --x")
-    if what == "apery" and args.m is None:
-        raise ValueError("apery needs --m")
+        return {**cached, "cached": True}, EXIT_OK
 
     s = make_semigroup(gens)
     result: dict = {"generators": list(s.generators)}
     if s.removed:
         result["removed"] = list(s.removed)
-    certificate = None
+    payload = {"result": result}
 
     if what == "membership":
         result["x"] = args.x
@@ -165,27 +181,18 @@ def _cmd_compute(args) -> tuple[dict, int]:
         p = _parse_p(args.p)
         result["p"] = _p_name(p)
         if p == P0:
-            d = delta0_semigroup(s, budget=_budget(args))
+            d = delta0_semigroup(s, budget=budget)
             result["delta"] = list(d.values)
             result["stability_bound"] = delta0_stability_bound(s)
         elif p == PINF:
-            d, cert = delta_inf_semigroup(s, budget=_budget(args))
+            d, cert = delta_inf_semigroup(s, budget=budget)
             result["delta"] = list(d.values)
-            certificate = {
-                "start": cert.start,
-                "period": cert.period,
-                "window_periods": cert.window_periods,
-                "mode": cert.mode,
-                "union_horizon": cert.union_horizon,
-            }
+            payload["certificate"] = dataclasses.asdict(cert)
         else:
             raise ValueError("delta-semigroup supports p = 0 and p = inf")
     else:
         raise ValueError(f"unknown computation {what!r}")
 
-    payload = {"result": result}
-    if certificate is not None:
-        payload["certificate"] = certificate
     _cache_put(cdir, key, payload)
     return payload, EXIT_OK
 

@@ -15,6 +15,9 @@ along it, so only the two lattice points nearest the balance point matter.
 For more generators a level search fills t_i: the set reachable with all
 exponents <= l+1 is the union of subset-sum shifts of the level-l set.
 
+Each instance caches one engine, grown by doubling, and one sweep of
+per-element delta sets, so every x is swept at most once per instance.
+
 The semigroup-level delta set is the union of per-element delta sets up to
 start + W * period, where start either comes from the explicit shift-identity
 validity bounds (theorem-backed) or from the first observed window of exact
@@ -26,17 +29,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
-from .arith import INF, INT64_MAX, ceil_div, modinv
+from .arith import INF, ceil_div, modinv
 from .budget import DEFAULT_INF_BUDGET, Budget
-from .errors import BudgetExceeded, NotAMember, PeriodOverflow, ThresholdNotMet, VerificationError
+from .errors import BudgetExceeded, NotAMember, ThresholdNotMet, VerificationError
 from .factorization import PINF, DeltaSet, LengthSet
 from .semigroup import (
     NumericalSemigroup,
     contains,
+    delta_period,
     frobenius,
     quotient_cone,
     quotient_data,
@@ -89,11 +93,7 @@ def structure_constants(s: NumericalSemigroup) -> StructureConstants:
         f = span_frobenius(q.quotient_generators)
         margin = ceil_div(q.complement_gcd * (f + 1), gens[i - 1])
         records.append(IndexRecord(i, q.complement_gcd, q.quotient_generators, q.inverse, margin))
-    g1 = records[0].complement_gcd
-    period = math.lcm(gens[0], g1 * gens[1], s.gen_sum)
-    if period > INT64_MAX:
-        raise PeriodOverflow(f"period {period} exceeds the 64-bit contract")
-    out = StructureConstants(s.gen_sum, period, tuple(records))
+    out = StructureConstants(s.gen_sum, delta_period(s), tuple(records))
     s._cache["structure"] = out
     return out
 
@@ -167,14 +167,15 @@ MAX_ENGINE_HORIZON = 20_000_000
 
 
 class _Engine:
-    """Per-semigroup max-norm length oracle valid for all x <= horizon."""
+    """Max-norm length oracle for one generator tuple, valid for all
+    x <= horizon. Holding the generators, not the semigroup, keeps the
+    instance that caches it free of reference cycles."""
 
-    def __init__(self, s: NumericalSemigroup, horizon: int):
+    def __init__(self, gens: tuple[int, ...], horizon: int):
         if horizon > MAX_ENGINE_HORIZON:
             raise BudgetExceeded(f"length tables to {horizon} exceed the engine budget")
-        self.s = s
+        self.gens = gens
         self.horizon = horizon
-        gens = s.generators
         self.tables = []
         for i in range(len(gens)):
             others = gens[:i] + gens[i + 1 :]
@@ -184,7 +185,7 @@ class _Engine:
     def _dominant_mask(self, x: int, i: int) -> np.ndarray:
         """Boolean over l = 0..x//a_i: l is a dominant length of x at i.
         Entry j corresponds to l = j."""
-        a = self.s.generators[i - 1]
+        a = self.gens[i - 1]
         n = x // a
         sub = self.tables[i - 1][x % a : x + 1 : a]  # y ascending <-> l descending
         cond = sub <= self._asc[n::-1]
@@ -195,8 +196,8 @@ class _Engine:
 
     def length_mask(self, x: int) -> np.ndarray:
         # fresh buffer per call: engines are shared by concurrent readers
-        buf = np.zeros(x // self.s.generators[0] + 1, dtype=bool)
-        for i in range(1, self.s.embedding_dim + 1):
+        buf = np.zeros(x // self.gens[0] + 1, dtype=bool)
+        for i in range(1, len(self.gens) + 1):
             m = self._dominant_mask(x, i)
             np.logical_or(buf[: len(m)], m, out=buf[: len(m)])
         return buf
@@ -212,11 +213,38 @@ class _Engine:
 
 
 def _get_engine(s: NumericalSemigroup, horizon: int) -> _Engine:
+    """The instance's engine, valid at least up to `horizon`. The first one
+    is built exactly to it; an outgrown one is rebuilt to at least twice its
+    horizon, so an ascending scan to x builds O(log x) engines."""
     eng = s._cache.get("inf-engine")
-    if eng is None or eng.horizon < horizon:
-        eng = _Engine(s, horizon)
-        s._cache["inf-engine"] = eng
+    if eng is not None and eng.horizon >= horizon:
+        return eng
+    if eng is not None:
+        horizon = max(horizon, min(2 * eng.horizon, MAX_ENGINE_HORIZON))
+    eng = _Engine(s.generators, horizon)
+    s._cache["inf-engine"] = eng
     return eng
+
+
+def _member_engine(s: NumericalSemigroup, x: int, ahead: int = 0) -> _Engine:
+    """The engine for a query at the member x, valid up to x + ahead."""
+    if x < 0 or not contains(s, x):
+        raise NotAMember(f"{x} is not in {s}")
+    return _get_engine(s, x + ahead)
+
+
+def _deltas(s: NumericalSemigroup, upto: int) -> tuple[tuple[int, ...] | None, ...]:
+    """Per-element max-norm delta tuples for x = 0..upto at least, None for
+    non-members. Each x is swept once per instance: a longer request extends
+    the cached prefix into a new tuple that replaces it, and the old one is
+    never mutated, so concurrent readers stay safe."""
+    done = s._cache.get("inf-deltas", ())
+    if len(done) > upto:
+        return done
+    eng = _get_engine(s, upto)
+    out = done + tuple(map(eng.delta_tuple, range(len(done), upto + 1)))
+    s._cache["inf-deltas"] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +252,7 @@ def _get_engine(s: NumericalSemigroup, horizon: int) -> _Engine:
 
 
 def infinity_length_set(s: NumericalSemigroup, x: int) -> LengthSet:
-    if x < 0 or not contains(s, x):
-        raise NotAMember(f"{x} is not in {s}")
-    eng = _get_engine(s, x)
+    eng = _member_engine(s, x)
     return LengthSet(PINF, tuple(eng.lengths(x).tolist()))
 
 
@@ -235,9 +261,7 @@ def dominant_length_set(s: NumericalSemigroup, x: int, i: int) -> LengthSet:
     (1-based); may be empty."""
     if not 1 <= i <= s.embedding_dim:
         raise ValueError(f"index must be in 1..{s.embedding_dim}")
-    if x < 0 or not contains(s, x):
-        raise NotAMember(f"{x} is not in {s}")
-    eng = _get_engine(s, x)
+    eng = _member_engine(s, x)
     return LengthSet(PINF, tuple(eng.dominant_values(x, i).tolist()))
 
 
@@ -285,10 +309,6 @@ def _theorem_start(s: NumericalSemigroup, consts: StructureConstants) -> int | N
     return max(cands)
 
 
-def _delta_run(eng: _Engine, upto: int) -> list[tuple[int, ...] | None]:
-    return [eng.delta_tuple(x) for x in range(upto + 1)]
-
-
 def delta_inf_semigroup(
     s: NumericalSemigroup,
     window_periods: int = 2,
@@ -307,13 +327,10 @@ def delta_inf_semigroup(
         raise ValueError("need at least one window period")
     consts = structure_constants(s)
     p = consts.period
-    start = _theorem_start(s, consts)
-    mode = "theorem-backed"
+    start, mode = _theorem_start(s, consts), "theorem-backed"
     if start is None or start + (w + 1) * p > budget.max_element:
-        return _empirical_delta_inf(s, p, w, budget)
-    horizon = start + (w + 1) * p
-    eng = _get_engine(s, horizon)
-    deltas = _delta_run(eng, horizon)
+        start, mode = _empirical_start(s, p, w, budget), "empirical"
+    deltas = _deltas(s, start + (w + 1) * p)
     for x in range(start, start + w * p):
         if deltas[x] != deltas[x + p]:
             raise VerificationError(
@@ -321,43 +338,27 @@ def delta_inf_semigroup(
                 "this contradicts the structure analysis"
             )
     union_to = start + w * p
-    union: set[int] = set()
-    for d in deltas[: union_to + 1]:
-        if d:
-            union.update(d)
-    cert = PeriodicityCertificate(start, p, w, mode, union_to)
-    return DeltaSet.from_iterable(union), cert
+    union = set(chain.from_iterable(filter(None, deltas[: union_to + 1])))
+    return DeltaSet.from_iterable(union), PeriodicityCertificate(start, p, w, mode, union_to)
 
 
-def _empirical_delta_inf(
-    s: NumericalSemigroup, p: int, w: int, budget: Budget
-) -> tuple[DeltaSet, PeriodicityCertificate]:
+def _empirical_start(s: NumericalSemigroup, p: int, w: int, budget: Budget) -> int:
+    """Smallest x0 past the Frobenius number whose whole window
+    [x0, x0 + w * p) repeats with period p, searched over sweeps whose
+    horizon doubles up to the element budget."""
     floor_start = frobenius(s) + 1  # all x beyond are members
+    cap = budget.max_element
     horizon = floor_start + (w + 2) * p
-    while True:
-        if horizon > budget.max_element:
-            raise BudgetExceeded(
-                f"no verified periodicity window within element budget {budget.max_element}"
-            )
-        eng = _get_engine(s, horizon)
-        deltas = _delta_run(eng, horizon)
-        limit = horizon - (w + 1) * p
-        run = 0
-        found = None
-        # smallest x0 >= floor_start whose whole window checks out
-        for x in range(limit + w * p - 1, floor_start - 1, -1):
-            run = run + 1 if deltas[x] == deltas[x + p] else 0
-            if run >= w * p and x <= limit:
-                found = x
-        if found is not None:
-            union_to = found + w * p
-            union: set[int] = set()
-            for d in deltas[: union_to + 1]:
-                if d:
-                    union.update(d)
-            cert = PeriodicityCertificate(found, p, w, "empirical", union_to)
-            return DeltaSet.from_iterable(union), cert
-        horizon = min(budget.max_element, horizon * 2) if horizon < budget.max_element else budget.max_element + 1
+    while horizon <= cap:
+        deltas = _deltas(s, horizon)
+        x0 = floor_start  # deltas[y] == deltas[y + p] for every y in [x0, x)
+        for x in range(floor_start, horizon - p):
+            if deltas[x] != deltas[x + p]:
+                x0 = x + 1
+            elif x + 1 - x0 >= w * p:
+                return x0
+        horizon = min(cap, horizon * 2) if horizon < cap else cap + 1
+    raise BudgetExceeded(f"no verified periodicity window within element budget {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +368,10 @@ def _empirical_delta_inf(
 def verify_linf_bounds(s: NumericalSemigroup, x: int) -> bool:
     """Sandwich bounds: the least max-norm length sits within a_k of x / A,
     and each nonempty dominant set tops out within k * a_k of x / a_i."""
-    if x < 0 or not contains(s, x):
-        raise NotAMember(f"{x} is not in {s}")
+    eng = _member_engine(s, x)
     a = s.generators
     k = len(a)
     total = s.gen_sum
-    eng = _get_engine(s, x)
     ach = eng.lengths(x)
     lmin = int(ach[0])
     if lmin * total < x or (lmin - a[-1]) * total > x:
@@ -390,13 +389,11 @@ def verify_linf_bounds(s: NumericalSemigroup, x: int) -> bool:
 def verify_aap(s: NumericalSemigroup, x: int, i: int) -> bool:
     """Dominant lengths at i lie in one residue class mod the complement
     gcd, and fill that class on [x/A + a_k, x/a_i - margin]."""
-    if x < 0 or not contains(s, x):
-        raise NotAMember(f"{x} is not in {s}")
+    eng = _member_engine(s, x)
     consts = structure_constants(s)
     rec = consts.records[i - 1]
     a_i = s.generators[i - 1]
     g = rec.complement_gcd
-    eng = _get_engine(s, x)
     dom = set(eng.dominant_values(x, i).tolist())
     res = (rec.inverse * x) % g if g > 1 else 0
     if g > 1 and any(l % g != res for l in dom):
@@ -416,15 +413,13 @@ def verify_shift(s: NumericalSemigroup, x: int, i: int, bound: int, sum_bound: i
     of the dominant set by one, and adding every generator shifts the bottom
     `sum_bound` window of the full length set by one. Raises below the
     validity thresholds instead of reporting a falsification."""
-    if x < 0 or not contains(s, x):
-        raise NotAMember(f"{x} is not in {s}")
+    eng = _member_engine(s, x, ahead=s.gen_sum)
     t_index = shift_threshold_index(s, i, bound)
     t_sum = shift_threshold_sum(s, sum_bound)
     if x < max(t_index, t_sum):
         raise ThresholdNotMet(f"x={x} below validity bounds {t_index}/{t_sum}")
     a_i = s.generators[i - 1]
     total = s.gen_sum
-    eng = _get_engine(s, x + total)
 
     cut = ceil_div(x, a_i) - bound
     before = {l for l in eng.dominant_values(x, i).tolist() if l >= cut}
@@ -445,8 +440,7 @@ def verify_interval_decomposition(s: NumericalSemigroup, x: int) -> bool:
     enough that the regions separate."""
     if s.embedding_dim < 3:
         raise ValueError("interval decomposition references the third generator")
-    if x < 0 or not contains(s, x):
-        raise NotAMember(f"{x} is not in {s}")
+    eng = _member_engine(s, x)
     consts = structure_constants(s)
     a = s.generators
     total = consts.gen_sum
@@ -454,7 +448,6 @@ def verify_interval_decomposition(s: NumericalSemigroup, x: int) -> bool:
     g2 = consts.records[1].complement_gcd
     b1 = consts.records[0].margin
     b2 = consts.records[1].margin
-    eng = _get_engine(s, x)
     ach = eng.lengths(x).tolist()
     gaps = {b - a2 for a2, b in zip(ach, ach[1:])}
     base = set(range(1, min(g1, g2) + 1)) | {g1}

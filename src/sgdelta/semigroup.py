@@ -132,16 +132,19 @@ def make_semigroup(raw_generators) -> NumericalSemigroup:
     """
     gens, removed = _canonicalize(raw_generators)
     s = NumericalSemigroup(gens, removed)
-    if _period_of(s) > INT64_MAX:
-        raise PeriodOverflow(f"period of {gens} exceeds the 64-bit contract")
+    delta_period(s)  # raises PeriodOverflow past 64 bits
     return s
 
 
-def _period_of(s: NumericalSemigroup) -> int:
-    g1 = 0
-    for a in s.generators[1:]:
-        g1 = math.gcd(g1, a)
-    return math.lcm(s.generators[0], g1 * s.generators[1], s.gen_sum)
+def delta_period(s: NumericalSemigroup) -> int:
+    """Period lcm(a_1, g_1 * a_2, A) of the per-element max-norm delta sets,
+    g_1 the gcd of the non-smallest generators and A the generator sum.
+    Raises PeriodOverflow when it does not fit in 64 signed bits."""
+    a = s.generators
+    period = math.lcm(a[0], math.gcd(*a[1:]) * a[1], s.gen_sum)
+    if period > INT64_MAX:
+        raise PeriodOverflow(f"period of {a} exceeds the 64-bit contract")
+    return period
 
 
 def apery_set(s: NumericalSemigroup, m: int) -> AperyTable:

@@ -76,6 +76,11 @@ def test_budget_flags(capsys):
         capsys, "compute", "--gens", "3,10,11", "delta-semigroup", "--p", "0", "--budget-elements", "0"
     )
     assert code == 3 and doc["error"]["code"] == "budget-exceeded"
+    # element queries honour the element budget too
+    code, doc = run_json(
+        capsys, "compute", "--gens", "3,10,11", "lengths", "--x", "2000000", "--p", "1", "--budget-elements", "1000"
+    )
+    assert code == 3 and doc["error"]["code"] == "budget-exceeded"
     code, doc = run_json(
         capsys, "search", "--target", "1", "--p", "0", "--max-gen", "12", "--budget-seconds", "0"
     )
@@ -186,6 +191,20 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert code2 == 0 and doc2["timing"]["cached"]
     assert doc2["result"]["delta"] == doc1["result"]["delta"]
     assert doc2["certificate"] == doc1["certificate"]
+
+
+def test_cache_unreadable_entry_is_a_miss(tmp_path, capsys):
+    argv = ["compute", "--gens", "3,10,11", "delta-semigroup", "--p", "inf", "--cache-dir", str(tmp_path)]
+    _, doc1 = run_json(capsys, *argv)
+    (entry,) = tmp_path.glob("*.json")
+    entry.write_text(entry.read_text()[:20])
+    code, doc2 = run_json(capsys, *argv)
+    assert code == 0 and not doc2["timing"]["cached"]
+    assert doc2["result"] == doc1["result"] and doc2["certificate"] == doc1["certificate"]
+    # the recomputed result was written back whole
+    code, doc3 = run_json(capsys, *argv)
+    assert code == 0 and doc3["timing"]["cached"] and doc3["result"] == doc1["result"]
+    assert [f.name for f in tmp_path.iterdir()] == [entry.name]
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

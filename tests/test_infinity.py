@@ -1,3 +1,7 @@
+import gc
+import math
+import weakref
+
 import pytest
 
 from sgdelta import (
@@ -21,6 +25,7 @@ from sgdelta import (
     verify_linf_bounds,
     verify_shift,
 )
+from sgdelta import infinity
 from sgdelta.infinity import _minmax_pair, _minmax_bfs, shift_threshold_index, shift_threshold_sum
 
 
@@ -117,6 +122,56 @@ def test_certificate_stability_under_wider_window(geo, med3):
         d3, c3 = delta_inf_semigroup(s, window_periods=3)
         assert d2 == d3
         assert c2.start == c3.start
+
+
+def test_sweep_is_shared_across_window_widths(monkeypatch):
+    # the wider window sweeps only what the narrower one left out
+    calls = []
+    orig = infinity._Engine.delta_tuple
+
+    def counting(self, x):
+        calls.append(x)
+        return orig(self, x)
+
+    monkeypatch.setattr(infinity._Engine, "delta_tuple", counting)
+    s = make_semigroup([3, 10, 11])
+    _, c2 = delta_inf_semigroup(s, window_periods=2)
+    _, c3 = delta_inf_semigroup(s, window_periods=3)
+    assert c2.start == c3.start
+    assert sorted(calls) == list(range(c3.start + 4 * c3.period + 1))
+
+
+def test_ascending_scan_builds_few_engines(monkeypatch):
+    horizons = []
+    orig = infinity._Engine.__init__
+
+    def counting(self, gens, horizon):
+        horizons.append(horizon)
+        orig(self, gens, horizon)
+
+    monkeypatch.setattr(infinity._Engine, "__init__", counting)
+    s = make_semigroup([3, 10, 11])
+    top = 40 * s.gen_sum
+    for x in range(top + 1):
+        if contains(s, x):
+            assert verify_linf_bounds(s, x), x
+    # one engine per doubling of the horizon, not one per member
+    assert len(horizons) <= math.ceil(math.log2(top)) + 2, horizons
+
+
+def test_semigroup_freed_without_cyclic_gc():
+    # cached engines and sweeps keep the generators, not the instance, so
+    # reference counting alone frees it
+    gc.disable()
+    try:
+        for gens in ((4, 6, 9), (2, 3)):
+            s = make_semigroup(gens)
+            ref = weakref.ref(s)
+            delta_inf_semigroup(s)
+            del s
+            assert ref() is None, gens
+    finally:
+        gc.enable()
 
 
 def test_delta_inf_matches_elementwise_union(geo):

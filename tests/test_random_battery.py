@@ -59,6 +59,7 @@ def test_delta0_engine_on_random_instances():
 
 def test_delta_inf_certificates_on_random_instances():
     budget = sg.Budget(max_element=30_000)
+    wide = sg.Budget(max_element=90_000)
     done = 0
     for s in random_semigroups(3, 14, [2, 3], 13):
         try:
@@ -66,8 +67,13 @@ def test_delta_inf_certificates_on_random_instances():
         except sg.BudgetExceeded:
             continue
         done += 1
-        d3, _ = sg.delta_inf_semigroup(s, window_periods=3, budget=sg.Budget(max_element=90_000))
-        assert d2 == d3, s
+        r3 = sg.delta_inf_semigroup(s, window_periods=3, budget=wide)
+        assert d2 == r3[0], s
+        # the cached sweep gives a fresh instance's answers in either order
+        assert r3 == sg.delta_inf_semigroup(sg.make_semigroup(s.generators), window_periods=3, budget=wide), s
+        rev = sg.make_semigroup(s.generators)
+        assert sg.delta_inf_semigroup(rev, window_periods=3, budget=wide) == r3, s
+        assert sg.delta_inf_semigroup(rev, window_periods=2, budget=budget) == (d2, c2), s
         eng = _get_engine(s, c2.union_horizon + c2.period)
         seen = set()
         for x in range(c2.union_horizon + c2.period + 1):
