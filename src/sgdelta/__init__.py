@@ -27,6 +27,7 @@ from .factorization import (
     LengthSet,
     delta_of_sorted_set,
     delta_set_of_element,
+    delta_set_of_semigroup,
     dominant_factorizations,
     enumerate_factorizations,
     iter_factorizations,

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .budget import Budget
 from .errors import BudgetExceeded, SemigroupError
-from .factorization import P0, P1, PINF, delta_of_sorted_set, length_set
+from .factorization import P0, P1, PINF, delta_of_sorted_set, delta_set_of_semigroup, length_set
 from .families import construct_family, parse_family, predicted_delta
 from .infinity import delta_inf_semigroup
 from .presentation import betti_elements, minimal_presentation, trade_value
@@ -265,10 +265,7 @@ def _cmd_family(args) -> tuple[dict, int]:
         pred = predicted_delta(spec, p)
         entry: dict = {"predicted": pred.describe() if pred else "unspecified"}
         try:
-            if p == P0:
-                computed = delta0_semigroup(s, budget=_budget(args))
-            else:
-                computed = delta_inf_semigroup(s, budget=_budget(args))[0]
+            computed = delta_set_of_semigroup(s, p, _budget(args))
             entry["computed"] = list(computed.values)
             if pred is not None:
                 entry["match"] = pred.matches(computed)

@@ -18,6 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .arith import INF
+from .budget import Budget
 from .errors import CapExceeded, NotAMember
 from .semigroup import NumericalSemigroup, contains
 
@@ -136,10 +137,6 @@ class LengthSet:
     def min_value(self) -> int:
         return self.values[0]
 
-    @property
-    def max_value(self) -> int:
-        return self.values[-1]
-
     def __iter__(self):
         return iter(self.values)
 
@@ -227,6 +224,20 @@ def length_set(s: NumericalSemigroup, x: int, p) -> LengthSet:
 
 def delta_set_of_element(s: NumericalSemigroup, x: int, p) -> DeltaSet:
     return delta_of_sorted_set(length_set(s, x, p).values)
+
+
+def delta_set_of_semigroup(s: NumericalSemigroup, p, budget: Budget | None = None) -> DeltaSet:
+    """Exact delta set of the whole semigroup from the engine of that norm:
+    the support-stability union (p = 0) or the certified max-norm union
+    (p = inf, certificate dropped). Raises BudgetExceeded past `budget`."""
+    from .infinity import delta_inf_semigroup
+    from .zero import delta0_semigroup
+
+    if p == P0:
+        return delta0_semigroup(s, budget=budget)
+    if p == PINF:
+        return delta_inf_semigroup(s, budget=budget)[0]
+    raise ValueError(f"semigroup delta sets are computed for p = 0 and p = inf, got {p!r}")
 
 
 def dominant_factorizations(

@@ -16,11 +16,9 @@ from itertools import combinations
 
 from .budget import Budget
 from .errors import BudgetExceeded, SemigroupError
-from .factorization import P0, PINF, DeltaSet
-from .infinity import delta_inf_semigroup
+from .factorization import P0, PINF, DeltaSet, delta_set_of_semigroup
 from .parallel import pmap
 from .semigroup import make_semigroup
-from .zero import delta0_semigroup
 
 
 @dataclass(frozen=True)
@@ -52,17 +50,10 @@ def candidates(max_dim: int, max_gen: int, min_dim: int = 2):
                 yield gens
 
 
-def _delta_of(gens, p, budget):
-    s = make_semigroup(gens)
-    if p == P0:
-        return delta0_semigroup(s, budget=budget)
-    return delta_inf_semigroup(s, budget=budget)[0]
-
-
 def _probe(args):
     gens, p, target, budget = args
     try:
-        d = _delta_of(gens, p, budget)
+        d = delta_set_of_semigroup(make_semigroup(gens), p, budget)
     except BudgetExceeded as e:
         return gens, "budget", str(e)
     return gens, "hit" if d.values == target else "miss", ""
@@ -113,7 +104,7 @@ def search_delta(
                 exhausted = False
             elif status == "hit":
                 # re-verify on a fresh instance before emission
-                if _delta_of(gens, p, budget).values != target.values:
+                if delta_set_of_semigroup(make_semigroup(gens), p, budget).values != target.values:
                     raise SemigroupError(f"re-verification failed for {gens}")
                 hits.append(gens)
     return SearchReport(

@@ -31,12 +31,6 @@ class AperyTable:
         if len(self.entries) != self.modulus:
             raise ValueError("need one entry per residue class")
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(enumerate(self.entries))
-
-    def maximum(self) -> int:
-        return max(self.entries)
-
 
 @dataclass(frozen=True)
 class QuotientData:

@@ -6,12 +6,19 @@ counterexample payloads. "verified" claims must pass; "report-only" claims
 record observations without affecting exit status (used where an instance
 statement is known to admit exceptions even though the set-level result
 holds).
+
+Most claims take one of two shapes. A structure claim runs one check on each
+suite semigroup, and the suite entries are shared instances, so their cached
+sweeps serve every claim. A family claim is a row of `FAMILY_CLAIMS`: a
+family variant, its norms and its quick and full parameter grids. A budget
+overrun is a "budget" record in either shape, never an abort.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 from .errors import BudgetExceeded
 from .factorization import (
@@ -19,6 +26,7 @@ from .factorization import (
     PINF,
     DeltaSet,
     delta_of_sorted_set,
+    delta_set_of_semigroup,
     enumerate_factorizations,
     iter_factorizations,
     p_length,
@@ -44,7 +52,7 @@ from .infinity import (
     verify_shift,
 )
 from .parallel import pmap
-from .presentation import delta0_3gen, minimal_presentation
+from .presentation import delta0_3gen, minimal_presentation, singleton_support_presentation_exists
 from .search import candidates
 from .semigroup import NumericalSemigroup, contains, make_semigroup
 from .zero import (
@@ -65,10 +73,6 @@ class Instance:
     status: str  # "pass" | "fail" | "report" | "budget"
     detail: str = ""
 
-    @property
-    def failed(self) -> bool:
-        return self.status == "fail"
-
 
 @dataclass(frozen=True)
 class ClaimSpec:
@@ -82,12 +86,36 @@ def _inst(claim: str, label: str, ok: bool, detail: str = "") -> Instance:
     return Instance(claim, label, "pass" if ok else "fail", detail)
 
 
+def _violations(claim: str, label: str, bad: list, prefix: str = "violations=") -> Instance:
+    """Pass row when `bad` is empty, else a fail row naming its first five entries."""
+    return _inst(claim, label, not bad, f"{prefix}{bad[:5]}" if bad else "")
+
+
+@cache
+def _suite_semigroup(gens: tuple[int, ...]) -> NumericalSemigroup:
+    """One instance per suite entry for the life of the process, so every
+    claim reuses its cached sweeps."""
+    return make_semigroup(gens)
+
+
 def _suite(params) -> list[NumericalSemigroup]:
     gens = params.get("gens")
     if gens:
         return [make_semigroup(gens)]
     picked = SUITE_GENS[:1] if params.get("quick") else SUITE_GENS
-    return [make_semigroup(g) for g in picked]
+    return [_suite_semigroup(g) for g in picked]
+
+
+def _run_suite(claim: str, check, params) -> list[Instance]:
+    """The rows `check(claim, s, params)` returns for each suite semigroup. A
+    budget overrun on one semigroup is a "budget" row and the rest still run."""
+    out = []
+    for s in _suite(params):
+        try:
+            out += check(claim, s, params)
+        except BudgetExceeded as e:
+            out.append(Instance(claim, str(s), "budget", str(e)))
+    return out
 
 
 def _members(s, lo, hi):
@@ -95,173 +123,142 @@ def _members(s, lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# structure claims
+# structure claims, one check per suite semigroup
 
 
-def _run_minmax_bounds(params) -> list[Instance]:
+def _minmax_bounds(claim, s, params) -> list[Instance]:
+    lo, hi = params.get("x_range") or (0, 10 * s.gen_sum)
+    bad = [x for x in _members(s, lo, hi) if not verify_linf_bounds(s, x)]
+    return [_violations(claim, f"{s} x<={hi}", bad)]
+
+
+def _aap(claim, s, params) -> list[Instance]:
+    p = structure_constants(s).period
+    lo, hi = params.get("x_range") or (p, 2 * p)
+    if params.get("quick"):
+        hi = min(hi, lo + 200)
+    bad = [
+        (x, i)
+        for x in _members(s, lo, hi)
+        for i in range(1, s.embedding_dim + 1)
+        if not verify_aap(s, x, i)
+    ]
+    return [_violations(claim, f"{s} x in [{lo},{hi}]", bad)]
+
+
+def _step_shift(claim, s, params) -> list[Instance]:
+    consts = structure_constants(s)
+    g1 = consts.records[0].complement_gcd
+    sum_bound = s.generators[-1] + g1
     out = []
-    for s in _suite(params):
-        lo, hi = params.get("x_range") or (0, 10 * s.gen_sum)
-        bad = [x for x in _members(s, lo, hi) if not verify_linf_bounds(s, x)]
-        out.append(
-            _inst("minmax-bounds", f"{s} x<={hi}", not bad, f"violations={bad[:5]}" if bad else "")
-        )
-    return out
-
-
-def _run_aap(params) -> list[Instance]:
-    out = []
-    for s in _suite(params):
-        p = structure_constants(s).period
-        lo, hi = params.get("x_range") or (p, 2 * p)
-        if params.get("quick"):
-            hi = min(hi, lo + 200)
+    for i in (1, 2):
+        bound = consts.records[i - 1].margin + g1
+        base = max(shift_threshold_index(s, i, bound), shift_threshold_sum(s, sum_bound))
         bad = []
-        for x in _members(s, lo, hi):
-            for i in range(1, s.embedding_dim + 1):
-                if not verify_aap(s, x, i):
-                    bad.append((x, i))
-        out.append(
-            _inst("aap-containment", f"{s} x in [{lo},{hi}]", not bad, f"violations={bad[:5]}" if bad else "")
+        for off in (0, 1, s.generators[0], 2 * s.generators[-1] + 1):
+            x = base + off
+            while not contains(s, x):
+                x += 1
+            if not verify_shift(s, x, i, bound, sum_bound):
+                bad.append(x)
+        out.append(_violations(claim, f"{s} i={i} bound={bound}", bad))
+    return out
+
+
+def _gap_regions(claim, s, params) -> list[Instance]:
+    delta, cert = delta_inf_semigroup(s, budget=params.get("budget"))
+    stride = max(1, cert.period // (8 if params.get("quick") else 40))
+    xs = [x for x in range(cert.start, cert.start + cert.period + 1, stride) if contains(s, x)]
+    bad = [x for x in xs if not verify_interval_decomposition(s, x)]
+    return [_violations(claim, f"{s} {len(xs)} samples from {cert.start}", bad)]
+
+
+def _periodicity(claim, s, params) -> list[Instance]:
+    budget = params.get("budget")
+    d2, c2 = delta_inf_semigroup(s, window_periods=2, budget=budget)
+    d3, _ = delta_inf_semigroup(s, window_periods=3, budget=budget)
+    ok = d2 == d3
+    return [
+        _inst(
+            claim,
+            f"{s} period={c2.period} start={c2.start} mode={c2.mode}",
+            ok,
+            "" if ok else f"window 2 gave {list(d2.values)}, window 3 gave {list(d3.values)}",
         )
-    return out
+    ]
 
 
-def _run_step_shift(params) -> list[Instance]:
-    out = []
-    for s in _suite(params):
-        consts = structure_constants(s)
-        g1 = consts.records[0].complement_gcd
-        sum_bound = s.generators[-1] + g1
-        for i in (1, 2):
-            bound = consts.records[i - 1].margin + g1
-            base = max(
-                shift_threshold_index(s, i, bound), shift_threshold_sum(s, sum_bound)
-            )
-            offsets = (0, 1, s.generators[0], 2 * s.generators[-1] + 1)
-            bad = []
-            for off in offsets:
-                x = base + off
-                while not contains(s, x):
-                    x += 1
-                if not verify_shift(s, x, i, bound, sum_bound):
-                    bad.append(x)
-            out.append(
-                _inst(
-                    "step-shift",
-                    f"{s} i={i} bound={bound}",
-                    not bad,
-                    f"violations={bad}" if bad else "",
-                )
-            )
-    return out
+def _residue_deltas(claim, s, params) -> list[Instance]:
+    delta, _ = delta_inf_semigroup(s, budget=params.get("budget"))
+    bound = 50 * s.generators[0]
+    bad = [
+        j
+        for j in range(s.generators[0])
+        if not residue_delta_subset(s, j, bound, delta_inf=delta)
+    ]
+    # every failing residue is named, not only the first five
+    return [_inst(claim, f"{s} bound={bound}", not bad, f"violations at residues {bad}" if bad else "")]
 
 
-def _run_gap_regions(params) -> list[Instance]:
-    out = []
-    for s in _suite(params):
-        delta, cert = delta_inf_semigroup(s, budget=params.get("budget"))
-        stride = max(1, cert.period // (8 if params.get("quick") else 40))
-        xs = [x for x in range(cert.start, cert.start + cert.period + 1, stride) if contains(s, x)]
-        bad = [x for x in xs if not verify_interval_decomposition(s, x)]
-        out.append(
-            _inst(
-                "gap-regions",
-                f"{s} {len(xs)} samples from {cert.start}",
-                not bad,
-                f"violations={bad[:5]}" if bad else "",
-            )
-        )
-    return out
-
-
-def _run_periodicity(params) -> list[Instance]:
-    out = []
-    for s in _suite(params):
-        budget = params.get("budget")
-        d2, c2 = delta_inf_semigroup(s, window_periods=2, budget=budget)
-        d3, c3 = delta_inf_semigroup(s, window_periods=3, budget=budget)
-        ok = d2 == d3
-        out.append(
-            _inst(
-                "delta-periodicity",
-                f"{s} period={c2.period} start={c2.start} mode={c2.mode}",
-                ok,
-                "" if ok else f"window 2 gave {list(d2.values)}, window 3 gave {list(d3.values)}",
-            )
-        )
-    return out
-
-
-def _run_residue_deltas(params) -> list[Instance]:
-    out = []
-    for s in _suite(params):
-        delta, _ = delta_inf_semigroup(s, budget=params.get("budget"))
-        bound = 50 * s.generators[0]
-        bad = [
-            j
-            for j in range(s.generators[0])
-            if not residue_delta_subset(s, j, bound, delta_inf=delta)
-        ]
-        out.append(
-            _inst(
-                "residue-class-deltas",
-                f"{s} bound={bound}",
-                not bad,
-                f"violations at residues {bad}" if bad else "",
-            )
-        )
-    return out
+def _l0_tail(claim, s, params) -> list[Instance]:
+    x0 = delta0_stability_bound(s)
+    hi = x0 + 3 * s.generators[-1]
+    bad = [x for x in _members(s, x0 + 1, hi) if not check_l0_interval(s, x)]
+    return [_violations(claim, f"{s} window ({x0}, {hi}]", bad, "holes at ")]
 
 
 # ---------------------------------------------------------------------------
 # family claims
 
 
-def _family_delta_instance(claim: str, spec: FamilySpec, p, budget) -> Instance:
+def _family_row(claim: str, spec: FamilySpec, p, budget) -> Instance:
+    """The family's predicted p-delta set against the computed one."""
     pred = predicted_delta(spec, p)
     label = f"{spec.text()} p={'inf' if p == PINF else p}"
     if pred is None:
         return Instance(claim, label, "report", "no covered prediction")
     try:
-        if p == PINF:
-            computed, _ = delta_inf_semigroup(construct_family(spec), budget=budget)
-        else:
-            computed = delta0_semigroup(construct_family(spec), budget=budget)
+        computed = delta_set_of_semigroup(construct_family(spec), p, budget)
     except BudgetExceeded as e:
         return Instance(claim, label, "budget", str(e))
     ok = pred.matches(computed)
     return _inst(claim, label, ok, "" if ok else f"predicted {pred.describe()}, got {list(computed.values)}")
 
 
-def _run_geometric(params) -> list[Instance]:
-    grid = [(2, 3, 3)] if params.get("quick") else [(2, 3, 2), (2, 3, 3), (3, 4, 2), (2, 5, 2)]
-    out = []
-    for a, b, k in grid:
-        spec = family("geometric", a=a, b=b, k=k)
-        out.append(_family_delta_instance("geometric-family", spec, PINF, params.get("budget")))
-        out.append(_family_delta_instance("geometric-family", spec, P0, params.get("budget")))
-    return out
+# claim id -> (family variant, norms, quick grid, full grid); a grid entry
+# holds the family parameters
+FAMILY_CLAIMS = {
+    "geometric-family": (
+        "geometric",
+        (PINF, P0),
+        [dict(a=2, b=3, k=3)],
+        [dict(a=2, b=3, k=2), dict(a=2, b=3, k=3), dict(a=3, b=4, k=2), dict(a=2, b=5, k=2)],
+    ),
+    "supersymmetric-family": (
+        "supersymmetric",
+        (PINF, P0),
+        [dict(p=(5, 3, 2))],
+        [dict(p=(3, 2)), dict(p=(5, 3, 2)), dict(p=(5, 4, 3))],
+    ),
+    "arithmetic-family": (
+        "arithmetic",
+        (PINF, P0),
+        [dict(a=5, d=1, k=2)],
+        [dict(a=5, d=1, k=2), dict(a=7, d=2, k=3), dict(a=9, d=1, k=4)],
+    ),
+    "generalized-arithmetic-delta0": (
+        "generalized_arithmetic",
+        (P0,),
+        [dict(a=5, h=2, d=3, k=2)],
+        [dict(a=5, h=2, d=3, k=2), dict(a=7, h=2, d=1, k=3), dict(a=5, h=3, d=2, k=3)],
+    ),
+}
 
 
-def _run_supersymmetric(params) -> list[Instance]:
-    grid = [(5, 3, 2)] if params.get("quick") else [(3, 2), (5, 3, 2), (5, 4, 3)]
-    out = []
-    for ps in grid:
-        spec = family("supersymmetric", p=ps)
-        out.append(_family_delta_instance("supersymmetric-family", spec, PINF, params.get("budget")))
-        out.append(_family_delta_instance("supersymmetric-family", spec, P0, params.get("budget")))
-    return out
-
-
-def _run_arithmetic(params) -> list[Instance]:
-    grid = [(5, 1, 2)] if params.get("quick") else [(5, 1, 2), (7, 2, 3), (9, 1, 4)]
-    out = []
-    for a, d, k in grid:
-        spec = family("arithmetic", a=a, d=d, k=k)
-        out.append(_family_delta_instance("arithmetic-family", spec, PINF, params.get("budget")))
-        out.append(_family_delta_instance("arithmetic-family", spec, P0, params.get("budget")))
-    return out
+def _run_family(claim: str, params) -> list[Instance]:
+    variant, norms, quick, full = FAMILY_CLAIMS[claim]
+    grid = quick if params.get("quick") else full
+    return [_family_row(claim, family(variant, **kw), p, params.get("budget")) for kw in grid for p in norms]
 
 
 def _run_three_gap(params) -> list[Instance]:
@@ -269,8 +266,7 @@ def _run_three_gap(params) -> list[Instance]:
     out = []
     for m in range(lo, hi + 1):
         spec = family("three_gap", m=m)
-        out.append(_family_delta_instance("three-gap-family", spec, PINF, params.get("budget")))
-        out.append(_family_delta_instance("three-gap-family", spec, P0, params.get("budget")))
+        out += [_family_row("three-gap-family", spec, p, params.get("budget")) for p in (PINF, P0)]
         s = construct_family(spec)
         out.append(
             _inst("three-gap-family", f"{spec.text()} max embedding dim", is_max_embedding_dimension(s))
@@ -278,26 +274,7 @@ def _run_three_gap(params) -> list[Instance]:
     return out
 
 
-def _run_l0_tail(params) -> list[Instance]:
-    out = []
-    for s in _suite(params):
-        x0 = delta0_stability_bound(s)
-        hi = x0 + 3 * s.generators[-1]
-        bad = [x for x in _members(s, x0 + 1, hi) if not check_l0_interval(s, x)]
-        out.append(
-            _inst(
-                "l0-interval-tail",
-                f"{s} window ({x0}, {hi}]",
-                not bad,
-                f"holes at {bad[:5]}" if bad else "",
-            )
-        )
-    return out
-
-
 def _run_singleton_trades(params) -> list[Instance]:
-    from .presentation import singleton_support_presentation_exists
-
     positives = [
         family("geometric", a=2, b=3, k=3),
         family("supersymmetric", p=(5, 3, 2)),
@@ -338,17 +315,6 @@ def _run_med(params) -> list[Instance]:
     return out
 
 
-def _run_generalized_arithmetic(params) -> list[Instance]:
-    grid = [(5, 2, 3, 2)] if params.get("quick") else [(5, 2, 3, 2), (7, 2, 1, 3), (5, 3, 2, 3)]
-    out = []
-    for a, h, d, k in grid:
-        spec = family("generalized_arithmetic", a=a, h=h, d=d, k=k)
-        out.append(
-            _family_delta_instance("generalized-arithmetic-delta0", spec, P0, params.get("budget"))
-        )
-    return out
-
-
 def _three_gen_case(gens):
     s = make_semigroup(gens)
     return gens, delta0_3gen(s).values, delta0_semigroup(s).values
@@ -378,8 +344,7 @@ def _run_interval_family(params) -> list[Instance]:
     ks = (2, 3) if params.get("quick") else (2, 3, 4)
     out = []
     for k in ks:
-        spec = family("interval", k=k)
-        out.append(_family_delta_instance("interval-family", spec, P0, params.get("budget")))
+        out.append(_family_row("interval-family", family("interval", k=k), P0, params.get("budget")))
     chain_ks = (3,) if params.get("quick") else (3, 4, 5)
     for k in chain_ks:
         steps = family_chain(family("interval", k=k))
@@ -501,20 +466,20 @@ def _run_geometric_proof_z(params) -> list[Instance]:
 CLAIMS: dict[str, ClaimSpec] = {
     c.id: c
     for c in [
-        ClaimSpec("minmax-bounds", "sandwich bounds for least/top max-norm lengths", "verified", _run_minmax_bounds),
-        ClaimSpec("aap-containment", "dominant lengths fill a residue-class interval", "verified", _run_aap),
-        ClaimSpec("step-shift", "adding a generator shifts window lengths by one", "verified", _run_step_shift),
-        ClaimSpec("gap-regions", "delta gaps outside the base set touch boundary regions", "verified", _run_gap_regions),
-        ClaimSpec("delta-periodicity", "per-element max-norm deltas repeat with the period", "verified", _run_periodicity),
-        ClaimSpec("residue-class-deltas", "rescaled residual-class deltas embed in the delta set", "verified", _run_residue_deltas),
-        ClaimSpec("geometric-family", "geometric generators: max-norm delta is an interval", "verified", _run_geometric),
-        ClaimSpec("supersymmetric-family", "supersymmetric: max-norm delta is an interval", "verified", _run_supersymmetric),
-        ClaimSpec("arithmetic-family", "arithmetic generators: max-norm delta interval", "verified", _run_arithmetic),
+        ClaimSpec("minmax-bounds", "sandwich bounds for least/top max-norm lengths", "verified", partial(_run_suite, "minmax-bounds", _minmax_bounds)),
+        ClaimSpec("aap-containment", "dominant lengths fill a residue-class interval", "verified", partial(_run_suite, "aap-containment", _aap)),
+        ClaimSpec("step-shift", "adding a generator shifts window lengths by one", "verified", partial(_run_suite, "step-shift", _step_shift)),
+        ClaimSpec("gap-regions", "delta gaps outside the base set touch boundary regions", "verified", partial(_run_suite, "gap-regions", _gap_regions)),
+        ClaimSpec("delta-periodicity", "per-element max-norm deltas repeat with the period", "verified", partial(_run_suite, "delta-periodicity", _periodicity)),
+        ClaimSpec("residue-class-deltas", "rescaled residual-class deltas embed in the delta set", "verified", partial(_run_suite, "residue-class-deltas", _residue_deltas)),
+        ClaimSpec("geometric-family", "geometric generators: max-norm delta is an interval", "verified", partial(_run_family, "geometric-family")),
+        ClaimSpec("supersymmetric-family", "supersymmetric: max-norm delta is an interval", "verified", partial(_run_family, "supersymmetric-family")),
+        ClaimSpec("arithmetic-family", "arithmetic generators: max-norm delta interval", "verified", partial(_run_family, "arithmetic-family")),
         ClaimSpec("three-gap-family", "three-generator gap family: split delta set", "verified", _run_three_gap),
-        ClaimSpec("l0-interval-tail", "0-length sets are intervals beyond the stability bound", "verified", _run_l0_tail),
+        ClaimSpec("l0-interval-tail", "0-length sets are intervals beyond the stability bound", "verified", partial(_run_suite, "l0-interval-tail", _l0_tail)),
         ClaimSpec("singleton-trades", "singleton-support presentations force 0-delta {1}", "verified", _run_singleton_trades),
         ClaimSpec("med-delta0", "maximal embedding dimension forces 0-delta {1,2}", "verified", _run_med),
-        ClaimSpec("generalized-arithmetic-delta0", "generalized arithmetic: 0-delta {1,2}", "verified", _run_generalized_arithmetic),
+        ClaimSpec("generalized-arithmetic-delta0", "generalized arithmetic: 0-delta {1,2}", "verified", partial(_run_family, "generalized-arithmetic-delta0")),
         ClaimSpec("three-gen-gluing", "3-generated: gluing count decides the 0-delta set", "verified", _run_three_gen_gluing),
         ClaimSpec("interval-family", "interval construction realizes {1..k-1}", "verified", _run_interval_family),
         ClaimSpec("gaps-family", "gaps construction: window {k-1,k} plus forced trades", "verified", _run_gaps_family),

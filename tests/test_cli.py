@@ -110,6 +110,21 @@ def test_verify_quick(capsys):
     assert doc["result"]["summary"]["pass"] > 0
 
 
+def test_verify_budget_overruns_are_rows(capsys):
+    # an overrun on a suite semigroup is a budget row, as in the family
+    # claims, and every later claim still runs
+    code, doc = run_json(capsys, "verify", "all", "--quick", "--budget-elements", "2000")
+    assert code == 0
+    rows = doc["result"]["instances"]
+    assert [r["claim"] for r in rows if r["status"] == "budget"][:3] == [
+        "gap-regions",
+        "delta-periodicity",
+        "residue-class-deltas",
+    ]
+    assert len({r["claim"] for r in rows}) == 18
+    assert doc["result"]["summary"] == {"pass": 34, "fail": 0, "report": 4, "budget": 5}
+
+
 def test_verify_with_range(capsys):
     code, doc = run_json(capsys, "verify", "three-gap-family", "--m", "3..4")
     assert code == 0

@@ -25,7 +25,7 @@ from sgdelta import (
     verify_linf_bounds,
     verify_shift,
 )
-from sgdelta import infinity
+from sgdelta import infinity, verification
 from sgdelta.infinity import _minmax_pair, _minmax_bfs, shift_threshold_index, shift_threshold_sum
 
 
@@ -139,6 +139,25 @@ def test_sweep_is_shared_across_window_widths(monkeypatch):
     _, c3 = delta_inf_semigroup(s, window_periods=3)
     assert c2.start == c3.start
     assert sorted(calls) == list(range(c3.start + 4 * c3.period + 1))
+
+
+def test_suite_claims_share_one_sweep(monkeypatch):
+    # the max-norm suite claims share one instance per suite entry, so the
+    # quick suite sweeps each x of <4,6,9> once, to the w=3 horizon
+    calls = []
+    orig = infinity._Engine.delta_tuple
+
+    def counting(self, x):
+        calls.append(x)
+        return orig(self, x)
+
+    _, cert = delta_inf_semigroup(make_semigroup([4, 6, 9]), window_periods=3)
+    horizon = cert.start + 4 * cert.period
+    verification._suite_semigroup.cache_clear()
+    monkeypatch.setattr(infinity._Engine, "delta_tuple", counting)
+    for cid in ("gap-regions", "delta-periodicity", "residue-class-deltas"):
+        assert [r.status for r in verification.run_claim(cid, quick=True)] == ["pass"]
+    assert sorted(calls) == list(range(horizon + 1))
 
 
 def test_ascending_scan_builds_few_engines(monkeypatch):

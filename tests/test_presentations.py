@@ -1,11 +1,14 @@
 import pytest
 
 from sgdelta import (
+    CapExceeded,
     betti_elements,
+    construct_family,
     contains,
     delta0_3gen,
     delta0_semigroup,
     enumerate_factorizations,
+    family,
     frobenius,
     gluing_expressions_3gen,
     index_graph_components,
@@ -13,8 +16,11 @@ from sgdelta import (
     make_trade,
     minimal_presentation,
     singleton_support_presentation_exists,
+    support,
 )
+from sgdelta import factorization
 from sgdelta.presentation import trade_value
+from sgdelta.verification import SUITE_GENS
 
 from _oracles import apply_trades_components, factorization_graph_components
 
@@ -86,6 +92,37 @@ def test_trade_count_deterministic_and_matches_components(geo, mcnugget):
         assert pres1 == pres2
         expected = sum(len(index_graph_components(s, b)) - 1 for b in pres1.betti)
         assert len(pres1.trades) == expected
+
+
+def test_presentation_greedy_fallback(monkeypatch):
+    # past the enumeration cap each component's representative is a greedy
+    # factorization; the presentation keeps its Betti elements and its size
+    cases = [*SUITE_GENS, (4, 5, 6, 7)]
+    cases += [construct_family(family("gaps", k=k)).generators for k in range(3, 7)]
+    enumerated = {gens: minimal_presentation(make_semigroup(gens)) for gens in cases}
+    forced = []
+
+    def capped(s, x, cap=None):
+        forced.append(x)
+        raise CapExceeded(f"more than {cap} factorizations of {x}")
+
+    monkeypatch.setattr(factorization, "enumerate_factorizations", capped)
+    for gens in cases:
+        s = make_semigroup(gens)
+        pres = minimal_presentation(s)
+        assert pres.betti == enumerated[gens].betti, gens
+        assert len(pres.trades) == len(enumerated[gens].trades), gens
+        joined = {}
+        for t in pres.trades:
+            b = trade_value(s, t)
+            comps = index_graph_components(s, b)
+            # a factorization lies in the component of any index in its support
+            sides = {next(n for n, c in enumerate(comps) if support(z)[0] in c) for z in (t.left, t.right)}
+            assert b in pres.betti and len(sides) == 2, (gens, t)
+            joined.setdefault(b, set()).update(sides)
+        for b in pres.betti:
+            assert joined[b] == set(range(len(index_graph_components(s, b)))), (gens, b)
+    assert forced
 
 
 def test_presentation_soundness_chains():

@@ -1,0 +1,56 @@
+"""Property tests: the per-norm engines against enumeration, and the
+semigroup-level delta route against the engine of each norm."""
+
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+import sgdelta as sg
+
+# gcd-1 generator lists, k = 2..4, each below 30
+generators = st.lists(st.integers(2, 29), min_size=2, max_size=4, unique=True).filter(
+    lambda g: math.gcd(*g) == 1
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(gens=generators, x=st.integers(0, 299))
+def test_length_sets_match_enumeration(gens, x):
+    s = sg.make_semigroup(gens)
+    zs = list(sg.iter_factorizations(s, x))
+    for p in (sg.P0, sg.P1, sg.PINF):
+        if not zs:
+            with pytest.raises(sg.NotAMember):
+                sg.length_set(s, x, p)
+        else:
+            assert sg.length_set(s, x, p).values == tuple(sorted({sg.p_length(z, p) for z in zs})), p
+
+
+def _outcome(fn):
+    """The delta set, or the message of a budget overrun."""
+    try:
+        return fn()
+    except sg.BudgetExceeded as e:
+        return str(e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(gens=generators)
+def test_semigroup_delta_route_matches_engines(gens):
+    # fresh instances per route, so neither answer comes from the other's cache
+    budget = sg.Budget(max_element=10_000)
+
+    def fresh():
+        return sg.make_semigroup(gens)
+
+    assert _outcome(lambda: sg.delta_set_of_semigroup(fresh(), sg.P0, budget)) == _outcome(
+        lambda: sg.delta0_semigroup(fresh(), budget=budget)
+    )
+    assert _outcome(lambda: sg.delta_set_of_semigroup(fresh(), sg.PINF, budget)) == _outcome(
+        lambda: sg.delta_inf_semigroup(fresh(), budget=budget)[0]
+    )
+    with pytest.raises(ValueError):
+        sg.delta_set_of_semigroup(fresh(), sg.P1)
