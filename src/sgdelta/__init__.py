@@ -81,6 +81,7 @@ from .semigroup import (
     frobenius,
     make_semigroup,
     quotient_data,
+    span,
 )
 from .zero import (
     SupportProfile,

@@ -39,34 +39,21 @@ from .errors import BudgetExceeded, NotAMember, ThresholdNotMet, VerificationErr
 from .factorization import PINF, DeltaSet, LengthSet
 from .semigroup import (
     NumericalSemigroup,
+    QuotientData,
+    cached,
     contains,
     delta_period,
     frobenius,
-    quotient_cone,
     quotient_data,
-    span_frobenius,
+    span,
 )
-
-
-@dataclass(frozen=True)
-class IndexRecord:
-    """Residual constants for one generator: gcd of the others, their
-    scaled-down minimal generators, the inverse of a_i modulo that gcd, and
-    the fill margin: how far below x / a_i the dominant lengths are
-    guaranteed to fill their residue class."""
-
-    index: int
-    complement_gcd: int
-    quotient_generators: tuple[int, ...]
-    inverse: int
-    margin: int
 
 
 @dataclass(frozen=True)
 class StructureConstants:
     gen_sum: int
     period: int
-    records: tuple[IndexRecord, ...]
+    records: tuple[QuotientData, ...]
 
 
 @dataclass(frozen=True)
@@ -83,19 +70,13 @@ class PeriodicityCertificate:
 
 
 def structure_constants(s: NumericalSemigroup) -> StructureConstants:
-    cached = s._cache.get("structure")
-    if cached is not None:
-        return cached
-    gens = s.generators
-    records = []
-    for i in range(1, len(gens) + 1):
-        q = quotient_data(s, i)
-        f = span_frobenius(q.quotient_generators)
-        margin = ceil_div(q.complement_gcd * (f + 1), gens[i - 1])
-        records.append(IndexRecord(i, q.complement_gcd, q.quotient_generators, q.inverse, margin))
-    out = StructureConstants(s.gen_sum, delta_period(s), tuple(records))
-    s._cache["structure"] = out
-    return out
+    return cached(
+        s,
+        "structure",
+        lambda: StructureConstants(
+            s.gen_sum, delta_period(s), tuple(quotient_data(s, i) for i in range(1, s.embedding_dim + 1))
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +464,7 @@ def residue_delta_subset(
     a1 = s.generators[0]
     if not 0 <= j < a1:
         raise ValueError(f"residue must be in 0..{a1 - 1}")
-    cone = quotient_cone(s, 1)
+    cone = span(s, tuple(range(2, s.embedding_dim + 1)))
     members = [y for y in range(j, bound + 1, a1) if cone.contains(y)]
     if len(members) <= 1:
         return True

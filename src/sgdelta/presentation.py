@@ -22,10 +22,11 @@ from .errors import NotAMember
 from .factorization import factored_value, support
 from .semigroup import (
     NumericalSemigroup,
-    apery_set,
+    cached,
     contains,
     make_semigroup,
     quotient_data,
+    span,
 )
 
 
@@ -98,18 +99,17 @@ def index_graph_components(s: NumericalSemigroup, x: int) -> list[tuple[int, ...
 
 
 def _betti_candidates(s: NumericalSemigroup) -> list[int]:
-    w = apery_set(s, s.multiplicity).entries
+    w = span(s).least  # the Apery table of the multiplicity
     cand = {a + v for a in s.generators for v in w if v}
     return sorted(cand)
 
 
 def betti_elements(s: NumericalSemigroup) -> list[int]:
     """Elements whose factorization graph is disconnected, sorted."""
-    cached = s._cache.get("betti")
-    if cached is None:
-        cached = [x for x in _betti_candidates(s) if len(index_graph_components(s, x)) > 1]
-        s._cache["betti"] = cached
-    return list(cached)
+    betti = cached(
+        s, "betti", lambda: [x for x in _betti_candidates(s) if len(index_graph_components(s, x)) > 1]
+    )
+    return list(betti)
 
 
 def _greedy_factorization(s: NumericalSemigroup, y: int) -> list[int]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arith import INT64_MAX, ConeTable, apery_table, modinv
+from .arith import INT64_MAX, ConeTable, apery_table, ceil_div, modinv
 from .errors import InvalidGenerators, NonCoprimeGenerators, NotAMember, PeriodOverflow
 
 
@@ -35,13 +35,16 @@ class AperyTable:
 @dataclass(frozen=True)
 class QuotientData:
     """Per-index residual data: the gcd of all other generators, the minimal
-    generators of the scaled-down semigroup they span, and the inverse of the
-    chosen generator modulo that gcd (0 when the gcd is 1)."""
+    generators of the scaled-down semigroup they span, the inverse of the
+    chosen generator modulo that gcd (0 when the gcd is 1), and the fill
+    margin: how far below x / a_i the dominant max-norm lengths are
+    guaranteed to fill their residue class."""
 
     index: int
     complement_gcd: int
     quotient_generators: tuple[int, ...]
     inverse: int
+    margin: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,38 +144,40 @@ def delta_period(s: NumericalSemigroup) -> int:
     return period
 
 
+def cached(s: NumericalSemigroup, key, build):
+    """The value cached on s under key, built by build() on first use."""
+    out = s._cache.get(key)
+    if out is None:
+        out = s._cache[key] = build()
+    return out
+
+
+def span(s: NumericalSemigroup, idx: tuple[int, ...] | None = None) -> ConeTable:
+    """Least-element table of the span of the generators at the 1-based
+    indices idx (all of them when None), built once per instance and subset."""
+    if idx is None or len(idx) == s.embedding_dim:
+        return cached(s, "least", lambda: ConeTable.build(s.generators))
+    return cached(s, ("span", idx), lambda: ConeTable.build(s.generators[i - 1] for i in idx))
+
+
 def apery_set(s: NumericalSemigroup, m: int) -> AperyTable:
     """Exact Apery table of s with respect to a nonzero member m."""
     if m <= 0 or not contains(s, m):
         raise NotAMember(f"{m} is not a nonzero element of {s}")
-    cached = s._cache.get(("apery", m))
-    if cached is None:
-        cached = AperyTable(m, tuple(apery_table(s.generators, m)))
-        s._cache[("apery", m)] = cached
-    return cached
-
-
-def _least_table(s: NumericalSemigroup) -> list[int]:
-    t = s._cache.get("least")
-    if t is None:
-        t = apery_table(s.generators, s.multiplicity)
-        s._cache["least"] = t
-    return t
+    return cached(s, ("apery", m), lambda: AperyTable(m, tuple(apery_table(s.generators, m))))
 
 
 def contains(s: NumericalSemigroup, x: int) -> bool:
     """x has at least one factorization. x must be nonnegative."""
     if x < 0:
         raise ValueError("membership is defined on nonnegative integers")
-    w = _least_table(s)
+    w = span(s).least  # gcd 1, so the table is indexed by x mod a_1
     return x >= w[x % s.multiplicity]
 
 
 def frobenius(s: NumericalSemigroup) -> int:
-    """Largest integer outside s (-1 would mean s is all of Z>=0, which the
-    k >= 2 invariant excludes, but the formula degrades gracefully)."""
-    w = _least_table(s)
-    return max(w) - s.multiplicity
+    """Largest integer outside s."""
+    return span(s).frobenius()
 
 
 def quotient_data(s: NumericalSemigroup, i: int) -> QuotientData:
@@ -180,45 +185,22 @@ def quotient_data(s: NumericalSemigroup, i: int) -> QuotientData:
 
     complement_gcd is the gcd of the other generators; quotient_generators
     minimally generate their scaled-down span (possibly (1,) when k = 2);
-    inverse solves a_i * inverse = 1 mod complement_gcd, 0 for gcd 1.
+    inverse solves a_i * inverse = 1 mod complement_gcd, 0 for gcd 1; the
+    margin is ceil(g * (F + 1) / a_i), F the Frobenius number of that span.
     """
     k = s.embedding_dim
     if not 1 <= i <= k:
         raise ValueError(f"index must be in 1..{k}")
-    key = ("quotient", i)
-    cached = s._cache.get(key)
-    if cached is not None:
-        return cached
+    return cached(s, ("quotient", i), lambda: _quotient_data(s, i))
+
+
+def _quotient_data(s: NumericalSemigroup, i: int) -> QuotientData:
     a_i = s.generators[i - 1]
-    others = [a for j, a in enumerate(s.generators, start=1) if j != i]
-    g = 0
-    for a in others:
-        g = math.gcd(g, a)
-    scaled = sorted(a // g for a in others)
-    if scaled[0] == 1:
-        qgens = (1,)
-    elif len(scaled) == 1:
-        qgens = (scaled[0],)
-    else:
-        qgens, _ = _canonicalize(scaled)
+    cone = span(s, tuple(j for j in range(1, s.embedding_dim + 1) if j != i))
+    g = cone.gcd
+    scaled = [a // g for a in cone.gens]
+    # a single other generator scales down to 1
+    qgens = (1,) if scaled[0] == 1 else _canonicalize(scaled)[0]
     inv = modinv(a_i % g, g) if g > 1 else 0
-    out = QuotientData(i, g, qgens, inv)
-    s._cache[key] = out
-    return out
-
-
-def quotient_cone(s: NumericalSemigroup, i: int) -> ConeTable:
-    """Membership oracle for the unscaled span of the generators other than
-    the i-th (1-based); used by the max-norm structure checks."""
-    key = ("qcone", i)
-    cached = s._cache.get(key)
-    if cached is None:
-        others = [a for j, a in enumerate(s.generators, start=1) if j != i]
-        cached = ConeTable.build(others)
-        s._cache[key] = cached
-    return cached
-
-
-def span_frobenius(gens: tuple[int, ...]) -> int:
-    """Frobenius number of the span of a gcd-1 tuple; (1,) gives -1."""
-    return ConeTable.build(gens).frobenius()
+    margin = ceil_div(g * (cone.frobenius_reduced() + 1), a_i)
+    return QuotientData(i, g, qgens, inv, margin)

@@ -133,10 +133,16 @@ def _minmax_bounds(claim, s, params) -> list[Instance]:
 
 
 def _aap(claim, s, params) -> list[Instance]:
-    p = structure_constants(s).period
-    lo, hi = params.get("x_range") or (p, 2 * p)
-    if params.get("quick"):
-        hi = min(hi, lo + 200)
+    """Quick runs check [p, min(2p, p + 200)]; full runs every member up to
+    the certificate horizon start + (W + 1) * period."""
+    if params.get("x_range") or params.get("quick"):
+        p = structure_constants(s).period
+        lo, hi = params.get("x_range") or (p, 2 * p)
+        if params.get("quick"):
+            hi = min(hi, lo + 200)
+    else:
+        cert = delta_inf_semigroup(s, budget=params.get("budget"))[1]
+        lo, hi = 0, cert.start + (cert.window_periods + 1) * cert.period
     bad = [
         (x, i)
         for x in _members(s, lo, hi)
@@ -218,7 +224,7 @@ def _family_row(claim: str, spec: FamilySpec, p, budget) -> Instance:
     if pred is None:
         return Instance(claim, label, "report", "no covered prediction")
     try:
-        computed = delta_set_of_semigroup(construct_family(spec), p, budget)
+        computed = delta_set_of_semigroup(_suite_semigroup(construct_family(spec).generators), p, budget)
     except BudgetExceeded as e:
         return Instance(claim, label, "budget", str(e))
     ok = pred.matches(computed)
@@ -282,17 +288,16 @@ def _run_singleton_trades(params) -> list[Instance]:
     out = []
     for spec in positives:
         s = construct_family(spec)
+        label = f"{spec.text()} -> {s}"
         pred = singleton_support_presentation_exists(s)
-        d0 = delta0_semigroup(s)
+        try:
+            d0 = delta0_semigroup(s, params.get("budget"))
+        except BudgetExceeded as e:
+            out.append(Instance("singleton-trades", label, "budget", str(e)))
+            continue
         ok = pred and d0 == DeltaSet((1,))
-        out.append(
-            _inst(
-                "singleton-trades",
-                f"{spec.text()} -> {s}",
-                ok,
-                "" if ok else f"predicate={pred} delta0={list(d0.values)}",
-            )
-        )
+        detail = "" if ok else f"predicate={pred} delta0={list(d0.values)}"
+        out.append(_inst("singleton-trades", label, ok, detail))
     s = make_semigroup((3, 10, 11))
     out.append(
         _inst(
@@ -309,7 +314,11 @@ def _run_med(params) -> list[Instance]:
     out = []
     for gens in gens_list:
         s = make_semigroup(gens)
-        d0 = delta0_semigroup(s)
+        try:
+            d0 = delta0_semigroup(s, params.get("budget"))
+        except BudgetExceeded as e:
+            out.append(Instance("med-delta0", f"{s}", "budget", str(e)))
+            continue
         ok = is_max_embedding_dimension(s) and d0 == DeltaSet((1, 2))
         out.append(_inst("med-delta0", f"{s}", ok, "" if ok else f"delta0={list(d0.values)}"))
     return out

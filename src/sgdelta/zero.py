@@ -19,7 +19,7 @@ from .arith import ConeTable
 from .budget import DEFAULT_ZERO_BUDGET, Budget
 from .errors import BudgetExceeded, NotAMember
 from .factorization import DeltaSet
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, cached, span
 
 MAX_SUBSET_DIM = 24
 
@@ -33,19 +33,18 @@ class SupportProfile:
 
 def _cones(s: NumericalSemigroup) -> list[tuple[tuple[int, ...], int, ConeTable]]:
     """(support, sum of its generators, membership oracle) per nonempty I."""
-    cached = s._cache.get("zero-cones")
-    if cached is not None:
-        return cached
     k = s.embedding_dim
     if k > MAX_SUBSET_DIM:
         raise BudgetExceeded(f"2^{k} support subsets exceed the scan budget")
-    out = []
-    for size in range(1, k + 1):
-        for idx in combinations(range(1, k + 1), size):
-            gens = tuple(s.generators[i - 1] for i in idx)
-            out.append((idx, sum(gens), ConeTable.build(gens)))
-    s._cache["zero-cones"] = out
-    return out
+    return cached(
+        s,
+        "zero-cones",
+        lambda: [
+            (idx, sum(s.generators[i - 1] for i in idx), span(s, idx))
+            for size in range(1, k + 1)
+            for idx in combinations(range(1, k + 1), size)
+        ],
+    )
 
 
 def support_profiles(s: NumericalSemigroup) -> list[SupportProfile]:

@@ -125,6 +125,17 @@ def test_verify_budget_overruns_are_rows(capsys):
     assert doc["result"]["summary"] == {"pass": 34, "fail": 0, "report": 4, "budget": 5}
 
 
+def test_verify_zero_norm_claims_honour_budget(capsys):
+    # the stability bounds (111 for <3,10,11>) exceed the budget, as in
+    # compute delta-semigroup --p 0, so those rows are budget rows
+    code, doc = run_json(capsys, "verify", "med-delta0", "--quick", "--budget-elements", "10")
+    assert code == 0
+    assert [r["status"] for r in doc["result"]["instances"]] == ["budget", "budget"]
+    code, doc = run_json(capsys, "verify", "singleton-trades", "--budget-elements", "10")
+    assert code == 0
+    assert [r["status"] for r in doc["result"]["instances"]] == ["budget", "budget", "pass"]
+
+
 def test_verify_with_range(capsys):
     code, doc = run_json(capsys, "verify", "three-gap-family", "--m", "3..4")
     assert code == 0

@@ -1,15 +1,23 @@
 import pytest
 
 from sgdelta import (
+    DeltaSet,
     InvalidGenerators,
     NonCoprimeGenerators,
     NotAMember,
     PeriodOverflow,
     apery_set,
+    arith,
+    betti_elements,
     contains,
+    delta0_semigroup,
     frobenius,
     make_semigroup,
+    minimal_presentation,
     quotient_data,
+    residue_delta_subset,
+    semigroup,
+    structure_constants,
 )
 
 from _oracles import member_brute
@@ -160,3 +168,27 @@ def test_quotient_data_reconstructs_and_is_coprime():
                 assert q.inverse * gens[i - 1] % q.complement_gcd == 1
             else:
                 assert q.inverse == 0
+
+
+def test_one_table_per_generator_subset(monkeypatch):
+    # membership, the quotient data, the 0-norm cones, the residue check and
+    # the Betti scan share one table per subset: the full span and the three
+    # pairs (singleton spans need no table)
+    s = make_semigroup([6, 9, 20])
+    calls = []
+    orig = arith.apery_table
+
+    def counting(gens, m):
+        calls.append(tuple(gens))
+        return orig(gens, m)
+
+    monkeypatch.setattr(arith, "apery_table", counting)
+    monkeypatch.setattr(semigroup, "apery_table", counting)
+    contains(s, 43)
+    frobenius(s)
+    structure_constants(s)
+    delta0_semigroup(s)
+    residue_delta_subset(s, 1, 300, delta_inf=DeltaSet((1,)))
+    betti_elements(s)
+    minimal_presentation(s)
+    assert len(calls) == 4

@@ -155,9 +155,24 @@ def test_suite_claims_share_one_sweep(monkeypatch):
     horizon = cert.start + 4 * cert.period
     verification._suite_semigroup.cache_clear()
     monkeypatch.setattr(infinity._Engine, "delta_tuple", counting)
-    for cid in ("gap-regions", "delta-periodicity", "residue-class-deltas"):
-        assert [r.status for r in verification.run_claim(cid, quick=True)] == ["pass"]
+    # the quick geometric family row (a=2, b=3, k=3) is <4,6,9> too
+    for cid, rows in (
+        ("gap-regions", 1),
+        ("delta-periodicity", 1),
+        ("residue-class-deltas", 1),
+        ("geometric-family", 2),
+    ):
+        assert [r.status for r in verification.run_claim(cid, quick=True)] == ["pass"] * rows
     assert sorted(calls) == list(range(horizon + 1))
+
+
+def test_full_aap_range_reaches_certificate_horizon():
+    # without --quick every member from 0 to start + (W+1) * period is checked
+    s = make_semigroup([4, 6, 9])
+    _, cert = delta_inf_semigroup(s)
+    assert cert.start + 3 * cert.period == 2908
+    rows = verification.run_claim("aap-containment", gens=(4, 6, 9))
+    assert [(r.status, r.label) for r in rows] == [("pass", f"{s} x in [0,2908]")]
 
 
 def test_ascending_scan_builds_few_engines(monkeypatch):

@@ -2,6 +2,7 @@
 semigroup-level delta route against the engine of each norm."""
 
 import math
+from itertools import combinations
 
 import pytest
 
@@ -54,3 +55,35 @@ def test_semigroup_delta_route_matches_engines(gens):
     )
     with pytest.raises(ValueError):
         sg.delta_set_of_semigroup(fresh(), sg.P1)
+
+
+def _reach(gens, top):
+    """r[y] iff y <= top is a nonnegative combination of gens."""
+    r = [True] + [False] * top
+    for y in range(1, top + 1):
+        r[y] = any(a <= y and r[y - a] for a in gens)
+    return r
+
+
+def _frobenius_scan(gens, top):
+    r = _reach(gens, top)
+    return max((y for y in range(top + 1) if not r[y]), default=-1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(gens=generators)
+def test_span_tables_match_reachability(gens):
+    s = sg.make_semigroup(gens)
+    a = s.generators
+    k = len(a)
+    top = 2 * a[-1] ** 2 + a[-1]  # above every Frobenius number involved
+    for size in range(1, k + 1):
+        for idx in combinations(range(1, k + 1), size):
+            table = sg.span(s, idx)
+            assert [table.contains(y) for y in range(top + 1)] == _reach([a[i - 1] for i in idx], top), idx
+    assert sg.frobenius(s) == _frobenius_scan(a, top)
+    for i in range(1, k + 1):
+        others = [b for j, b in enumerate(a, 1) if j != i]
+        g = math.gcd(*others)
+        f = _frobenius_scan([b // g for b in others], top)
+        assert sg.quotient_data(s, i).margin == -(-g * (f + 1) // a[i - 1]), i
