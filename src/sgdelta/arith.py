@@ -151,6 +151,11 @@ class ConeTable:
         q = np.where(ok, y // self.gcd, 0)
         return ok & (q >= w[q % self.modulus])
 
+    def minimal(self) -> tuple[int, ...]:
+        """Minimal generators of the span, in the units of gens: a generator
+        is redundant iff subtracting a smaller one lands back in the span."""
+        return tuple(g for n, g in enumerate(self.gens) if not any(self.contains(g - a) for a in self.gens[:n]))
+
     def frobenius_reduced(self) -> int:
         """Largest integer outside the gcd-scaled-down span; -1 when that
         span is all of the nonnegative integers."""

@@ -321,7 +321,7 @@ def _csv_lines(command: str, envelope: dict) -> list[str]:
     return lines
 
 
-def _emit(args, command: str, envelope: dict, started: float) -> None:
+def _render(args, command: str, envelope: dict, started: float) -> str:
     envelope = dict(envelope)
     out = {
         "command": command,
@@ -333,9 +333,8 @@ def _emit(args, command: str, envelope: dict, started: float) -> None:
     if "certificate" in envelope:
         out["certificate"] = envelope["certificate"]
     if args.format == "csv":
-        print("\n".join(_csv_lines(command, envelope)))
-    else:
-        print(json.dumps(out, sort_keys=True, default=str))
+        return "\n".join(_csv_lines(command, envelope))
+    return json.dumps(out, sort_keys=True, default=str)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,24 +397,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    text, code = _run(args)
+    try:
+        print(text)
+        sys.stdout.flush()  # piped stdout is block-buffered, so a closed reader shows up here
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the exit-time flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
+    return code
+
+
+def _run(args) -> tuple[str, int]:
+    """The text to print and the exit code of one parsed command line."""
     if getattr(args, "list_claims", False):
         rows = {cid: {"summary": c.summary, "kind": c.kind} for cid, c in CLAIMS.items()}
-        print(json.dumps(rows, sort_keys=True))
-        return EXIT_OK
+        return json.dumps(rows, sort_keys=True), EXIT_OK
     started = time.monotonic()
     try:
         envelope, code = args.func(args)
-    except BudgetExceeded as e:
-        print(json.dumps({"command": args.command, "error": {"code": e.code, "message": str(e)}}))
-        return EXIT_BUDGET
-    except SemigroupError as e:
-        print(json.dumps({"command": args.command, "error": {"code": e.code, "message": str(e)}}))
-        return EXIT_ERROR
-    except (ValueError, KeyError) as e:
-        print(json.dumps({"command": args.command, "error": {"code": "invalid-argument", "message": str(e)}}))
-        return EXIT_ERROR
-    _emit(args, args.command, envelope, started)
-    return code
+    except (SemigroupError, ValueError, KeyError) as e:
+        error = {"code": getattr(e, "code", "invalid-argument"), "message": str(e)}
+        code = EXIT_BUDGET if isinstance(e, BudgetExceeded) else EXIT_ERROR
+        return json.dumps({"command": args.command, "error": error}), code
+    return _render(args, args.command, envelope, started), code
 
 
 if __name__ == "__main__":

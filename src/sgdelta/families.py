@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import INT64_MAX, ceil_div, is_prime, next_prime
+from .arith import INT64_MAX, ConeTable, ceil_div, is_prime, next_prime
 from .errors import InvalidGenerators, PeriodOverflow
 from .factorization import P0, PINF, DeltaSet
 from .semigroup import NumericalSemigroup, make_semigroup
-from .arith import ConeTable
 
 VARIANTS = (
     "geometric",
@@ -108,16 +107,15 @@ def verify_gluing(t1: int, gens1: tuple[int, ...], t2: int, gens2: tuple[int, ..
     t1 must lie in span(gens2) without being a minimal generator of it,
     symmetrically for t2, and the two multipliers must be coprime. Both
     parts must be genuine numerical semigroups (gcd 1); (1,) is allowed."""
+    if math.gcd(t1, t2) != 1:
+        return False
     for t, gens in ((t1, gens2), (t2, gens1)):
         if t < 1:
             return False
         cone = ConeTable.build(gens)
-        if cone.gcd != 1:
+        if cone.gcd != 1 or t in cone.minimal() or not cone.contains(t):
             return False
-        minimal = (1,) if min(gens) == 1 else make_semigroup(gens).generators
-        if t in minimal or not cone.contains(t):
-            return False
-    return math.gcd(t1, t2) == 1
+    return True
 
 
 def _checked(gens, what: str) -> NumericalSemigroup:

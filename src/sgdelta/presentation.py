@@ -15,11 +15,11 @@ in i's component, or b - a_1 is not in S at all).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import NotAMember
 from .factorization import factored_value, support
+from .families import verify_gluing
 from .semigroup import (
     NumericalSemigroup,
     cached,
@@ -187,26 +187,16 @@ def singleton_support_presentation_exists(s: NumericalSemigroup) -> bool:
 def gluing_expressions_3gen(s: NumericalSemigroup) -> list[GluingExpression]:
     """All decompositions of a 3-generated semigroup as pivot + scaled pair.
 
-    For pivot a_i the scale is gcd of the other two; the expression counts
-    iff scale >= 2, gcd(scale, a_i) = 1, and a_i lies in the scaled-down
-    pair semigroup without being one of its minimal generators.
+    Pivot a_i glues iff verify_gluing holds for scale * S' + <a_i>, the scale
+    the gcd of the other two generators and S' their scaled-down span.
     """
     if s.embedding_dim != 3:
         raise ValueError("gluing expressions are computed for 3 generators only")
     out = []
     for i in range(1, 4):
         q = quotient_data(s, i)
-        t = q.complement_gcd
-        a_i = s.generators[i - 1]
-        if t < 2 or math.gcd(t, a_i) != 1:
-            continue
-        if len(q.quotient_generators) != 2:
-            continue
-        quotient = make_semigroup(q.quotient_generators)
-        if a_i in quotient.generators:
-            continue
-        if contains(quotient, a_i):
-            out.append(GluingExpression(i, t, quotient))
+        if verify_gluing(q.complement_gcd, q.quotient_generators, s.generators[i - 1], (1,)):
+            out.append(GluingExpression(i, q.complement_gcd, make_semigroup(q.quotient_generators)))
     return out
 
 

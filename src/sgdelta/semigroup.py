@@ -11,7 +11,7 @@ writes, atomic under the interpreter lock).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .arith import INT64_MAX, ConeTable, apery_table, ceil_div, modinv
 from .errors import InvalidGenerators, NonCoprimeGenerators, NotAMember, PeriodOverflow
@@ -75,8 +75,9 @@ class NumericalSemigroup:
         return sum(self.generators)
 
 
-def _canonicalize(raw) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(minimal generators, removed inputs); validates positivity and gcd."""
+def _canonicalize(raw) -> tuple[tuple[int, ...], tuple[int, ...], ConeTable | None]:
+    """(minimal generators, removed inputs, span table); validates positivity
+    and gcd. The table is None for two generators, which need none."""
     gens = [int(g) for g in raw]
     if not gens:
         raise InvalidGenerators("generator list is empty")
@@ -90,34 +91,16 @@ def _canonicalize(raw) -> tuple[tuple[int, ...], tuple[int, ...]]:
     uniq = sorted(set(gens))
     if uniq[0] == 1:
         raise InvalidGenerators("need at least 2 minimal generators (input spans all of Z>=0)")
-    if len(uniq) == 1:
-        raise NonCoprimeGenerators(f"gcd={uniq[0]}")
     if uniq[-1] > INT64_MAX:
         # the period is at least the generator sum, so this can never fit
         raise PeriodOverflow(f"generator {uniq[-1]} exceeds the 64-bit contract")
+    dup = {g for g in gens if gens.count(g) > 1}
     if len(uniq) == 2:
-        # two distinct gcd-1 generators are always minimal; no scan needed
-        dup = sorted(set(g for g in gens if gens.count(g) > 1))
-        return tuple(uniq), tuple(dup)
-    # a generator is redundant iff subtracting some smaller generator lands
-    # back in the span; one least-member table over the full span decides this
-    w = apery_table(tuple(uniq), uniq[0])
-    kept, dropped = [], []
-    for gcur in uniq:
-        redundant = False
-        for a in uniq:
-            if a >= gcur:
-                break
-            r = gcur - a
-            if r >= w[r % uniq[0]]:
-                redundant = True
-                break
-        (dropped if redundant else kept).append(gcur)
-    dup = sorted(set(g for g in gens if gens.count(g) > 1))
-    dropped = sorted(set(dropped) | set(dup))
-    if len(kept) < 2:
-        raise InvalidGenerators("need at least 2 minimal generators (input spans all of Z>=0)")
-    return tuple(kept), tuple(dropped)
+        # two distinct gcd-1 generators are always minimal; no table needed
+        return tuple(uniq), tuple(sorted(dup)), None
+    cone = ConeTable.build(uniq)
+    kept = cone.minimal()
+    return kept, tuple(sorted(set(uniq) - set(kept) | dup)), replace(cone, gens=kept)
 
 
 def make_semigroup(raw_generators) -> NumericalSemigroup:
@@ -125,11 +108,14 @@ def make_semigroup(raw_generators) -> NumericalSemigroup:
 
     Duplicates and non-minimal generators are silently removed and reported
     on the .removed field. gcd > 1 is a hard error. Semigroups whose
-    lcm-based period would not fit in 64 signed bits are rejected.
+    lcm-based period would not fit in 64 signed bits are rejected. The table
+    that decided minimality is kept as the instance's span(s).
     """
-    gens, removed = _canonicalize(raw_generators)
+    gens, removed, cone = _canonicalize(raw_generators)
     s = NumericalSemigroup(gens, removed)
     delta_period(s)  # raises PeriodOverflow past 64 bits
+    if cone is not None:
+        s._cache["least"] = cone
     return s
 
 
@@ -164,7 +150,12 @@ def apery_set(s: NumericalSemigroup, m: int) -> AperyTable:
     """Exact Apery table of s with respect to a nonzero member m."""
     if m <= 0 or not contains(s, m):
         raise NotAMember(f"{m} is not a nonzero element of {s}")
-    return cached(s, ("apery", m), lambda: AperyTable(m, tuple(apery_table(s.generators, m))))
+    # the span's own table is the Apery table of the multiplicity
+    return cached(
+        s,
+        ("apery", m),
+        lambda: AperyTable(m, span(s).least if m == s.multiplicity else tuple(apery_table(s.generators, m))),
+    )
 
 
 def contains(s: NumericalSemigroup, x: int) -> bool:
@@ -198,9 +189,7 @@ def _quotient_data(s: NumericalSemigroup, i: int) -> QuotientData:
     a_i = s.generators[i - 1]
     cone = span(s, tuple(j for j in range(1, s.embedding_dim + 1) if j != i))
     g = cone.gcd
-    scaled = [a // g for a in cone.gens]
-    # a single other generator scales down to 1
-    qgens = (1,) if scaled[0] == 1 else _canonicalize(scaled)[0]
+    qgens = tuple(a // g for a in cone.minimal())
     inv = modinv(a_i % g, g) if g > 1 else 0
     margin = ceil_div(g * (cone.frobenius_reduced() + 1), a_i)
     return QuotientData(i, g, qgens, inv, margin)

@@ -93,8 +93,8 @@ def _violations(claim: str, label: str, bad: list, prefix: str = "violations=") 
 
 @cache
 def _suite_semigroup(gens: tuple[int, ...]) -> NumericalSemigroup:
-    """One instance per suite entry for the life of the process, so every
-    claim reuses its cached sweeps."""
+    """One instance per generator tuple of the suite, family and fixed rows
+    for the life of the process, so every claim reuses its cached sweeps."""
     return make_semigroup(gens)
 
 
@@ -287,7 +287,7 @@ def _run_singleton_trades(params) -> list[Instance]:
     ]
     out = []
     for spec in positives:
-        s = construct_family(spec)
+        s = _suite_semigroup(construct_family(spec).generators)
         label = f"{spec.text()} -> {s}"
         pred = singleton_support_presentation_exists(s)
         try:
@@ -298,7 +298,7 @@ def _run_singleton_trades(params) -> list[Instance]:
         ok = pred and d0 == DeltaSet((1,))
         detail = "" if ok else f"predicate={pred} delta0={list(d0.values)}"
         out.append(_inst("singleton-trades", label, ok, detail))
-    s = make_semigroup((3, 10, 11))
+    s = _suite_semigroup((3, 10, 11))
     out.append(
         _inst(
             "singleton-trades",
@@ -313,7 +313,7 @@ def _run_med(params) -> list[Instance]:
     gens_list = [(3, 10, 11), (4, 5, 6, 7)] + ([] if params.get("quick") else [(5, 6, 7, 8, 9)])
     out = []
     for gens in gens_list:
-        s = make_semigroup(gens)
+        s = _suite_semigroup(gens)
         try:
             d0 = delta0_semigroup(s, params.get("budget"))
         except BudgetExceeded as e:
@@ -325,6 +325,7 @@ def _run_med(params) -> list[Instance]:
 
 
 def _three_gen_case(gens):
+    # a fresh instance: caching every 3-generated semigroup would grow the process
     s = make_semigroup(gens)
     return gens, delta0_3gen(s).values, delta0_semigroup(s).values
 

@@ -42,6 +42,21 @@ def member_brute(gens, x):
     return any(member_brute(gens, x - a) for a in gens if a <= x)
 
 
+def minimal_generators_brute(gens):
+    """Sorted minimal generators of the span of gens: a generator is kept iff
+    a scan of the values below it that the smaller generators reach misses it."""
+    gens = sorted(set(gens))
+    kept = []
+    for a in gens:
+        smaller = [b for b in gens if b < a]
+        reach = [True] + [False] * a
+        for y in range(1, a + 1):
+            reach[y] = any(b <= y and reach[y - b] for b in smaller)
+        if not reach[a]:
+            kept.append(a)
+    return tuple(kept)
+
+
 def support_sizes_brute(gens, x):
     """Sorted distinct support sizes over the literal factorization box."""
     return sorted({sum(1 for c in z if c) for z in box_factorizations(gens, x)})

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sgdelta
 from sgdelta.cli import main
 
 
@@ -251,3 +256,22 @@ def test_list_claims(capsys):
     assert code == 0
     assert "three-gap-family" in doc
     assert doc["geometric-proof-z"]["kind"] == "report-only"
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the read end is closed before the child starts, so its first write fails
+    r, w = os.pipe()
+    os.close(r)
+    env = {**os.environ, "PYTHONPATH": str(Path(sgdelta.__file__).parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgdelta.cli", "compute", "--gens", "3,10,11", "frobenius"],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

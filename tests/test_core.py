@@ -72,8 +72,9 @@ def test_semigroup_value_semantics():
     assert b.removed == (13,)
     assert len({a, b}) == 1
     # caches are per instance and never leak across equal values
-    frobenius(a)
-    assert "least" in a._cache and "least" not in b._cache
+    assert a._cache is not b._cache
+    quotient_data(a, 1)
+    assert ("quotient", 1) in a._cache and ("quotient", 1) not in b._cache
 
 
 def test_period_overflow_guard():
@@ -171,10 +172,10 @@ def test_quotient_data_reconstructs_and_is_coprime():
 
 
 def test_one_table_per_generator_subset(monkeypatch):
-    # membership, the quotient data, the 0-norm cones, the residue check and
-    # the Betti scan share one table per subset: the full span and the three
-    # pairs (singleton spans need no table)
-    s = make_semigroup([6, 9, 20])
+    # canonicalization, membership, the quotient data, the 0-norm cones, the
+    # residue check, the Betti scan and the Apery set of a_1 share one table
+    # per subset: the full span and the three pairs (singleton spans need no
+    # table)
     calls = []
     orig = arith.apery_table
 
@@ -184,6 +185,7 @@ def test_one_table_per_generator_subset(monkeypatch):
 
     monkeypatch.setattr(arith, "apery_table", counting)
     monkeypatch.setattr(semigroup, "apery_table", counting)
+    s = make_semigroup([6, 9, 20])
     contains(s, 43)
     frobenius(s)
     structure_constants(s)
@@ -191,4 +193,5 @@ def test_one_table_per_generator_subset(monkeypatch):
     residue_delta_subset(s, 1, 300, delta_inf=DeltaSet((1,)))
     betti_elements(s)
     minimal_presentation(s)
+    apery_set(s, 6)
     assert len(calls) == 4

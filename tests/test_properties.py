@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import sgdelta as sg
 
+from _oracles import minimal_generators_brute
+
 # gcd-1 generator lists, k = 2..4, each below 30
 generators = st.lists(st.integers(2, 29), min_size=2, max_size=4, unique=True).filter(
     lambda g: math.gcd(*g) == 1
@@ -71,8 +73,12 @@ def _frobenius_scan(gens, top):
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(gens=generators)
-def test_span_tables_match_reachability(gens):
+@given(
+    gens=generators,
+    sums=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=4),
+    dups=st.lists(st.integers(0, 3), max_size=3),
+)
+def test_span_tables_match_reachability(gens, sums, dups):
     s = sg.make_semigroup(gens)
     a = s.generators
     k = len(a)
@@ -80,7 +86,16 @@ def test_span_tables_match_reachability(gens):
     for size in range(1, k + 1):
         for idx in combinations(range(1, k + 1), size):
             table = sg.span(s, idx)
-            assert [table.contains(y) for y in range(top + 1)] == _reach([a[i - 1] for i in idx], top), idx
+            sub = [a[i - 1] for i in idx]
+            assert [table.contains(y) for y in range(top + 1)] == _reach(sub, top), idx
+            assert table.minimal() == minimal_generators_brute(sub), idx
+    # redundant sums of two inputs and repeated inputs are removed and reported
+    n = len(gens)
+    raw = [gens[i % n] + gens[j % n] for i, j in sums] + list(gens) + [gens[i % n] for i in dups]
+    t = sg.make_semigroup(raw)
+    brute = minimal_generators_brute(raw)
+    assert t.generators == brute == a
+    assert t.removed == tuple(sorted(set(raw) - set(brute) | {g for g in raw if raw.count(g) > 1}))
     assert sg.frobenius(s) == _frobenius_scan(a, top)
     for i in range(1, k + 1):
         others = [b for j, b in enumerate(a, 1) if j != i]

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from sgdelta import (
@@ -15,6 +17,8 @@ from sgdelta import (
     p_length,
     support_length_set,
     support_profiles,
+    verification,
+    zero,
 )
 
 from _oracles import support_sizes_brute
@@ -86,3 +90,21 @@ def test_delta_values_stay_below_embedding_dim(geo, med3, mcnugget):
         for x in range(1, min(x0, 150)):
             if contains(s, x):
                 assert all(v <= k - 1 for v in delta_set_of_element(s, x, P0).values)
+
+
+def test_registry_rows_share_zero_norm_cones(monkeypatch):
+    # singleton-trades and med-delta0 read the shared registry instances, so
+    # only three-gen-gluing, which keeps fresh instances, builds these again
+    builds = Counter()
+    orig = zero.cached
+
+    def counting(s, key, build):
+        if key == "zero-cones" and key not in s._cache:
+            builds[s.generators] += 1
+        return orig(s, key, build)
+
+    verification._suite_semigroup.cache_clear()
+    monkeypatch.setattr(zero, "cached", counting)
+    verification.run_all(quick=True)
+    for gens in ((4, 6, 9), (3, 10, 11), (6, 10, 15)):
+        assert 1 <= builds[gens] <= 2, (gens, builds[gens])
