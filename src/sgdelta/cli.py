@@ -10,8 +10,10 @@ JSON output is stable: keys sorted, arrays sorted. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import sys
@@ -83,7 +85,7 @@ def _cache_dir(args) -> Path | None:
 
 
 # Part of every cache key: raise it when a change alters what a command returns.
-RESULT_SCHEMA = 1
+RESULT_SCHEMA = 2
 
 
 def _cache_key(payload: dict) -> str:
@@ -396,16 +398,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    text, code = _run(args)
+    printed = io.StringIO()
     try:
-        print(text)
+        with contextlib.redirect_stdout(printed):
+            args = build_parser().parse_args(argv)
+    except SystemExit:
+        # argparse has written --help or --version into `printed`; a usage
+        # error went to stderr and exits as argparse says
+        if not _emit(printed.getvalue()):
+            return EXIT_ERROR
+        raise
+    text, code = _run(args)
+    return code if _emit(text + "\n") else EXIT_ERROR
+
+
+def _emit(text: str) -> bool:
+    """Writes text to stdout and flushes it; False when the reader is gone."""
+    try:
+        sys.stdout.write(text)
         sys.stdout.flush()  # piped stdout is block-buffered, so a closed reader shows up here
     except BrokenPipeError:
-        # the reader is gone; point stdout at devnull so the exit-time flush stays quiet
+        # point stdout at devnull so the exit-time flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_ERROR
-    return code
+        return False
+    return True
 
 
 def _run(args) -> tuple[str, int]:

@@ -15,8 +15,27 @@ along it, so only the two lattice points nearest the balance point matter.
 For more generators a level search fills t_i: the set reachable with all
 exponents <= l+1 is the union of subset-sum shifts of the level-l set.
 
-Each instance caches one engine, grown by doubling, and one sweep of
-per-element delta sets, so every x is swept at most once per instance.
+The per-element delta sets of a certificate are swept in windows. Premise:
+every max-norm length l of x satisfies ceil(x / A) <= l <= x // a_1 (A the
+generator sum), and by the AAP containment (claim `aap-containment`) the
+dominant lengths at i are exactly the class inverse_i * x mod g_i on
+[ceil(x / A) + a_k, x // a_i - margin_i]. So between the points where that
+picture changes (ceil(x / A) + a_k, and x // a_i - margin_i and x // a_i
+per index) the length mask repeats with period G = lcm(g_1, ..., g_k). The
+sweep keeps the bottom window [ceil(x / A), ceil(x / A) + a_k + keep) and,
+per index, [x // a_i - margin_i - keep, x // a_i + keep], with
+keep = 2G + 1, clipped to [ceil(x / A), x // a_1] and merged. A dropped
+stretch then has at least keep kept positions of its own period on each
+side, which already show every gap that occurs in or across it, and it lies
+where the class of index 1 fills, so no gap spans it. The sweep runs the
+exact test only at kept positions and counts a gap only between kept
+lengths with no dropped position between them. The least length lies within
+a_k of x / A, inside the bottom window, so x is a member iff its row has a
+length. Element queries read the full mask instead.
+
+Each instance caches one engine, grown by doubling, and one sweep: a member
+flag and a row of gap flags per x, so every x is swept at most once per
+instance.
 
 The semigroup-level delta set is the union of per-element delta sets up to
 start + W * period, where start either comes from the explicit shift-identity
@@ -29,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -67,6 +86,7 @@ class PeriodicityCertificate:
     window_periods: int
     mode: str  # "theorem-backed" | "empirical"
     union_horizon: int
+    columns: int  # positions the sweep tests per element
 
 
 def structure_constants(s: NumericalSemigroup) -> StructureConstants:
@@ -186,12 +206,6 @@ class _Engine:
     def lengths(self, x: int) -> np.ndarray:
         return np.flatnonzero(self.length_mask(x))
 
-    def delta_tuple(self, x: int) -> tuple[int, ...] | None:
-        ach = self.lengths(x)
-        if ach.size == 0:
-            return None
-        return tuple(np.unique(np.diff(ach)).tolist())
-
 
 def _get_engine(s: NumericalSemigroup, horizon: int) -> _Engine:
     """The instance's engine, valid at least up to `horizon`. The first one
@@ -214,16 +228,97 @@ def _member_engine(s: NumericalSemigroup, x: int, ahead: int = 0) -> _Engine:
     return _get_engine(s, x + ahead)
 
 
-def _deltas(s: NumericalSemigroup, upto: int) -> tuple[tuple[int, ...] | None, ...]:
-    """Per-element max-norm delta tuples for x = 0..upto at least, None for
-    non-members. Each x is swept once per instance: a longer request extends
-    the cached prefix into a new tuple that replaces it, and the old one is
-    never mutated, so concurrent readers stay safe."""
-    done = s._cache.get("inf-deltas", ())
-    if len(done) > upto:
+# positions tested per batch of the sweep; larger batches only raise peak
+# memory, not speed
+_SWEEP_CELLS = 1 << 13
+
+
+def _windows(s: NumericalSemigroup) -> np.ndarray:
+    """Column layout of the sweep, shape (3, W): column j of the row of x is
+    the position (x + add[j]) // div[j] + shift[j] for the rows add, div and
+    shift, before clipping to the length range. The columns cover the bottom
+    window [ceil(x/A), ceil(x/A) + a_k + keep) and, per index i, the top
+    window [x//a_i - margin_i - keep, x//a_i + keep], with keep = 2G + 1 and
+    G the lcm of the complement gcds."""
+
+    def build():
+        consts = structure_constants(s)
+        total = consts.gen_sum
+        keep = 2 * math.lcm(*(r.complement_gcd for r in consts.records)) + 1
+        cols = [(total - 1, total, j) for j in range(s.generators[-1] + keep)]
+        for a_i, rec in zip(s.generators, consts.records):
+            cols += [(0, a_i, j) for j in range(-rec.margin - keep, keep + 1)]
+        return np.array(cols, dtype=np.int64).T
+
+    return cached(s, "inf-windows", build)
+
+
+def _sweep_rows(eng: _Engine, win: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Member flags, shape (hi - lo,), and gap flags, shape (hi - lo, D) with
+    column d set iff d is in the delta set, for the elements x in [lo, hi)."""
+    gens = eng.gens
+    total = sum(gens)
+    add, div, shift = win
+    xs = np.arange(lo, hi, dtype=np.int64)[:, None]
+    pos = (xs + add) // div + shift
+    np.clip(pos, (xs + total - 1) // total, xs // gens[0], out=pos)
+    pos.sort(axis=1)
+    kept = np.ones(pos.shape, dtype=bool)  # first of each run of equal positions
+    np.not_equal(pos[:, 1:], pos[:, :-1], out=kept[:, 1:])
+    hit = np.zeros(pos.shape, dtype=bool)
+    for a_i, table in zip(gens, eng.tables):
+        y = xs - pos * a_i
+        ok = y >= 0
+        hit |= ok & (table[np.where(ok, y, 0)] <= pos)
+    hit &= kept
+    rank = np.cumsum(kept, axis=1)
+    # per cell, the position and rank of the last length at or before it
+    last = np.maximum.accumulate(np.where(hit, pos, -1), axis=1)
+    last_rank = np.maximum.accumulate(np.where(hit, rank, 0), axis=1)
+    step = pos[:, 1:] - last[:, :-1]
+    # a length, its predecessor, and no dropped position between the two
+    real = hit[:, 1:] & (last[:, :-1] >= 0) & (step == rank[:, 1:] - last_rank[:, :-1])
+    flat = np.flatnonzero(real)
+    step = step.ravel()[flat]
+    gaps = np.zeros((hi - lo, int(step.max(initial=0)) + 1), dtype=bool)
+    gaps[flat // (pos.shape[1] - 1), step] = True
+    return hit.any(axis=1), gaps
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """Per-element max-norm delta sets of x = 0..len(member) - 1: member[x]
+    flags membership, gaps[x, d] that d is in the delta set of x."""
+
+    member: np.ndarray
+    gaps: np.ndarray
+
+    def repeats(self, lo: int, hi: int, p: int) -> np.ndarray:
+        """For x in [lo, hi): the row of x equals the row of x + p."""
+        m, g = self.member, self.gaps
+        return (m[lo:hi] == m[lo + p : hi + p]) & (g[lo:hi] == g[lo + p : hi + p]).all(axis=1)
+
+
+def _deltas(s: NumericalSemigroup, upto: int) -> _Sweep:
+    """The sweep for x = 0..upto at least. Each x is swept once per
+    instance: a longer request extends the cached sweep into a new one that
+    replaces it, and the old one is never mutated, so concurrent readers stay
+    safe."""
+    done = s._cache.get("inf-deltas")
+    have = 0 if done is None else len(done.member)
+    if have > upto:
         return done
     eng = _get_engine(s, upto)
-    out = done + tuple(map(eng.delta_tuple, range(len(done), upto + 1)))
+    win = _windows(s)
+    batch = max(1, _SWEEP_CELLS // win.shape[1])
+    parts = [] if done is None else [(done.member, done.gaps)]
+    parts += [_sweep_rows(eng, win, lo, min(lo + batch, upto + 1)) for lo in range(have, upto + 1, batch)]
+    gaps = np.zeros((upto + 1, max(g.shape[1] for _, g in parts)), dtype=bool)
+    row = 0
+    for _, g in parts:
+        gaps[row : row + len(g), : g.shape[1]] = g
+        row += len(g)
+    out = _Sweep(np.concatenate([m for m, _ in parts]), gaps)
     s._cache["inf-deltas"] = out
     return out
 
@@ -311,16 +406,17 @@ def delta_inf_semigroup(
     start, mode = _theorem_start(s, consts), "theorem-backed"
     if start is None or start + (w + 1) * p > budget.max_element:
         start, mode = _empirical_start(s, p, w, budget), "empirical"
-    deltas = _deltas(s, start + (w + 1) * p)
-    for x in range(start, start + w * p):
-        if deltas[x] != deltas[x + p]:
-            raise VerificationError(
-                f"periodicity falsified at x={x} (period {p}) on {s}; "
-                "this contradicts the structure analysis"
-            )
+    sweep = _deltas(s, start + (w + 1) * p)
+    bad = np.flatnonzero(~sweep.repeats(start, start + w * p, p))
+    if bad.size:
+        raise VerificationError(
+            f"periodicity falsified at x={start + int(bad[0])} (period {p}) on {s}; "
+            "this contradicts the structure analysis"
+        )
     union_to = start + w * p
-    union = set(chain.from_iterable(filter(None, deltas[: union_to + 1])))
-    return DeltaSet.from_iterable(union), PeriodicityCertificate(start, p, w, mode, union_to)
+    union = np.flatnonzero(sweep.gaps[: union_to + 1].any(axis=0))
+    cert = PeriodicityCertificate(start, p, w, mode, union_to, _windows(s).shape[1])
+    return DeltaSet.from_iterable(union.tolist()), cert
 
 
 def _empirical_start(s: NumericalSemigroup, p: int, w: int, budget: Budget) -> int:
@@ -331,13 +427,13 @@ def _empirical_start(s: NumericalSemigroup, p: int, w: int, budget: Budget) -> i
     cap = budget.max_element
     horizon = floor_start + (w + 2) * p
     while horizon <= cap:
-        deltas = _deltas(s, horizon)
-        x0 = floor_start  # deltas[y] == deltas[y + p] for every y in [x0, x)
-        for x in range(floor_start, horizon - p):
-            if deltas[x] != deltas[x + p]:
-                x0 = x + 1
-            elif x + 1 - x0 >= w * p:
-                return x0
+        same = _deltas(s, horizon).repeats(floor_start, horizon - p, p)
+        # runs of repeating rows start at floor_start and after each mismatch
+        cuts = np.flatnonzero(~same)
+        starts = np.concatenate(([0], cuts + 1))
+        long = np.flatnonzero(np.append(cuts, len(same)) - starts >= w * p)
+        if long.size:
+            return floor_start + int(starts[long[0]])
         horizon = min(cap, horizon * 2) if horizon < cap else cap + 1
     raise BudgetExceeded(f"no verified periodicity window within element budget {cap}")
 

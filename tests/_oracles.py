@@ -57,6 +57,22 @@ def minimal_generators_brute(gens):
     return tuple(kept)
 
 
+def full_mask_deltas(eng, x):
+    """Max-norm delta tuple of x from the engine's full length mask over
+    [0, x // a_1], with no window or batch; None for a non-member."""
+    ach = eng.lengths(x)
+    if ach.size == 0:
+        return None
+    return tuple(np.unique(np.diff(ach)).tolist())
+
+
+def sweep_row(sweep, x):
+    """Row x of a max-norm sweep in the form of `full_mask_deltas`."""
+    if not sweep.member[x]:
+        return None
+    return tuple(np.flatnonzero(sweep.gaps[x]).tolist())
+
+
 def support_sizes_brute(gens, x):
     """Sorted distinct support sizes over the literal factorization box."""
     return sorted({sum(1 for c in z if c) for z in box_factorizations(gens, x)})

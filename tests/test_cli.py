@@ -27,6 +27,9 @@ def test_compute_delta_semigroup(capsys):
     assert doc["result"]["delta"] == [1, 2, 3, 4, 6, 7]
     assert doc["certificate"]["period"] == 120
     assert doc["certificate"]["mode"] == "theorem-backed"
+    # positions per element: (a_k + keep) + sum_i (margin_i + 2 keep + 1) with
+    # keep = 2 lcm(complement gcds) + 1 = 3 and margins 30, 2, 2
+    assert doc["certificate"]["columns"] == (11 + 3) + (30 + 7) + (2 + 7) + (2 + 7)
     assert doc["command"] == "compute"
     assert "timing" in doc and "budget" in doc
 
@@ -258,14 +261,20 @@ def test_list_claims(capsys):
     assert doc["geometric-proof-z"]["kind"] == "report-only"
 
 
-def test_closed_stdout_exits_1_without_traceback():
-    # the read end is closed before the child starts, so its first write fails
+@pytest.mark.parametrize(
+    "argv",
+    [["compute", "--gens", "3,10,11", "frobenius"], ["--version"], ["compute", "--help"]],
+    ids=["compute-frobenius", "version", "compute-help"],
+)
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # the read end is closed before the child starts, so its first write fails;
+    # argparse prints --help and --version itself, before any command runs
     r, w = os.pipe()
     os.close(r)
     env = {**os.environ, "PYTHONPATH": str(Path(sgdelta.__file__).parents[1])}
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "sgdelta.cli", "compute", "--gens", "3,10,11", "frobenius"],
+            [sys.executable, "-m", "sgdelta.cli", *argv],
             stdout=w,
             stderr=subprocess.PIPE,
             env=env,

@@ -28,6 +28,8 @@ from sgdelta import (
 from sgdelta import infinity, verification
 from sgdelta.infinity import _minmax_pair, _minmax_bfs, shift_threshold_index, shift_threshold_sum
 
+from _oracles import full_mask_deltas, sweep_row
+
 
 def minmax_brute(gens, y):
     best = None
@@ -124,16 +126,22 @@ def test_certificate_stability_under_wider_window(geo, med3):
         assert c2.start == c3.start
 
 
+def _count_swept(monkeypatch):
+    """Every x that `_sweep_rows` is called on, once per call."""
+    calls = []
+    orig = infinity._sweep_rows
+
+    def counting(eng, win, lo, hi):
+        calls.extend(range(lo, hi))
+        return orig(eng, win, lo, hi)
+
+    monkeypatch.setattr(infinity, "_sweep_rows", counting)
+    return calls
+
+
 def test_sweep_is_shared_across_window_widths(monkeypatch):
     # the wider window sweeps only what the narrower one left out
-    calls = []
-    orig = infinity._Engine.delta_tuple
-
-    def counting(self, x):
-        calls.append(x)
-        return orig(self, x)
-
-    monkeypatch.setattr(infinity._Engine, "delta_tuple", counting)
+    calls = _count_swept(monkeypatch)
     s = make_semigroup([3, 10, 11])
     _, c2 = delta_inf_semigroup(s, window_periods=2)
     _, c3 = delta_inf_semigroup(s, window_periods=3)
@@ -144,17 +152,10 @@ def test_sweep_is_shared_across_window_widths(monkeypatch):
 def test_suite_claims_share_one_sweep(monkeypatch):
     # the max-norm suite claims share one instance per suite entry, so the
     # quick suite sweeps each x of <4,6,9> once, to the w=3 horizon
-    calls = []
-    orig = infinity._Engine.delta_tuple
-
-    def counting(self, x):
-        calls.append(x)
-        return orig(self, x)
-
     _, cert = delta_inf_semigroup(make_semigroup([4, 6, 9]), window_periods=3)
     horizon = cert.start + 4 * cert.period
     verification._suite_semigroup.cache_clear()
-    monkeypatch.setattr(infinity._Engine, "delta_tuple", counting)
+    calls = _count_swept(monkeypatch)
     # the quick geometric family row (a=2, b=3, k=3) is <4,6,9> too
     for cid, rows in (
         ("gap-regions", 1),
@@ -164,6 +165,17 @@ def test_suite_claims_share_one_sweep(monkeypatch):
     ):
         assert [r.status for r in verification.run_claim(cid, quick=True)] == ["pass"] * rows
     assert sorted(calls) == list(range(horizon + 1))
+
+
+@pytest.mark.parametrize("gens", verification.SUITE_GENS)
+def test_sweep_rows_match_full_mask_on_suite(gens):
+    # every x up to the w=3 certificate horizon, against the full length mask
+    s = make_semigroup(gens)
+    _, cert = delta_inf_semigroup(s, window_periods=3)
+    top = cert.start + 4 * cert.period
+    sweep = infinity._deltas(s, top)
+    eng = infinity._get_engine(s, top)
+    assert [sweep_row(sweep, x) for x in range(top + 1)] == [full_mask_deltas(eng, x) for x in range(top + 1)]
 
 
 def test_full_aap_range_reaches_certificate_horizon():

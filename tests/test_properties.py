@@ -7,11 +7,12 @@ from itertools import combinations
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sgdelta as sg
+from sgdelta import infinity
 
-from _oracles import minimal_generators_brute
+from _oracles import full_mask_deltas, minimal_generators_brute, sweep_row
 
 # gcd-1 generator lists, k = 2..4, each below 30
 generators = st.lists(st.integers(2, 29), min_size=2, max_size=4, unique=True).filter(
@@ -102,3 +103,25 @@ def test_span_tables_match_reachability(gens, sums, dups):
         g = math.gcd(*others)
         f = _frobenius_scan([b // g for b in others], top)
         assert sg.quotient_data(s, i).margin == -(-g * (f + 1) // a[i - 1]), i
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(gens=st.lists(st.integers(2, 40), min_size=2, max_size=5, unique=True).filter(lambda g: math.gcd(*g) == 1))
+@example(gens=[3, 25, 26])  # the windows of 25 and 26 overlap at small x
+@example(gens=[6, 10, 15])  # G = 30
+@example(gens=[12, 20, 45])  # G = 60
+@example(gens=[10, 15, 21, 35])  # canonical form <10,15,21>, G = 15
+@example(gens=[30, 42, 70, 105])  # G = 210, windows wider than x / 30
+@example(gens=[8, 9])  # G = 72
+def test_sweep_rows_match_full_mask(gens):
+    # every x up to the w = 3 certificate horizon, capped at 6000
+    s = sg.make_semigroup(gens)
+    try:
+        _, cert = sg.delta_inf_semigroup(s, window_periods=3, budget=sg.Budget(max_element=6000))
+        top = cert.start + 4 * cert.period
+    except sg.BudgetExceeded:
+        top = 6000
+    sweep = infinity._deltas(s, top)
+    eng = infinity._get_engine(s, top)
+    for x in range(top + 1):
+        assert sweep_row(sweep, x) == full_mask_deltas(eng, x), x
