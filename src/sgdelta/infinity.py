@@ -9,11 +9,24 @@ it tabulates, over all y up to a horizon,
 because l is a dominant max-norm length of x at i (some factorization has
 its maximum exponent l, attained at i) iff t_i[x - l * a_i] <= l. The full
 max-norm length set of x is the union over i, and per-element delta sets
-follow by differencing. For two residual generators t_i has a closed form:
-representations form one residue class of exponents, the max is V-shaped
-along it, so only the two lattice points nearest the balance point matter.
-For more generators a level search fills t_i: the set reachable with all
+follow by differencing. A level search fills t_i: the set reachable with all
 exponents <= l+1 is the union of subset-sum shifts of the level-l set.
+
+Each table stops at top_i = y0_i + B_i, because t_i is periodic past y0_i.
+Let b be the generators other than a_i, with sum B, gcd g and least element
+b_min, let F be the Frobenius number of <b / g> (-1 when that is all of N),
+and y0 = ceil(B * (g(F + 1) + B) / b_min) (`QuotientData.y0`). Put
+l*(y) = min{l >= ceil(y / B) : l * B - y in <b>}.
+  - t_i(y) >= l*(y) always: if z represents y with max m, then m >= y / B,
+    and m * (1, ..., 1) - z represents m * B - y.
+  - t_i(y) = l*(y) for y >= y0. Take l = l*(y) and d = l * B - y. Either
+    l = ceil(y / B), so d < B, or (l - 1) * B - y >= 0 is a multiple of g
+    outside <b>, so d - B <= g * F. Either way d < g(F + 1) + B. Any
+    representation w of d has every w_j <= d / b_min < y0 / B <= l, so
+    l * (1, ..., 1) - w represents y with max <= l.
+Since l*(y + B) = l*(y) + 1 for every y, t_i(y + B) = t_i(y) + 1 for
+y >= y0, and unreachable y (those off the multiples of g) stay so. A read
+at y takes q = max(0, y - y0) // B and returns t_i[y - q * B] + q.
 
 The per-element delta sets of a certificate are swept in windows. Premise:
 every max-norm length l of x satisfies ceil(x / A) <= l <= x // a_1 (A the
@@ -33,9 +46,10 @@ lengths with no dropped position between them. The least length lies within
 a_k of x / A, inside the bottom window, so x is a member iff its row has a
 length. Element queries read the full mask instead.
 
-Each instance caches one engine, grown by doubling, and one sweep: a member
-flag and a row of gap flags per x, so every x is swept at most once per
-instance.
+Each instance caches one engine and one sweep. The engine grows by doubling
+until every table reaches its top, and is never rebuilt after that. The
+sweep is a member flag and a row of gap flags per x, so every x is swept at
+most once per instance.
 
 The semigroup-level delta set is the union of per-element delta sets up to
 start + W * period, where start either comes from the explicit shift-identity
@@ -48,11 +62,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 
-from .arith import INF, ceil_div, modinv
+from .arith import INF, ceil_div
 from .budget import DEFAULT_INF_BUDGET, Budget
 from .errors import BudgetExceeded, NotAMember, ThresholdNotMet, VerificationError
 from .factorization import PINF, DeltaSet, LengthSet
@@ -103,94 +117,59 @@ def structure_constants(s: NumericalSemigroup) -> StructureConstants:
 # min-max exponent tables
 
 
-def _minmax_single(a: int, horizon: int) -> np.ndarray:
-    t = np.full(horizon + 1, INF, dtype=np.int64)
-    t[::a] = np.arange(horizon // a + 1)
-    return t
-
-
-def _minmax_pair(b: int, c: int, horizon: int) -> np.ndarray:
-    """Closed form for two residual generators b != c."""
-    g = math.gcd(b, c)
-    bp, cp = b // g, c // g
-    t = np.full(horizon + 1, INF, dtype=np.int64)
-    y = np.arange(0, horizon + 1, g, dtype=np.int64)
-    yp = y // g
-    inv = modinv(bp % cp, cp)
-    r = (yp % cp) * inv % cp  # exponent of b is r mod cp
-    bmax = yp // bp
-    feasible = r <= bmax
-    kmax = np.where(feasible, (bmax - r) // cp, 0)
-    k1 = (yp // (bp + cp) - r) // cp  # lattice point at/below the balance
-    best = np.full(len(yp), INF, dtype=np.int64)
-    for k in (np.clip(k1, 0, kmax), np.clip(k1 + 1, 0, kmax)):
-        beta = r + cp * k
-        gamma = (yp - beta * bp) // cp
-        np.minimum(best, np.maximum(beta, gamma), out=best)
-    t[y[feasible]] = best[feasible]
-    return t
-
-
-def _minmax_bfs(gens: tuple[int, ...], horizon: int, cap: int) -> np.ndarray:
-    """Level search for >= 3 residual generators: going from exponent bound
-    l to l + 1 adds at most one copy of each generator, i.e. a subset-sum
-    shift. Values above `cap` are never consulted and stay INF."""
-    sums = sorted(
-        {sum(t) for r in range(1, len(gens) + 1) for t in combinations(gens, r)}
-    )
+def _minmax_bfs(gens: tuple[int, ...], horizon: int) -> np.ndarray:
+    """t over y = 0..horizon for the generators gens, by level search: going
+    from exponent bound l to l + 1 adds at most one copy of each generator,
+    i.e. a subset-sum shift."""
+    sums = sorted({sum(t) for r in range(1, len(gens) + 1) for t in combinations(gens, r)})
     sums = [v for v in sums if v <= horizon]
     reach = np.zeros(horizon + 1, dtype=bool)
     reach[0] = True
     t = np.full(horizon + 1, INF, dtype=np.int64)
     t[0] = 0
-    for level in range(1, cap + 1):
+    for level in count(1):
         new = reach.copy()
         for v in sums:
             np.logical_or(new[v:], reach[:-v], out=new[v:])
         newly = new & ~reach
         if not newly.any():
-            break
+            return t
         t[newly] = level
         reach = new
-    return t
 
 
-def _minmax_table(gens: tuple[int, ...], horizon: int, cap: int) -> np.ndarray:
-    if len(gens) == 1:
-        return _minmax_single(gens[0], horizon)
-    if len(gens) == 2:
-        return _minmax_pair(gens[0], gens[1], horizon)
-    return _minmax_bfs(gens, horizon, cap)
-
-
-# int64 tables per generator; past this the tables alone reach GB scale
+# the largest x an engine serves; past this the sweep's unfolded tables and
+# its per-x rows reach GB scale
 MAX_ENGINE_HORIZON = 20_000_000
 
 
 class _Engine:
     """Max-norm length oracle for one generator tuple, valid for all
-    x <= horizon. Holding the generators, not the semigroup, keeps the
+    x <= horizon. Table i stops at top_i = y0_i + B_i, and reads past it use
+    t_i(y + B_i) = t_i(y) + 1; once every table reaches its top the horizon
+    is infinite. Holding the generators, not the semigroup, keeps the
     instance that caches it free of reference cycles."""
 
-    def __init__(self, gens: tuple[int, ...], horizon: int):
-        if horizon > MAX_ENGINE_HORIZON:
-            raise BudgetExceeded(f"length tables to {horizon} exceed the engine budget")
+    def __init__(self, gens: tuple[int, ...], y0: tuple[int, ...], horizon: int):
         self.gens = gens
-        self.horizon = horizon
-        self.tables = []
-        for i in range(len(gens)):
-            others = gens[:i] + gens[i + 1 :]
-            self.tables.append(_minmax_table(others, horizon, horizon // gens[i]))
-        self._asc = np.arange(horizon // gens[0] + 1, dtype=np.int64)
+        self.y0 = y0
+        self.steps = tuple(sum(gens) - a for a in gens)
+        tops = [y + b for y, b in zip(y0, self.steps)]
+        self.tables = [_minmax_bfs(gens[:i] + gens[i + 1 :], min(horizon, top)) for i, top in enumerate(tops)]
+        self.horizon = horizon if horizon < max(tops) else math.inf
+
+    def minmax(self, i: int, y: np.ndarray) -> np.ndarray:
+        """t_i at the nonnegative int64 array y, for the 0-based index i;
+        INF or more where y is unreachable."""
+        q = np.maximum(y - self.y0[i], 0) // self.steps[i]
+        return self.tables[i][y - q * self.steps[i]] + q
 
     def _dominant_mask(self, x: int, i: int) -> np.ndarray:
         """Boolean over l = 0..x//a_i: l is a dominant length of x at i.
         Entry j corresponds to l = j."""
         a = self.gens[i - 1]
-        n = x // a
-        sub = self.tables[i - 1][x % a : x + 1 : a]  # y ascending <-> l descending
-        cond = sub <= self._asc[n::-1]
-        return cond[::-1]
+        ls = np.arange(x // a + 1, dtype=np.int64)
+        return self.minmax(i - 1, x - ls * a) <= ls
 
     def dominant_values(self, x: int, i: int) -> np.ndarray:
         return np.flatnonzero(self._dominant_mask(x, i))
@@ -210,13 +189,18 @@ class _Engine:
 def _get_engine(s: NumericalSemigroup, horizon: int) -> _Engine:
     """The instance's engine, valid at least up to `horizon`. The first one
     is built exactly to it; an outgrown one is rebuilt to at least twice its
-    horizon, so an ascending scan to x builds O(log x) engines."""
+    horizon, so an ascending scan to x builds O(log x) engines. No table
+    grows past its top, and an engine whose tables all reach it serves every
+    x and is never rebuilt."""
+    if horizon > MAX_ENGINE_HORIZON:
+        raise BudgetExceeded(f"length tables to {horizon} exceed the engine budget")
     eng = s._cache.get("inf-engine")
     if eng is not None and eng.horizon >= horizon:
         return eng
     if eng is not None:
         horizon = max(horizon, min(2 * eng.horizon, MAX_ENGINE_HORIZON))
-    eng = _Engine(s.generators, horizon)
+    y0 = tuple(r.y0 for r in structure_constants(s).records)
+    eng = _Engine(s.generators, y0, horizon)
     s._cache["inf-engine"] = eng
     return eng
 
@@ -253,10 +237,12 @@ def _windows(s: NumericalSemigroup) -> np.ndarray:
     return cached(s, "inf-windows", build)
 
 
-def _sweep_rows(eng: _Engine, win: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+def _sweep_rows(
+    gens: tuple[int, ...], tables: list[np.ndarray], win: np.ndarray, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Member flags, shape (hi - lo,), and gap flags, shape (hi - lo, D) with
-    column d set iff d is in the delta set, for the elements x in [lo, hi)."""
-    gens = eng.gens
+    column d set iff d is in the delta set, for the elements x in [lo, hi).
+    tables[i] holds t_i unfolded to at least hi - 1."""
     total = sum(gens)
     add, div, shift = win
     xs = np.arange(lo, hi, dtype=np.int64)[:, None]
@@ -266,7 +252,7 @@ def _sweep_rows(eng: _Engine, win: np.ndarray, lo: int, hi: int) -> tuple[np.nda
     kept = np.ones(pos.shape, dtype=bool)  # first of each run of equal positions
     np.not_equal(pos[:, 1:], pos[:, :-1], out=kept[:, 1:])
     hit = np.zeros(pos.shape, dtype=bool)
-    for a_i, table in zip(gens, eng.tables):
+    for a_i, table in zip(gens, tables):
         y = xs - pos * a_i
         ok = y >= 0
         hit |= ok & (table[np.where(ok, y, 0)] <= pos)
@@ -309,10 +295,15 @@ def _deltas(s: NumericalSemigroup, upto: int) -> _Sweep:
     if have > upto:
         return done
     eng = _get_engine(s, upto)
+    # transient plain tables: a gather beats a fold per cell
+    ys = np.arange(upto + 1, dtype=np.int64)
+    tables = [eng.minmax(i, ys) for i in range(s.embedding_dim)]
     win = _windows(s)
     batch = max(1, _SWEEP_CELLS // win.shape[1])
     parts = [] if done is None else [(done.member, done.gaps)]
-    parts += [_sweep_rows(eng, win, lo, min(lo + batch, upto + 1)) for lo in range(have, upto + 1, batch)]
+    parts += [
+        _sweep_rows(s.generators, tables, win, lo, min(lo + batch, upto + 1)) for lo in range(have, upto + 1, batch)
+    ]
     gaps = np.zeros((upto + 1, max(g.shape[1] for _, g in parts)), dtype=bool)
     row = 0
     for _, g in parts:

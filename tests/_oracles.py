@@ -3,9 +3,12 @@
 Nothing here shares code with the library's enumeration or table machinery:
 membership scans exponent boxes directly, factorization oracles iterate
 coordinate grids, and graph components are computed on the literal
-factorization graph.
+factorization graph. The min-max exponent tables of one and two generators
+have closed forms, `minmax_single` and `minmax_pair`; the library once built
+those tables with them, and now builds every table by level search.
 """
 
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -55,6 +58,54 @@ def minimal_generators_brute(gens):
         if not reach[a]:
             kept.append(a)
     return tuple(kept)
+
+
+# unreachable entries of a min-max table; the library's tables read INF or more
+MINMAX_INF = 1 << 62
+
+
+def minmax_brute(gens, y):
+    """Least maximum exponent over the representations of y by gens, None
+    when there is none (literal box scan)."""
+    best = None
+    for z in product(*(range(y // a + 1) for a in gens)):
+        if sum(c * a for c, a in zip(z, gens)) == y:
+            m = max(z)
+            best = m if best is None else min(best, m)
+    return best
+
+
+def minmax_single(a, horizon):
+    """Min-max table of one generator over y = 0..horizon: y / a on the
+    multiples of a."""
+    t = np.full(horizon + 1, MINMAX_INF, dtype=np.int64)
+    t[::a] = np.arange(horizon // a + 1)
+    return t
+
+
+def minmax_pair(b, c, horizon):
+    """Min-max table of two generators b != c over y = 0..horizon, in closed
+    form: the representations of y form one residue class of exponents, the
+    max is V-shaped along it, so only the two lattice points nearest the
+    balance point matter."""
+    g = math.gcd(b, c)
+    bp, cp = b // g, c // g
+    t = np.full(horizon + 1, MINMAX_INF, dtype=np.int64)
+    y = np.arange(0, horizon + 1, g, dtype=np.int64)
+    yp = y // g
+    inv = pow(bp % cp, -1, cp)
+    r = (yp % cp) * inv % cp  # exponent of b is r mod cp
+    bmax = yp // bp
+    feasible = r <= bmax
+    kmax = np.where(feasible, (bmax - r) // cp, 0)
+    k1 = (yp // (bp + cp) - r) // cp  # lattice point at/below the balance
+    best = np.full(len(yp), MINMAX_INF, dtype=np.int64)
+    for k in (np.clip(k1, 0, kmax), np.clip(k1 + 1, 0, kmax)):
+        beta = r + cp * k
+        gamma = (yp - beta * bp) // cp
+        np.minimum(best, np.maximum(beta, gamma), out=best)
+    t[y[feasible]] = best[feasible]
+    return t
 
 
 def full_mask_deltas(eng, x):

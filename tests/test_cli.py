@@ -89,6 +89,9 @@ def test_budget_flags(capsys):
         capsys, "compute", "--gens", "3,10,11", "lengths", "--x", "2000000", "--p", "1", "--budget-elements", "1000"
     )
     assert code == 3 and doc["error"]["code"] == "budget-exceeded"
+    # the max-norm engine's budget bounds the requested x, not the tables
+    code, doc = run_json(capsys, "compute", "--gens", "3,10,11", "lengths", "--x", "20000001", "--p", "inf")
+    assert code == 3 and doc["error"]["code"] == "budget-exceeded"
     code, doc = run_json(
         capsys, "search", "--target", "1", "--p", "0", "--max-gen", "12", "--budget-seconds", "0"
     )

@@ -26,20 +26,9 @@ from sgdelta import (
     verify_shift,
 )
 from sgdelta import infinity, verification
-from sgdelta.infinity import _minmax_pair, _minmax_bfs, shift_threshold_index, shift_threshold_sum
+from sgdelta.infinity import _minmax_bfs, shift_threshold_index, shift_threshold_sum
 
-from _oracles import full_mask_deltas, sweep_row
-
-
-def minmax_brute(gens, y):
-    best = None
-    from itertools import product
-
-    for z in product(*(range(y // a + 1) for a in gens)):
-        if sum(c * a for c, a in zip(z, gens)) == y:
-            m = max(z)
-            best = m if best is None else min(best, m)
-    return best
+from _oracles import full_mask_deltas, minmax_brute, minmax_pair, sweep_row
 
 
 def enumerated_max_lengths(s, x):
@@ -48,7 +37,7 @@ def enumerated_max_lengths(s, x):
 
 @pytest.mark.parametrize("pair", [(10, 11), (3, 11), (6, 9), (9, 20), (6, 15), (25, 26)])
 def test_minmax_pair_table(pair):
-    t = _minmax_pair(*pair, 400)
+    t = minmax_pair(*pair, 400)
     for y in range(401):
         want = minmax_brute(pair, y)
         got = int(t[y])
@@ -57,7 +46,7 @@ def test_minmax_pair_table(pair):
 
 def test_minmax_bfs_table():
     gens = (9, 11, 13)
-    t = _minmax_bfs(gens, 260, 40)
+    t = _minmax_bfs(gens, 260)
     for y in range(261):
         want = minmax_brute(gens, y)
         got = int(t[y])
@@ -131,9 +120,9 @@ def _count_swept(monkeypatch):
     calls = []
     orig = infinity._sweep_rows
 
-    def counting(eng, win, lo, hi):
+    def counting(gens, tables, win, lo, hi):
         calls.extend(range(lo, hi))
-        return orig(eng, win, lo, hi)
+        return orig(gens, tables, win, lo, hi)
 
     monkeypatch.setattr(infinity, "_sweep_rows", counting)
     return calls
@@ -187,15 +176,21 @@ def test_full_aap_range_reaches_certificate_horizon():
     assert [(r.status, r.label) for r in rows] == [("pass", f"{s} x in [0,2908]")]
 
 
-def test_ascending_scan_builds_few_engines(monkeypatch):
+def _count_builds(monkeypatch):
+    """The horizon of every engine built, in order."""
     horizons = []
     orig = infinity._Engine.__init__
 
-    def counting(self, gens, horizon):
+    def counting(self, gens, y0, horizon):
         horizons.append(horizon)
-        orig(self, gens, horizon)
+        orig(self, gens, y0, horizon)
 
     monkeypatch.setattr(infinity._Engine, "__init__", counting)
+    return horizons
+
+
+def test_ascending_scan_builds_few_engines(monkeypatch):
+    horizons = _count_builds(monkeypatch)
     s = make_semigroup([3, 10, 11])
     top = 40 * s.gen_sum
     for x in range(top + 1):
@@ -203,6 +198,30 @@ def test_ascending_scan_builds_few_engines(monkeypatch):
             assert verify_linf_bounds(s, x), x
     # one engine per doubling of the horizon, not one per member
     assert len(horizons) <= math.ceil(math.log2(top)) + 2, horizons
+    # the scan passed every table's top, so that engine serves every x
+    built = len(horizons)
+    delta_inf_semigroup(s, window_periods=2)
+    delta_inf_semigroup(s, window_periods=3)
+    infinity_length_set(s, 10**6)
+    assert len(horizons) == built, horizons
+    tables = s._cache["inf-engine"].tables
+    records = structure_constants(s).records
+    assert all(len(t) <= r.y0 + s.gen_sum - a + 1 for t, r, a in zip(tables, records, s.generators))
+    # w=3 reads past the w=2 horizon through the fold, not a wider engine
+    horizons.clear()
+    s = make_semigroup([5, 13, 16])
+    delta_inf_semigroup(s, window_periods=2)
+    delta_inf_semigroup(s, window_periods=3)
+    assert len(horizons) == 1, horizons
+    assert max(len(t) for t in s._cache["inf-engine"].tables) <= 497
+
+
+def test_engine_budget_applies_to_the_request():
+    s = make_semigroup([3, 10, 11])
+    infinity_length_set(s, 10**4)  # the engine reaches its cap
+    assert s._cache["inf-engine"].horizon == math.inf
+    with pytest.raises(BudgetExceeded, match="exceed the engine budget"):
+        infinity_length_set(s, 20_000_001)
 
 
 def test_semigroup_freed_without_cyclic_gc():

@@ -4,6 +4,7 @@ semigroup-level delta route against the engine of each norm."""
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -12,7 +13,15 @@ from hypothesis import example, given, settings, strategies as st
 import sgdelta as sg
 from sgdelta import infinity
 
-from _oracles import full_mask_deltas, minimal_generators_brute, sweep_row
+from _oracles import (
+    MINMAX_INF,
+    full_mask_deltas,
+    minimal_generators_brute,
+    minmax_brute,
+    minmax_pair,
+    minmax_single,
+    sweep_row,
+)
 
 # gcd-1 generator lists, k = 2..4, each below 30
 generators = st.lists(st.integers(2, 29), min_size=2, max_size=4, unique=True).filter(
@@ -103,6 +112,8 @@ def test_span_tables_match_reachability(gens, sums, dups):
         g = math.gcd(*others)
         f = _frobenius_scan([b // g for b in others], top)
         assert sg.quotient_data(s, i).margin == -(-g * (f + 1) // a[i - 1]), i
+        total = sum(others)
+        assert sg.quotient_data(s, i).y0 == -(-total * (g * (f + 1) + total) // min(others)), i
 
 
 @settings(derandomize=True, deadline=None, max_examples=15)
@@ -125,3 +136,36 @@ def test_sweep_rows_match_full_mask(gens):
     eng = infinity._get_engine(s, top)
     for x in range(top + 1):
         assert sweep_row(sweep, x) == full_mask_deltas(eng, x), x
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(gens=st.lists(st.integers(2, 59), min_size=2, max_size=5, unique=True).filter(lambda g: math.gcd(*g) == 1))
+@example(gens=[3, 25, 26])
+@example(gens=[11, 13, 17, 19, 23])
+@example(gens=[4, 5, 11])  # a_3 > B_3: t_3 exceeds top_3 // a_3 below top_3
+@example(gens=[8, 9])
+def test_folded_minmax_reads_match_references(gens):
+    # an engine at its cap reads every y; check it to three times each top,
+    # and to 60 at least
+    s = sg.make_semigroup(gens)
+    a = s.generators
+    y0 = tuple(r.y0 for r in sg.structure_constants(s).records)
+    tops = [y + s.gen_sum - a_i for y, a_i in zip(y0, a)]
+    eng = infinity._Engine(a, y0, max(tops))
+    assert eng.horizon == math.inf
+    for i, top in enumerate(tops):
+        assert len(eng.tables[i]) == top + 1
+        others = a[:i] + a[i + 1 :]
+        hi = max(3 * top, 60)
+        got = eng.minmax(i, np.arange(hi + 1, dtype=np.int64))
+        if len(others) == 1:
+            want = minmax_single(others[0], hi)
+        elif len(others) == 2:
+            want = minmax_pair(*others, hi)
+        else:
+            want = infinity._minmax_bfs(others, hi)
+        # unreachable y read INF or more, and the references give INF
+        assert (np.minimum(got, MINMAX_INF) == want).all(), i
+        for y in range(61):
+            m = minmax_brute(others, y)
+            assert (got[y] >= MINMAX_INF) if m is None else got[y] == m, (i, y)
