@@ -11,8 +11,6 @@ import heapq
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 # Sentinel for "no element in this residue class" in shortest-path tables.
 # Small enough that sentinel + generator never overflows int64.
 INF = 1 << 62
@@ -143,13 +141,6 @@ class ConeTable:
             return False
         q = y // self.gcd
         return q >= self.least[q % self.modulus]
-
-    def contains_array(self, y: np.ndarray) -> np.ndarray:
-        """Vectorized membership over an int64 array (negatives allowed)."""
-        w = np.asarray(self.least, dtype=np.int64)
-        ok = (y >= 0) & (y % self.gcd == 0)
-        q = np.where(ok, y // self.gcd, 0)
-        return ok & (q >= w[q % self.modulus])
 
     def minimal(self) -> tuple[int, ...]:
         """Minimal generators of the span, in the units of gens: a generator

@@ -117,10 +117,10 @@ def structure_constants(s: NumericalSemigroup) -> StructureConstants:
 # min-max exponent tables
 
 
-def _minmax_bfs(gens: tuple[int, ...], horizon: int) -> np.ndarray:
+def _minmax_bfs(gens: tuple[int, ...], horizon: int, levels: float = math.inf) -> np.ndarray:
     """t over y = 0..horizon for the generators gens, by level search: going
     from exponent bound l to l + 1 adds at most one copy of each generator,
-    i.e. a subset-sum shift."""
+    i.e. a subset-sum shift. Entries above `levels` stay INF."""
     sums = sorted({sum(t) for r in range(1, len(gens) + 1) for t in combinations(gens, r)})
     sums = [v for v in sums if v <= horizon]
     reach = np.zeros(horizon + 1, dtype=bool)
@@ -128,6 +128,8 @@ def _minmax_bfs(gens: tuple[int, ...], horizon: int) -> np.ndarray:
     t = np.full(horizon + 1, INF, dtype=np.int64)
     t[0] = 0
     for level in count(1):
+        if level > levels:
+            return t
         new = reach.copy()
         for v in sums:
             np.logical_or(new[v:], reach[:-v], out=new[v:])
@@ -155,12 +157,19 @@ class _Engine:
         self.y0 = y0
         self.steps = tuple(sum(gens) - a for a in gens)
         tops = [y + b for y, b in zip(y0, self.steps)]
-        self.tables = [_minmax_bfs(gens[:i] + gens[i + 1 :], min(horizon, top)) for i, top in enumerate(tops)]
+        # below its top, table i is only compared with lengths up to
+        # horizon // a_i, so higher levels may stay INF; a table that reaches
+        # its top serves folded reads and needs every level
+        self.tables = [
+            _minmax_bfs(gens[:i] + gens[i + 1 :], min(horizon, top), horizon // a if horizon < top else math.inf)
+            for i, (a, top) in enumerate(zip(gens, tops))
+        ]
         self.horizon = horizon if horizon < max(tops) else math.inf
 
     def minmax(self, i: int, y: np.ndarray) -> np.ndarray:
         """t_i at the nonnegative int64 array y, for the 0-based index i;
-        INF or more where y is unreachable."""
+        INF or more where y is unreachable, and, below table i's top, also
+        where t_i exceeds horizon // a_i."""
         q = np.maximum(y - self.y0[i], 0) // self.steps[i]
         return self.tables[i][y - q * self.steps[i]] + q
 

@@ -6,14 +6,18 @@ support exactly I iff d | x - sum_I and (x - sum_I)/d lies in the span of
     d * (F(<a_i/d : i in I>) + 1) + sum_I,
 having any support implies having every superset support, so the 0-length
 set is an interval and per-element deltas collapse to {1} or nothing.
+
+The span tables of the supports (`_cones`) give those thresholds and the
+support sizes of one element. The union of per-element deltas up to a
+horizon H does not read them: it is a subset DP over Python-int bitsets of
+H + 1 bits, at most 2^k * log2(H / a_1) shifted ORs in all (see
+`_delta_union_to`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
 
 from .arith import ConeTable
 from .budget import DEFAULT_ZERO_BUDGET, Budget
@@ -83,17 +87,42 @@ def check_l0_interval(s: NumericalSemigroup, x: int) -> bool:
 
 
 def _delta_union_to(s: NumericalSemigroup, horizon: int) -> set[int]:
-    """Union of per-element 0-delta sets over x in [0, horizon], vectorized:
-    one membership pass per support subset, then per-x size bitmasks."""
-    x = np.arange(horizon + 1, dtype=np.int64)
-    masks = np.zeros(horizon + 1, dtype=np.uint32)
-    for idx, total, cone in _cones(s):
-        hit = cone.contains_array(x - total)
-        masks[hit] |= np.uint32(1 << (len(idx) - 1))
+    """Union of per-element 0-delta sets over x in [0, horizon], by a subset
+    DP over int bitsets: bit y of a support's span is set iff y is in the
+    span of its generators, and adding a generator a ORs in copies of the
+    span shifted by a, 2a, 4a, ... . Supports are walked depth-first over
+    prefixes; each span is kept only up to the room its supersets can use,
+    horizon minus the support sum, and is shifted by that sum into the
+    bitset of its size."""
+    gens = s.generators
+    k = len(gens)
+    by_size = [0] * (k + 1)
+
+    def visit(span: int, total: int, size: int, start: int) -> None:
+        for i in range(start, k):
+            a = gens[i]
+            room = horizon - total - a
+            if room < 0:
+                break  # generators ascend, so every later support is past the horizon
+            mask = (1 << room + 1) - 1
+            grown = span & mask
+            step = a
+            while step <= room:
+                grown |= (grown << step) & mask
+                step <<= 1
+            by_size[size + 1] |= grown << total + a
+            visit(grown, total + a, size + 1, i + 1)
+
+    visit(1, 0, 0, 0)
+    # a gap hi - lo occurs iff some x has supports of sizes lo and hi and none
+    # of a size in between
     union: set[int] = set()
-    for m in np.unique(masks):
-        sizes = [b + 1 for b in range(32) if m >> b & 1]
-        union.update(b - a for a, b in zip(sizes, sizes[1:]))
+    for lo in range(1, k):
+        between = 0
+        for hi in range(lo + 1, k + 1):
+            if by_size[lo] & by_size[hi] & ~between:
+                union.add(hi - lo)
+            between |= by_size[hi]
     return union
 
 
@@ -110,5 +139,7 @@ def delta0_semigroup(s: NumericalSemigroup, budget: Budget | None = None) -> Del
 
 
 def delta0_union_brute(s: NumericalSemigroup, horizon: int) -> DeltaSet:
-    """Union of 0-deltas up to an arbitrary horizon (cross-check hook)."""
+    """{1} union the 0-deltas up to an arbitrary horizon, by the same DP as
+    `delta0_semigroup`; read past the stability bound it checks that bound,
+    not the DP."""
     return DeltaSet.from_iterable(_delta_union_to(s, horizon) | {1})

@@ -1,17 +1,21 @@
 """Independent brute-force oracles for cross-checking the exact engines.
 
-Nothing here shares code with the library's enumeration or table machinery:
-membership scans exponent boxes directly, factorization oracles iterate
-coordinate grids, and graph components are computed on the literal
-factorization graph. The min-max exponent tables of one and two generators
-have closed forms, `minmax_single` and `minmax_pair`; the library once built
-those tables with them, and now builds every table by level search.
-"""
+The brute-force oracles share no code with the library's enumeration or
+table machinery: membership scans exponent boxes directly, factorization
+oracles iterate coordinate grids, and graph components are computed on the
+literal factorization graph. The min-max exponent tables of one and two
+generators have closed forms, `minmax_single` and `minmax_pair`; the library
+once built those tables with them, and now builds every table by level
+search. Two oracles are the engines' former passes, which read library
+tables in a different way: `full_mask_deltas` (the per-x max-norm mask) and
+`cone_union_deltas` (one span-table membership pass per 0-norm support)."""
 
 import math
 from itertools import combinations, product
 
 import numpy as np
+
+from sgdelta.arith import ConeTable
 
 
 def box_factorizations(gens, x):
@@ -122,6 +126,34 @@ def sweep_row(sweep, x):
     if not sweep.member[x]:
         return None
     return tuple(np.flatnonzero(sweep.gaps[x]).tolist())
+
+
+def cone_contains_array(cone, y):
+    """Membership in the span of a `ConeTable` over an int64 array
+    (negatives allowed), read from its least-member table."""
+    w = np.asarray(cone.least, dtype=np.int64)
+    ok = (y >= 0) & (y % cone.gcd == 0)
+    q = np.where(ok, y // cone.gcd, 0)
+    return ok & (q >= w[q % cone.modulus])
+
+
+def cone_union_deltas(s, horizon):
+    """Union of the per-element 0-delta sets over x in [0, horizon], by one
+    membership pass per support subset over fresh span tables, then the
+    support sizes of each x as a bitmask (the engine's former pass)."""
+    gens = s.generators
+    k = len(gens)
+    x = np.arange(horizon + 1, dtype=np.int64)
+    masks = np.zeros(horizon + 1, dtype=np.uint32)
+    for size in range(1, k + 1):
+        for sub in combinations(gens, size):
+            hit = cone_contains_array(ConeTable.build(sub), x - sum(sub))
+            masks[hit] |= np.uint32(1 << (size - 1))
+    union = set()
+    for m in np.unique(masks):
+        sizes = [b + 1 for b in range(32) if m >> b & 1]
+        union.update(b - a for a, b in zip(sizes, sizes[1:]))
+    return union
 
 
 def support_sizes_brute(gens, x):

@@ -2,6 +2,7 @@ import gc
 import math
 import weakref
 
+import numpy as np
 import pytest
 
 from sgdelta import (
@@ -26,6 +27,7 @@ from sgdelta import (
     verify_shift,
 )
 from sgdelta import infinity, verification
+from sgdelta.arith import INF
 from sgdelta.infinity import _minmax_bfs, shift_threshold_index, shift_threshold_sum
 
 from _oracles import full_mask_deltas, minmax_brute, minmax_pair, sweep_row
@@ -51,6 +53,31 @@ def test_minmax_bfs_table():
         want = minmax_brute(gens, y)
         got = int(t[y])
         assert (want is None and got > 260) or want == got, y
+
+
+@pytest.mark.parametrize(
+    "gens, horizon",
+    [((245, 4267, 23845, 33383), 100_000), ((3, 25, 26), 150), ((4, 5, 11), 40), ((11, 13, 17, 19, 23), 3000)],
+)
+def test_engine_below_its_top_keeps_every_read_comparison(gens, horizon):
+    # a table below its top runs only the levels up to horizon // a_i, and
+    # each comparison t_i(y) <= l with l <= horizon // a_i stays as it was
+    s = make_semigroup(gens)
+    y0 = tuple(r.y0 for r in structure_constants(s).records)
+    eng = infinity._Engine(gens, y0, horizon)
+    truncated = 0
+    for i, a in enumerate(gens):
+        full = _minmax_bfs(gens[:i] + gens[i + 1 :], len(eng.tables[i]) - 1)
+        got = eng.tables[i]
+        if len(got) - 1 < y0[i] + s.gen_sum - a:
+            cap = horizon // a
+            assert got[got < INF].max() <= cap, i
+            assert (np.minimum(got, cap + 1) == np.minimum(full, cap + 1)).all(), i
+            truncated += int((full[got >= INF] < INF).any())
+        else:
+            assert (got == full).all(), i
+    if gens[0] == 245:
+        assert truncated == 3  # the tables of 4267, 23845 and 33383 stop early
 
 
 def test_infinity_length_set_matches_enumeration(geo, med3, supersym):

@@ -11,10 +11,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 import sgdelta as sg
-from sgdelta import infinity
+from sgdelta import infinity, zero
 
 from _oracles import (
     MINMAX_INF,
+    cone_union_deltas,
     full_mask_deltas,
     minimal_generators_brute,
     minmax_brute,
@@ -169,3 +170,30 @@ def test_folded_minmax_reads_match_references(gens):
         for y in range(61):
             m = minmax_brute(others, y)
             assert (got[y] >= MINMAX_INF) if m is None else got[y] == m, (i, y)
+
+
+GAPS5 = sg.construct_family(sg.parse_family("gaps:k=5")).generators
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    gens=st.lists(st.integers(2, 40), min_size=2, max_size=6, unique=True).filter(lambda g: math.gcd(*g) == 1),
+    per_mille=st.integers(0, 2000),
+)
+@example(gens=[6, 10, 15], per_mille=1000)  # every pair has gcd > 1
+@example(gens=[245, 4267, 23845, 33383], per_mille=1000)
+@example(gens=list(GAPS5), per_mille=1000)
+def test_zero_union_matches_oracles(gens, per_mille):
+    # horizons 0, just below the least support sum, and per_mille / 1000 of
+    # the stability bound x0, so up to 2 * x0
+    s = sg.make_semigroup(gens)
+    x0 = sg.delta0_stability_bound(s)
+    for horizon in (0, s.generators[0] - 1, per_mille * x0 // 1000):
+        got = zero._delta_union_to(s, horizon)
+        assert got == cone_union_deltas(s, horizon), horizon
+        if horizon <= 300:
+            by_element = set()
+            for x in range(horizon + 1):
+                if sg.contains(s, x):
+                    by_element.update(sg.delta_set_of_element(s, x, sg.P0).values)
+            assert got == by_element, horizon

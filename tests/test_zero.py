@@ -69,6 +69,9 @@ def test_delta0_of_element_matches_enumeration(mcnugget, med3):
 
 
 def test_delta0_semigroup_equals_double_horizon_brute(geo, med3, mcnugget, genarith):
+    # both sides run the same union, so this checks the stability bound; the
+    # union itself is checked against independent passes in
+    # test_properties.py::test_zero_union_matches_oracles
     for s in (geo, med3, mcnugget, genarith):
         x0 = delta0_stability_bound(s)
         assert delta0_semigroup(s) == delta0_union_brute(s, 2 * x0)
