@@ -37,14 +37,20 @@ picture changes (ceil(x / A) + a_k, and x // a_i - margin_i and x // a_i
 per index) the length mask repeats with period G = lcm(g_1, ..., g_k). The
 sweep keeps the bottom window [ceil(x / A), ceil(x / A) + a_k + keep) and,
 per index, [x // a_i - margin_i - keep, x // a_i + keep], with
-keep = 2G + 1, clipped to [ceil(x / A), x // a_1] and merged. A dropped
-stretch then has at least keep kept positions of its own period on each
-side, which already show every gap that occurs in or across it, and it lies
-where the class of index 1 fills, so no gap spans it. The sweep runs the
-exact test only at kept positions and counts a gap only between kept
-lengths with no dropped position between them. The least length lies within
-a_k of x / A, inside the bottom window, so x is a member iff its row has a
-length. Element queries read the full mask instead.
+keep = 2G + 1, clipped to [ceil(x / A), x // a_1] and merged; index 1's
+window ends at x // a_1, where every column above it clips. These are the
+columns of the wide layout. A dropped stretch then has at least keep kept
+positions of its own period on each side, which already show every gap that
+occurs in or across it, and it lies where the class of index 1 fills, so no
+gap spans it. The sweep runs the exact test only at kept positions and
+counts a gap only between kept lengths with no dropped position between
+them. The least length lies within a_k of x / A, inside the bottom window,
+so x is a member iff its row has a length. The sweep runs in batches of
+consecutive x. A batch whose widest length range, max(x // a_1 -
+ceil(x / A) + 1) over its x, is narrower than the wide layout keeps that
+whole range instead (the narrow layout: columns ceil(x / A) + j below that
+width) and drops nothing; a batch has at most 2^13 cells, or one row.
+Element queries read the full mask.
 
 Each instance caches one engine and one sweep. The engine grows by doubling
 until every table reaches its top, and is never rebuilt after that. The
@@ -54,8 +60,11 @@ most once per instance.
 The semigroup-level delta set is the union of per-element delta sets up to
 start + W * period, where start either comes from the explicit shift-identity
 validity bounds (theorem-backed) or from the first observed window of exact
-periodicity (empirical). Either way the window is re-verified by direct
-computation and recorded in the certificate.
+periodicity (empirical). The empirical search checks the window at
+floor = F + 1 first; a window that fails rules out every start up to its
+last mismatch, so the next one starts just past it, and the sweep reaches
+exactly start + (W + 1) * period. Either way the window is re-verified by
+direct computation and recorded in the certificate.
 """
 
 from __future__ import annotations
@@ -100,7 +109,7 @@ class PeriodicityCertificate:
     window_periods: int
     mode: str  # "theorem-backed" | "empirical"
     union_horizon: int
-    columns: int  # positions the sweep tests per element
+    columns: int  # positions per element of the sweep's wide layout, its widest
 
 
 def structure_constants(s: NumericalSemigroup) -> StructureConstants:
@@ -175,9 +184,15 @@ class _Engine:
 
     def _dominant_mask(self, x: int, i: int) -> np.ndarray:
         """Boolean over l = 0..x//a_i: l is a dominant length of x at i.
-        Entry j corresponds to l = j."""
+        Entry j corresponds to l = j. A row whose every x - l * a_i lies in
+        table i reads it as one reversed strided slice; any other row folds
+        every read, because splitting it into a slice and a folded head
+        costs more numpy calls than the slice saves."""
         a = self.gens[i - 1]
+        table = self.tables[i - 1]
         ls = np.arange(x // a + 1, dtype=np.int64)
+        if x < len(table):
+            return table[x::-a] <= ls
         return self.minmax(i - 1, x - ls * a) <= ls
 
     def dominant_values(self, x: int, i: int) -> np.ndarray:
@@ -232,18 +247,44 @@ def _windows(s: NumericalSemigroup) -> np.ndarray:
     shift, before clipping to the length range. The columns cover the bottom
     window [ceil(x/A), ceil(x/A) + a_k + keep) and, per index i, the top
     window [x//a_i - margin_i - keep, x//a_i + keep], with keep = 2G + 1 and
-    G the lcm of the complement gcds."""
+    G the lcm of the complement gcds. Index 1's top window ends at x//a_1,
+    since every column above it clips to x//a_1."""
 
     def build():
         consts = structure_constants(s)
         total = consts.gen_sum
         keep = 2 * math.lcm(*(r.complement_gcd for r in consts.records)) + 1
         cols = [(total - 1, total, j) for j in range(s.generators[-1] + keep)]
-        for a_i, rec in zip(s.generators, consts.records):
-            cols += [(0, a_i, j) for j in range(-rec.margin - keep, keep + 1)]
+        for i, (a_i, rec) in enumerate(zip(s.generators, consts.records)):
+            cols += [(0, a_i, j) for j in range(-rec.margin - keep, (keep if i else 0) + 1)]
         return np.array(cols, dtype=np.int64).T
 
     return cached(s, "inf-windows", build)
+
+
+def _batches(s: NumericalSemigroup, lo: int, stop: int):
+    """The sweep's batches of consecutive x in [lo, stop), as (lo, hi,
+    layout) with (hi - lo) * columns <= max(_SWEEP_CELLS, W). A batch whose
+    widest length range, max(x//a_1 - ceil(x/A) + 1) over its x, is narrower
+    than W tests that range whole: its columns are ceil(x/A) + j for j below
+    that width, and no position is dropped. Other batches use the W columns
+    of `_windows`."""
+    a1, total = s.generators[0], s.gen_sum
+    win = _windows(s)
+    wide = win.shape[1]
+    narrow = np.array([(total - 1, total, j) for j in range(wide)], dtype=np.int64).T
+    while lo < stop:
+        first = lo // a1 - ceil_div(lo, total) + 1
+        if first >= wide:
+            hi = min(stop, lo + max(1, _SWEEP_CELLS // wide))
+            yield lo, hi, win
+        else:
+            xs = np.arange(lo, min(stop, lo + _SWEEP_CELLS // max(first, 1)), dtype=np.int64)
+            width = np.maximum.accumulate(xs // a1 - (xs + total - 1) // total + 1)
+            fits = (width < wide) & (width * np.arange(1, len(xs) + 1) <= _SWEEP_CELLS)
+            hi = lo + max(1, int(np.count_nonzero(fits)))
+            yield lo, hi, narrow[:, : max(1, int(width[hi - lo - 1]))]
+        lo = hi
 
 
 def _sweep_rows(
@@ -307,12 +348,8 @@ def _deltas(s: NumericalSemigroup, upto: int) -> _Sweep:
     # transient plain tables: a gather beats a fold per cell
     ys = np.arange(upto + 1, dtype=np.int64)
     tables = [eng.minmax(i, ys) for i in range(s.embedding_dim)]
-    win = _windows(s)
-    batch = max(1, _SWEEP_CELLS // win.shape[1])
     parts = [] if done is None else [(done.member, done.gaps)]
-    parts += [
-        _sweep_rows(s.generators, tables, win, lo, min(lo + batch, upto + 1)) for lo in range(have, upto + 1, batch)
-    ]
+    parts += [_sweep_rows(s.generators, tables, win, lo, hi) for lo, hi, win in _batches(s, have, upto + 1)]
     gaps = np.zeros((upto + 1, max(g.shape[1] for _, g in parts)), dtype=bool)
     row = 0
     for _, g in parts:
@@ -421,20 +458,19 @@ def delta_inf_semigroup(
 
 def _empirical_start(s: NumericalSemigroup, p: int, w: int, budget: Budget) -> int:
     """Smallest x0 past the Frobenius number whose whole window
-    [x0, x0 + w * p) repeats with period p, searched over sweeps whose
-    horizon doubles up to the element budget."""
-    floor_start = frobenius(s) + 1  # all x beyond are members
+    [x0, x0 + w * p) repeats with period p. A window that fails rules out
+    every start up to its last mismatch, so the search jumps one past it and
+    sweeps exactly to the next window's end, start + (w + 1) * p. It needs
+    w + 2 periods of room past the Frobenius number to begin, and gives up
+    once a window would reach past the element budget."""
+    start = frobenius(s) + 1  # all x beyond are members
     cap = budget.max_element
-    horizon = floor_start + (w + 2) * p
-    while horizon <= cap:
-        same = _deltas(s, horizon).repeats(floor_start, horizon - p, p)
-        # runs of repeating rows start at floor_start and after each mismatch
-        cuts = np.flatnonzero(~same)
-        starts = np.concatenate(([0], cuts + 1))
-        long = np.flatnonzero(np.append(cuts, len(same)) - starts >= w * p)
-        if long.size:
-            return floor_start + int(starts[long[0]])
-        horizon = min(cap, horizon * 2) if horizon < cap else cap + 1
+    if start + (w + 2) * p <= cap:
+        while start + (w + 1) * p <= cap:
+            bad = np.flatnonzero(~_deltas(s, start + (w + 1) * p).repeats(start, start + w * p, p))
+            if not bad.size:
+                return start
+            start += int(bad[-1]) + 1
     raise BudgetExceeded(f"no verified periodicity window within element budget {cap}")
 
 

@@ -3,8 +3,9 @@ prescribed 0- or max-norm delta set.
 
 Candidates are enumerated by ascending embedding dimension, then
 lexicographically; non-canonical generator lists are skipped so no semigroup
-is tested twice. A search never claims nonexistence beyond its bounds, and
-every hit is recomputed from scratch before being reported.
+is tested twice, and each candidate is probed on the instance that tested
+its canonicity. A search never claims nonexistence beyond its bounds, and
+every hit is recomputed on a fresh instance before being reported.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .budget import Budget
 from .errors import BudgetExceeded, SemigroupError
@@ -34,7 +35,9 @@ class SearchReport:
 
 
 def candidates(max_dim: int, max_gen: int, min_dim: int = 2):
-    """Canonical generator tuples by ascending embedding dimension, then lexicographically."""
+    """Canonical semigroups by ascending embedding dimension, then
+    lexicographically by generators; each is the instance built to test
+    canonicity."""
     for k in range(min_dim, max_dim + 1):
         for gens in combinations(range(2, max_gen + 1), k):
             g = 0
@@ -47,16 +50,20 @@ def candidates(max_dim: int, max_gen: int, min_dim: int = 2):
             except SemigroupError:
                 continue
             if s.generators == gens:
-                yield gens
+                yield s
 
 
 def _probe(args):
-    gens, p, target, budget = args
+    s, p, target, budget = args
     try:
-        d = delta_set_of_semigroup(make_semigroup(gens), p, budget)
+        d = delta_set_of_semigroup(s, p, budget)
     except BudgetExceeded as e:
-        return gens, "budget", str(e)
-    return gens, "hit" if d.values == target else "miss", ""
+        return s.generators, "budget", str(e)
+    finally:
+        # a batch holds its instances until it ends; drop each one's tables
+        # and sweeps once it is probed
+        s._cache.clear()
+    return s.generators, "hit" if d.values == target else "miss", ""
 
 
 def search_delta(
@@ -85,18 +92,19 @@ def search_delta(
         )
         raise ValueError(f"unrealizable target {list(target.values)}: {reason}")
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
-    cands = list(candidates(max_dim, max_gen))
+    # batches are drawn as they start, so one batch of instances is alive at
+    # a time
+    cands = candidates(max_dim, max_gen)
     hits: list[tuple[int, ...]] = []
     skipped: list[tuple[tuple[int, ...], str]] = []
     tested = 0
     exhausted = True
     chunk = 64
-    for base in range(0, len(cands), chunk):
+    while batch := list(islice(cands, chunk)):
         if deadline is not None and time.monotonic() > deadline:
             exhausted = False
             break
-        batch = cands[base : base + chunk]
-        results = pmap(_probe, [(g, p, target.values, budget) for g in batch], workers)
+        results = pmap(_probe, [(s, p, target.values, budget) for s in batch], workers)
         for gens, status, detail in results:
             tested += 1
             if status == "budget":

@@ -6,8 +6,9 @@ oracles iterate coordinate grids, and graph components are computed on the
 literal factorization graph. The min-max exponent tables of one and two
 generators have closed forms, `minmax_single` and `minmax_pair`; the library
 once built those tables with them, and now builds every table by level
-search. Two oracles are the engines' former passes, which read library
-tables in a different way: `full_mask_deltas` (the per-x max-norm mask) and
+search. Three oracles are the engines' former passes, which read library
+tables in a different way: `full_mask_deltas` (the per-x max-norm mask),
+`doubling_empirical_start` (the empirical start over doubling horizons) and
 `cone_union_deltas` (one span-table membership pass per 0-norm support)."""
 
 import math
@@ -15,6 +16,7 @@ from itertools import combinations, product
 
 import numpy as np
 
+from sgdelta import BudgetExceeded, frobenius, infinity
 from sgdelta.arith import ConeTable
 
 
@@ -119,6 +121,25 @@ def full_mask_deltas(eng, x):
     if ach.size == 0:
         return None
     return tuple(np.unique(np.diff(ach)).tolist())
+
+
+def doubling_empirical_start(s, p, w, budget):
+    """Smallest x0 past the Frobenius number whose whole window
+    [x0, x0 + w * p) repeats with period p, searched over sweeps whose
+    horizon doubles from floor + (w + 2) * p up to the element budget."""
+    floor_start = frobenius(s) + 1
+    cap = budget.max_element
+    horizon = floor_start + (w + 2) * p
+    while horizon <= cap:
+        same = infinity._deltas(s, horizon).repeats(floor_start, horizon - p, p)
+        # runs of repeating rows start at floor_start and after each mismatch
+        cuts = np.flatnonzero(~same)
+        starts = np.concatenate(([0], cuts + 1))
+        long = np.flatnonzero(np.append(cuts, len(same)) - starts >= w * p)
+        if long.size:
+            return floor_start + int(starts[long[0]])
+        horizon = min(cap, horizon * 2) if horizon < cap else cap + 1
+    raise BudgetExceeded(f"no verified periodicity window within element budget {cap}")
 
 
 def sweep_row(sweep, x):

@@ -27,9 +27,10 @@ def test_compute_delta_semigroup(capsys):
     assert doc["result"]["delta"] == [1, 2, 3, 4, 6, 7]
     assert doc["certificate"]["period"] == 120
     assert doc["certificate"]["mode"] == "theorem-backed"
-    # positions per element: (a_k + keep) + sum_i (margin_i + 2 keep + 1) with
-    # keep = 2 lcm(complement gcds) + 1 = 3 and margins 30, 2, 2
-    assert doc["certificate"]["columns"] == (11 + 3) + (30 + 7) + (2 + 7) + (2 + 7)
+    # widest layout per element: (a_k + keep) + sum_i (margin_i + 2 keep + 1)
+    # with keep = 2 lcm(complement gcds) + 1 = 3 and margins 30, 2, 2, less
+    # the keep columns above x // a_1
+    assert doc["certificate"]["columns"] == (11 + 3) + (30 + 3 + 1) + (2 + 7) + (2 + 7)
     assert doc["command"] == "compute"
     assert "timing" in doc and "budget" in doc
 

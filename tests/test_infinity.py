@@ -30,7 +30,9 @@ from sgdelta import infinity, verification
 from sgdelta.arith import INF
 from sgdelta.infinity import _minmax_bfs, shift_threshold_index, shift_threshold_sum
 
-from _oracles import full_mask_deltas, minmax_brute, minmax_pair, sweep_row
+from sgdelta.search import candidates
+
+from _oracles import doubling_empirical_start, full_mask_deltas, minmax_brute, minmax_pair, sweep_row
 
 
 def enumerated_max_lengths(s, x):
@@ -192,6 +194,60 @@ def test_sweep_rows_match_full_mask_on_suite(gens):
     sweep = infinity._deltas(s, top)
     eng = infinity._get_engine(s, top)
     assert [sweep_row(sweep, x) for x in range(top + 1)] == [full_mask_deltas(eng, x) for x in range(top + 1)]
+
+
+def _start_or_message(fn, s, w, cap):
+    try:
+        return fn(s, structure_constants(s).period, w, Budget(max_element=cap))
+    except BudgetExceeded as e:
+        return str(e)
+
+
+def test_empirical_start_matches_doubling_search():
+    # the exact jump finds the start the doubling horizons found, or fails
+    # with the same message; both read one instance's sweep, which the full
+    # mask tests check row by row
+    outcomes = {}
+    for s in candidates(2, 12):
+        for cap in (30_000, 60_000):
+            for w in (1, 2, 3):
+                got = _start_or_message(infinity._empirical_start, s, w, cap)
+                assert got == _start_or_message(doubling_empirical_start, s, w, cap), (s, cap, w)
+                outcomes[s.generators, cap, w] = got
+    # the search (w = 2) skips these two at the benchmark's budget
+    assert isinstance(outcomes[(7, 9), 30_000, 2], str)
+    assert isinstance(outcomes[(8, 9), 30_000, 2], str)
+
+
+def test_empirical_start_needs_room_for_two_periods_past_its_window():
+    # <2,3>: floor 2, period 90, start 29; its w = 1 window ends at
+    # 29 + 2 * 90 <= 240 < 2 + 3 * 90, but the search starts only with w + 2
+    # periods of room past the floor, as the doubling search did
+    assert _start_or_message(infinity._empirical_start, make_semigroup([2, 3]), 1, 10_000) == 29
+    for fn in (infinity._empirical_start, doubling_empirical_start):
+        assert _start_or_message(fn, make_semigroup([2, 3]), 1, 240) == (
+            "no verified periodicity window within element budget 240"
+        )
+
+
+@pytest.mark.parametrize("gens", [(8, 9), (7, 8), (30, 42, 70, 105)])
+def test_sweep_batches_stay_within_their_cells(monkeypatch, gens):
+    # a narrow batch gets no more rows than its columns leave room for; the
+    # sweep runs to the search's budget, 30,000
+    shapes = []
+    orig = infinity._sweep_rows
+
+    def recording(g, tables, win, lo, hi):
+        shapes.append((hi - lo, win.shape[1]))
+        return orig(g, tables, win, lo, hi)
+
+    monkeypatch.setattr(infinity, "_sweep_rows", recording)
+    s = make_semigroup(gens)
+    wide = infinity._windows(s).shape[1]
+    infinity._deltas(s, 30_000)
+    assert sum(r for r, _ in shapes) == 30_001
+    assert any(c < wide for _, c in shapes)
+    assert all(r * c <= max(infinity._SWEEP_CELLS, wide) for r, c in shapes), (wide, max(r * c for r, c in shapes))
 
 
 def test_full_aap_range_reaches_certificate_horizon():

@@ -125,6 +125,7 @@ def test_span_tables_match_reachability(gens, sums, dups):
 @example(gens=[10, 15, 21, 35])  # canonical form <10,15,21>, G = 15
 @example(gens=[30, 42, 70, 105])  # G = 210, windows wider than x / 30
 @example(gens=[8, 9])  # G = 72
+@example(gens=[26, 27])  # a narrow batch's widest row is not at its ends (x = 5,980)
 def test_sweep_rows_match_full_mask(gens):
     # every x up to the w = 3 certificate horizon, capped at 6000
     s = sg.make_semigroup(gens)

@@ -1,6 +1,6 @@
 import pytest
 
-from sgdelta import Budget, P0, PINF, search_delta
+from sgdelta import Budget, P0, PINF, search, search_delta
 
 
 def test_search_delta0_pair():
@@ -50,3 +50,19 @@ def test_search_orders_and_counts():
     # 2-generated semigroups always have 0-delta {1}
     assert report.hits == ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (3, 7), (3, 8), (4, 5), (4, 7), (5, 6), (5, 7), (5, 8), (6, 7), (7, 8))
     assert report.tested == len(report.hits)
+
+
+def test_search_builds_each_candidate_once(monkeypatch):
+    # one instance tests canonicity and is probed; a hit gets one more, fresh,
+    # for its re-verification
+    calls = []
+    orig = search.make_semigroup
+
+    def counting(gens):
+        calls.append(tuple(gens))
+        return orig(gens)
+
+    monkeypatch.setattr(search, "make_semigroup", counting)
+    report = search_delta([1], P0, max_dim=2, max_gen=8)
+    assert report.tested == len(report.hits) == 14
+    assert sorted(calls) == sorted(2 * report.hits)
