@@ -184,15 +184,9 @@ class _Engine:
 
     def _dominant_mask(self, x: int, i: int) -> np.ndarray:
         """Boolean over l = 0..x//a_i: l is a dominant length of x at i.
-        Entry j corresponds to l = j. A row whose every x - l * a_i lies in
-        table i reads it as one reversed strided slice; any other row folds
-        every read, because splitting it into a slice and a folded head
-        costs more numpy calls than the slice saves."""
+        Entry j corresponds to l = j."""
         a = self.gens[i - 1]
-        table = self.tables[i - 1]
         ls = np.arange(x // a + 1, dtype=np.int64)
-        if x < len(table):
-            return table[x::-a] <= ls
         return self.minmax(i - 1, x - ls * a) <= ls
 
     def dominant_values(self, x: int, i: int) -> np.ndarray:
@@ -279,7 +273,7 @@ def _batches(s: NumericalSemigroup, lo: int, stop: int):
             hi = min(stop, lo + max(1, _SWEEP_CELLS // wide))
             yield lo, hi, win
         else:
-            xs = np.arange(lo, min(stop, lo + _SWEEP_CELLS // max(first, 1)), dtype=np.int64)
+            xs = np.arange(lo, min(stop, lo + max(1, _SWEEP_CELLS // max(first, 1))), dtype=np.int64)
             width = np.maximum.accumulate(xs // a1 - (xs + total - 1) // total + 1)
             fits = (width < wide) & (width * np.arange(1, len(xs) + 1) <= _SWEEP_CELLS)
             hi = lo + max(1, int(np.count_nonzero(fits)))
@@ -321,6 +315,15 @@ def _sweep_rows(
     return hit.any(axis=1), gaps
 
 
+def _sweep_parts(s: NumericalSemigroup, lo: int, stop: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The `_sweep_rows` output of each batch of x in [lo, stop), in order."""
+    eng = _get_engine(s, stop - 1)
+    # transient plain tables: a gather beats a fold per cell
+    ys = np.arange(stop, dtype=np.int64)
+    tables = [eng.minmax(i, ys) for i in range(s.embedding_dim)]
+    return [_sweep_rows(s.generators, tables, win, a, b) for a, b, win in _batches(s, lo, stop)]
+
+
 @dataclass(frozen=True)
 class _Sweep:
     """Per-element max-norm delta sets of x = 0..len(member) - 1: member[x]
@@ -344,12 +347,8 @@ def _deltas(s: NumericalSemigroup, upto: int) -> _Sweep:
     have = 0 if done is None else len(done.member)
     if have > upto:
         return done
-    eng = _get_engine(s, upto)
-    # transient plain tables: a gather beats a fold per cell
-    ys = np.arange(upto + 1, dtype=np.int64)
-    tables = [eng.minmax(i, ys) for i in range(s.embedding_dim)]
     parts = [] if done is None else [(done.member, done.gaps)]
-    parts += [_sweep_rows(s.generators, tables, win, lo, hi) for lo, hi, win in _batches(s, have, upto + 1)]
+    parts += _sweep_parts(s, have, upto + 1)
     gaps = np.zeros((upto + 1, max(g.shape[1] for _, g in parts)), dtype=bool)
     row = 0
     for _, g in parts:

@@ -250,6 +250,35 @@ def test_sweep_batches_stay_within_their_cells(monkeypatch, gens):
     assert all(r * c <= max(infinity._SWEEP_CELLS, wide) for r, c in shapes), (wide, max(r * c for r, c in shapes))
 
 
+@pytest.mark.parametrize("gens, stop", [((3, 260, 262), 35_001), ((2, 601), 21_001)])
+def test_batches_with_more_columns_than_cells(gens, stop):
+    # W > _SWEEP_CELLS: where the length range is wider than the cell budget
+    # but narrower than W, each batch is one narrow row; past it, one wide row
+    s = make_semigroup(gens)
+    wide = infinity._windows(s).shape[1]
+    cells = infinity._SWEEP_CELLS
+    assert wide > cells
+    batches = list(infinity._batches(s, 0, stop))
+    bounds = [(lo, hi) for lo, hi, _ in batches]
+    assert bounds[0][0] == 0 and bounds[-1][1] == stop
+    assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+    shapes = [(hi - lo, win.shape[1]) for lo, hi, win in batches]
+    assert all(r * c <= max(cells, wide) for r, c in shapes)
+    assert any(r == 1 and cells < c < wide for r, c in shapes)
+    assert shapes[-1] == (1, wide)
+
+
+@pytest.mark.parametrize("gens, lo, stop", [((3, 260, 262), 24_700, 24_800), ((3, 260, 262), 34_600, 34_700)])
+def test_one_row_batches_match_full_mask(gens, lo, stop):
+    # the rows of ⟨3,260,262⟩ (W = 11,480) where the length range passes the
+    # cell budget, and where it passes W
+    s = make_semigroup(gens)
+    parts = infinity._sweep_parts(s, lo, stop)
+    rows = [None if not m else tuple(np.flatnonzero(g).tolist()) for member, gaps in parts for m, g in zip(member, gaps)]
+    eng = infinity._get_engine(s, stop)
+    assert rows == [full_mask_deltas(eng, x) for x in range(lo, stop)]
+
+
 def test_full_aap_range_reaches_certificate_horizon():
     # without --quick every member from 0 to start + (W+1) * period is checked
     s = make_semigroup([4, 6, 9])
