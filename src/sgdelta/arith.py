@@ -11,6 +11,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
+from .errors import BudgetExceeded
+
 # Sentinel for "no element in this residue class" in shortest-path tables.
 # Small enough that sentinel + generator never overflows int64.
 INF = 1 << 62
@@ -84,8 +86,6 @@ def apery_table(gens: tuple[int, ...], m: int) -> list[int]:
     if m <= 0:
         raise ValueError("modulus must be positive")
     if m > MAX_APERY_MODULUS:
-        from .errors import BudgetExceeded
-
         raise BudgetExceeded(f"residue table of size {m} exceeds the table budget")
     dist = [INF] * m
     dist[0] = 0

@@ -18,3 +18,8 @@ class Budget:
 # its default is tighter than the 0-norm scan (a few vector ops per element).
 DEFAULT_INF_BUDGET = Budget(max_element=300_000)
 DEFAULT_ZERO_BUDGET = Budget(max_element=5_000_000)
+
+# The largest x a length table serves, for the 1-norm and the max-norm
+# engines alike; past this their tables and the sweep's per-x rows reach GB
+# scale.
+MAX_ENGINE_HORIZON = 20_000_000

@@ -432,7 +432,7 @@ def _run(args) -> tuple[str, int]:
     started = time.monotonic()
     try:
         envelope, code = args.func(args)
-    except (SemigroupError, ValueError, KeyError) as e:
+    except (SemigroupError, ValueError) as e:
         error = {"code": getattr(e, "code", "invalid-argument"), "message": str(e)}
         code = EXIT_BUDGET if isinstance(e, BudgetExceeded) else EXIT_ERROR
         return json.dumps({"command": args.command, "error": error}), code

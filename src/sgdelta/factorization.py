@@ -18,8 +18,8 @@ from typing import Iterator
 import numpy as np
 
 from .arith import INF
-from .budget import Budget
-from .errors import CapExceeded, NotAMember
+from .budget import MAX_ENGINE_HORIZON, Budget
+from .errors import BudgetExceeded, CapExceeded, NotAMember
 from .semigroup import NumericalSemigroup, contains
 
 P0 = 0
@@ -189,6 +189,8 @@ def _one_norm_lengths(s: NumericalSemigroup, x: int) -> np.ndarray:
     a_i - a_1 (i >= 2) summing to y. Part b relaxes m[y] to m[y - b] + 1: a
     running minimum of m[y] - j down each residue class r mod b, y = j*b + r.
     """
+    if x > MAX_ENGINE_HORIZON:
+        raise BudgetExceeded(f"1-norm length table to {x} exceeds the engine budget")
     gens = s.generators
     a1 = gens[0]
     lo = -(-x // gens[-1])

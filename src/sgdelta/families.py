@@ -48,7 +48,7 @@ class FamilySpec:
         for k, v in self.params:
             if k == name:
                 return v
-        raise KeyError(name)
+        raise ValueError(f"{self.variant} needs parameter {name!r}")
 
     def has(self, name: str) -> bool:
         return any(k == name for k, _ in self.params)
@@ -127,9 +127,15 @@ def _checked(gens, what: str) -> NumericalSemigroup:
     return s
 
 
-def _interval_seeds(k: int) -> tuple[int, int]:
-    p1 = next_prime(k)
-    return p1, next_prime(p1)
+def _interval_seeds(spec: FamilySpec) -> tuple[int, int]:
+    """The spec's two seed primes; by default the two least primes above k."""
+    if not spec.has("seeds"):
+        p1 = next_prime(spec.param("k"))
+        return p1, next_prime(p1)
+    seeds = spec.param("seeds")
+    if len(seeds) != 2:
+        raise ValueError(f"interval needs exactly 2 seeds, got {len(seeds)}")
+    return seeds
 
 
 def _interval_chain(k: int, seeds: tuple[int, int]) -> list[GluingStep]:
@@ -168,9 +174,7 @@ def _gaps_chain(k: int) -> list[GluingStep]:
 def family_chain(spec: FamilySpec) -> list[GluingStep]:
     """The gluing chain behind an interval or gaps construction."""
     if spec.variant == "interval":
-        k = spec.param("k")
-        seeds = spec.param("seeds") if spec.has("seeds") else _interval_seeds(k)
-        return _interval_chain(k, tuple(seeds))
+        return _interval_chain(spec.param("k"), _interval_seeds(spec))
     if spec.variant == "gaps":
         return _gaps_chain(spec.param("k"))
     raise ValueError(f"{spec.variant} is not a chained construction")
@@ -216,8 +220,7 @@ def construct_family(spec: FamilySpec) -> NumericalSemigroup:
         if k < 2:
             raise InvalidGenerators("interval needs k >= 2")
         if k == 2:
-            seeds = spec.param("seeds") if spec.has("seeds") else _interval_seeds(k)
-            return _checked(sorted(seeds), "interval")
+            return _checked(sorted(_interval_seeds(spec)), "interval")
         return _checked(family_chain(spec)[-1].result_gens, "interval")
     if v == "gaps":
         k = spec.param("k")

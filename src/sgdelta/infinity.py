@@ -76,7 +76,7 @@ from itertools import combinations, count
 import numpy as np
 
 from .arith import INF, ceil_div
-from .budget import DEFAULT_INF_BUDGET, Budget
+from .budget import DEFAULT_INF_BUDGET, MAX_ENGINE_HORIZON, Budget
 from .errors import BudgetExceeded, NotAMember, ThresholdNotMet, VerificationError
 from .factorization import PINF, DeltaSet, LengthSet
 from .semigroup import (
@@ -147,11 +147,6 @@ def _minmax_bfs(gens: tuple[int, ...], horizon: int, levels: float = math.inf) -
             return t
         t[newly] = level
         reach = new
-
-
-# the largest x an engine serves; past this the sweep's unfolded tables and
-# its per-x rows reach GB scale
-MAX_ENGINE_HORIZON = 20_000_000
 
 
 class _Engine:

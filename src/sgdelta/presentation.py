@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAMember
-from .factorization import factored_value, support
+from .factorization import DeltaSet, factored_value, support
 from .families import verify_gluing
 from .semigroup import (
     NumericalSemigroup,
@@ -112,61 +111,30 @@ def betti_elements(s: NumericalSemigroup) -> list[int]:
     return list(betti)
 
 
-def _greedy_factorization(s: NumericalSemigroup, y: int) -> list[int]:
-    """Some factorization of y: repeatedly take the largest generator that
-    leaves a member behind. Deterministic."""
+def _component_representative(s: NumericalSemigroup, b: int, comp: tuple[int, ...]) -> tuple[int, ...]:
+    """Lexicographically least factorization of b whose support lies in comp:
+    each index of comp in turn takes the least exponent that leaves a
+    remainder the later indices span, and the last takes the quotient."""
     z = [0] * s.embedding_dim
-    while y:
-        for j in range(s.embedding_dim - 1, -1, -1):
-            a = s.generators[j]
-            if a <= y and contains(s, y - a):
-                z[j] += 1
-                y -= a
-                break
-        else:
-            raise NotAMember(f"{y} has no factorization")
-    return z
-
-
-def _component_factorization(s: NumericalSemigroup, b: int, comp: tuple[int, ...]) -> tuple[int, ...]:
-    # any factorization of b containing min(comp) has support inside comp
-    i = comp[0]
-    z = _greedy_factorization(s, b - s.generators[i - 1])
-    z[i - 1] += 1
+    rest = b
+    for n, i in enumerate(comp[:-1]):
+        a, later = s.generators[i - 1], span(s, comp[n + 1 :])
+        z[i - 1] = next(c for c in range(rest // a + 1) if later.contains(rest - c * a))
+        rest -= z[i - 1] * a
+    z[comp[-1] - 1] = rest // s.generators[comp[-1] - 1]
     return tuple(z)
-
-
-def _component_representatives(
-    s: NumericalSemigroup, b: int, comps: list[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """Lexicographically smallest factorization per component (Betti
-    elements have few factorizations, so enumeration is cheap); greedy
-    fallback keeps the presentation valid if one is ever enormous."""
-    from .errors import CapExceeded
-    from .factorization import enumerate_factorizations
-
-    comp_of = {i: n for n, comp in enumerate(comps) for i in comp}
-    try:
-        best: dict[int, tuple[int, ...]] = {}
-        for z in enumerate_factorizations(s, b, cap=200_000):
-            n = comp_of[next(i for i, c in enumerate(z, start=1) if c)]
-            if n not in best or z < best[n]:
-                best[n] = z
-        return [best[n] for n in range(len(comps))]
-    except CapExceeded:
-        return [_component_factorization(s, b, c) for c in comps]
 
 
 def minimal_presentation(s: NumericalSemigroup) -> MinimalPresentation:
     """One deterministic minimal presentation: per Betti element, a star of
-    trades joining one representative factorization per component. The trade
-    count (components - 1 summed over Betti elements) is invariant across
-    any valid selection."""
+    trades joining each component's lexicographically least factorization
+    to the first component's. The trade count (components - 1 summed over
+    Betti elements) is invariant across any valid selection."""
     trades = []
     betti = betti_elements(s)
     for b in betti:
         comps = index_graph_components(s, b)
-        reps = _component_representatives(s, b, comps)
+        reps = [_component_representative(s, b, c) for c in comps]
         root = reps[0]
         for other in reps[1:]:
             trades.append(make_trade(s, root, other))
@@ -203,8 +171,6 @@ def gluing_expressions_3gen(s: NumericalSemigroup) -> list[GluingExpression]:
 def delta0_3gen(s: NumericalSemigroup):
     """0-delta set of a 3-generated semigroup from its gluing count alone:
     two or more expressions give {1}, otherwise {1, 2}."""
-    from .factorization import DeltaSet
-
     if s.embedding_dim != 3:
         raise ValueError("needs a 3-generated semigroup")
     if len(gluing_expressions_3gen(s)) >= 2:

@@ -500,7 +500,7 @@ CLAIMS: dict[str, ClaimSpec] = {
 
 def run_claim(claim_id: str, **params) -> list[Instance]:
     if claim_id not in CLAIMS:
-        raise KeyError(f"unknown claim id {claim_id!r}")
+        raise ValueError(f"unknown claim id {claim_id!r}")
     return CLAIMS[claim_id].runner(params)
 
 

@@ -9,14 +9,16 @@ once built those tables with them, and now builds every table by level
 search. Three oracles are the engines' former passes, which read library
 tables in a different way: `full_mask_deltas` (the per-x max-norm mask),
 `doubling_empirical_start` (the empirical start over doubling horizons) and
-`cone_union_deltas` (one span-table membership pass per 0-norm support)."""
+`cone_union_deltas` (one span-table membership pass per 0-norm support).
+`component_least_factorizations` reads the library's enumeration, the
+oracle for the presentation representatives picked from span tables."""
 
 import math
 from itertools import combinations, product
 
 import numpy as np
 
-from sgdelta import BudgetExceeded, frobenius, infinity
+from sgdelta import BudgetExceeded, enumerate_factorizations, frobenius, index_graph_components, infinity, support
 from sgdelta.arith import ConeTable
 
 
@@ -237,3 +239,10 @@ def apply_trades_components(zs, trades):
                     if w in index:
                         parent[find(index[z])] = find(index[w])
     return len({find(i) for i in range(len(zs))})
+
+
+def component_least_factorizations(s, b):
+    """Per index-graph component of b, the lexicographically least
+    enumerated factorization of b whose support lies in that component."""
+    zs = sorted(enumerate_factorizations(s, b))
+    return [next(z for z in zs if set(support(z)) <= set(c)) for c in index_graph_components(s, b)]

@@ -93,6 +93,10 @@ def test_budget_flags(capsys):
     # the max-norm engine's budget bounds the requested x, not the tables
     code, doc = run_json(capsys, "compute", "--gens", "3,10,11", "lengths", "--x", "20000001", "--p", "inf")
     assert code == 3 and doc["error"]["code"] == "budget-exceeded"
+    # the 1-norm table has the same limit, checked before anything is allocated
+    for x in ("20000001", "1000000000000"):
+        code, doc = run_json(capsys, "compute", "--gens", "3,5", "lengths", "--x", x, "--p", "1")
+        assert code == 3 and doc["error"]["code"] == "budget-exceeded", x
     code, doc = run_json(
         capsys, "search", "--target", "1", "--p", "0", "--max-gen", "12", "--budget-seconds", "0"
     )
@@ -159,7 +163,7 @@ def test_verify_with_range(capsys):
 def test_verify_unknown_claim(capsys):
     code, doc = run_json(capsys, "verify", "no-such-claim")
     assert code == 1
-    assert doc["error"]["code"] == "invalid-argument"
+    assert doc["error"] == {"code": "invalid-argument", "message": "unknown claim id 'no-such-claim'"}
 
 
 def test_verify_csv(capsys):
@@ -176,6 +180,18 @@ def test_family_command(capsys):
     assert doc["result"]["generators"] == [4, 6, 9]
     assert doc["result"]["checks"]["0"]["match"] is True
     assert doc["result"]["checks"]["inf"]["match"] is True
+
+
+def test_family_bad_parameters(capsys):
+    # each message names what is wrong
+    for spec, message in [
+        ("geometric:a=2,b=3", "geometric needs parameter 'k'"),
+        ("interval:k=3,seeds=5", "interval needs exactly 2 seeds, got 1"),
+        ("interval:k=2,seeds=5,7,11", "interval needs exactly 2 seeds, got 3"),
+    ]:
+        code, doc = run_json(capsys, "family", spec)
+        assert code == 1
+        assert doc["error"] == {"code": "invalid-argument", "message": message}, spec
 
 
 def test_family_unspecified_prediction(capsys):

@@ -1,7 +1,6 @@
 import pytest
 
 from sgdelta import (
-    CapExceeded,
     betti_elements,
     construct_family,
     contains,
@@ -22,7 +21,7 @@ from sgdelta import factorization
 from sgdelta.presentation import trade_value
 from sgdelta.verification import SUITE_GENS
 
-from _oracles import apply_trades_components, factorization_graph_components
+from _oracles import apply_trades_components, component_least_factorizations, factorization_graph_components
 
 
 def test_betti_examples(geo, med3):
@@ -94,24 +93,29 @@ def test_trade_count_deterministic_and_matches_components(geo, mcnugget):
         assert len(pres1.trades) == expected
 
 
-def test_presentation_greedy_fallback(monkeypatch):
-    # past the enumeration cap each component's representative is a greedy
-    # factorization; the presentation keeps its Betti elements and its size
+def test_presentation_needs_no_enumeration(monkeypatch):
+    # representatives come from span tables: with enumeration disabled, each
+    # Betti element still gets a star of trades from the least factorization
+    # of its first component to the least one of every other component
     cases = [*SUITE_GENS, (4, 5, 6, 7)]
     cases += [construct_family(family("gaps", k=k)).generators for k in range(3, 7)]
-    enumerated = {gens: minimal_presentation(make_semigroup(gens)) for gens in cases}
-    forced = []
+    expected = {}
+    for gens in cases:
+        s = make_semigroup(gens)
+        expected[gens] = {b: component_least_factorizations(s, b) for b in betti_elements(s)}
 
-    def capped(s, x, cap=None):
-        forced.append(x)
-        raise CapExceeded(f"more than {cap} factorizations of {x}")
+    def disabled(*args, **kwargs):
+        raise AssertionError("minimal_presentation enumerated factorizations")
 
-    monkeypatch.setattr(factorization, "enumerate_factorizations", capped)
+    monkeypatch.setattr(factorization, "enumerate_factorizations", disabled)
+    monkeypatch.setattr(factorization, "iter_factorizations", disabled)
     for gens in cases:
         s = make_semigroup(gens)
         pres = minimal_presentation(s)
-        assert pres.betti == enumerated[gens].betti, gens
-        assert len(pres.trades) == len(enumerated[gens].trades), gens
+        assert pres.betti == tuple(expected[gens]), gens
+        assert len(pres.trades) == sum(len(reps) - 1 for reps in expected[gens].values()), gens
+        star = [make_trade(s, reps[0], z) for reps in expected[gens].values() for z in reps[1:]]
+        assert list(pres.trades) == star, gens
         joined = {}
         for t in pres.trades:
             b = trade_value(s, t)
@@ -122,7 +126,6 @@ def test_presentation_greedy_fallback(monkeypatch):
             joined.setdefault(b, set()).update(sides)
         for b in pres.betti:
             assert joined[b] == set(range(len(index_graph_components(s, b)))), (gens, b)
-    assert forced
 
 
 def test_presentation_soundness_chains():

@@ -1,5 +1,6 @@
-"""Property tests: the per-norm engines against enumeration, and the
-semigroup-level delta route against the engine of each norm."""
+"""Property tests: the per-norm engines and the presentation representatives
+against enumeration, and the semigroup-level delta route against the engine
+of each norm."""
 
 import math
 from itertools import combinations
@@ -11,10 +12,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 import sgdelta as sg
-from sgdelta import infinity, zero
+from sgdelta import infinity, presentation, zero
 
 from _oracles import (
     MINMAX_INF,
+    component_least_factorizations,
     cone_union_deltas,
     full_mask_deltas,
     minimal_generators_brute,
@@ -198,3 +200,13 @@ def test_zero_union_matches_oracles(gens, per_mille):
                 if sg.contains(s, x):
                     by_element.update(sg.delta_set_of_element(s, x, sg.P0).values)
             assert got == by_element, horizon
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(gens=st.lists(st.integers(2, 40), min_size=2, max_size=5, unique=True).filter(lambda g: math.gcd(*g) == 1))
+def test_presentation_representatives_match_enumeration(gens):
+    s = sg.make_semigroup(gens)
+    for b in sg.betti_elements(s):
+        comps = sg.index_graph_components(s, b)
+        got = [presentation._component_representative(s, b, c) for c in comps]
+        assert got == component_least_factorizations(s, b), (gens, b)
