@@ -10,7 +10,6 @@ instances.
 from .budget import Budget, DEFAULT_INF_BUDGET, DEFAULT_ZERO_BUDGET
 from .errors import (
     BudgetExceeded,
-    CapExceeded,
     InvalidGenerators,
     NonCoprimeGenerators,
     NotAMember,
@@ -28,7 +27,6 @@ from .factorization import (
     delta_of_sorted_set,
     delta_set_of_element,
     delta_set_of_semigroup,
-    dominant_factorizations,
     enumerate_factorizations,
     iter_factorizations,
     length_set,

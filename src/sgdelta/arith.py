@@ -11,6 +11,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
+from .budget import MAX_APERY_MODULUS
 from .errors import BudgetExceeded
 
 # Sentinel for "no element in this residue class" in shortest-path tables.
@@ -69,11 +70,6 @@ def next_prime(n: int) -> int:
     while not is_prime(c):
         c += 2
     return c
-
-
-# Residue tables above this size would dominate memory; distinct failure
-# from a falsified claim, so callers can widen it explicitly.
-MAX_APERY_MODULUS = 50_000_000
 
 
 def apery_table(gens: tuple[int, ...], m: int) -> list[int]:

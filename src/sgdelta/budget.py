@@ -1,7 +1,8 @@
 """Explicit resource budgets for the exact engines.
 
-Exceeding a budget raises BudgetExceeded, which is a distinct outcome from a
-falsified claim: it means "unknown at this cost", never "false".
+Every size limit lives here, and exceeding any of them raises
+BudgetExceeded, which is a distinct outcome from a falsified claim: it means
+"unknown at this cost", never "false".
 """
 
 from __future__ import annotations
@@ -20,6 +21,15 @@ DEFAULT_INF_BUDGET = Budget(max_element=300_000)
 DEFAULT_ZERO_BUDGET = Budget(max_element=5_000_000)
 
 # The largest x a length table serves, for the 1-norm and the max-norm
-# engines alike; past this their tables and the sweep's per-x rows reach GB
-# scale.
+# engines and the enumeration's prefix tables alike; past this their tables
+# and the sweep's per-x rows reach GB scale.
 MAX_ENGINE_HORIZON = 20_000_000
+
+# Residue tables above this size would dominate memory.
+MAX_APERY_MODULUS = 50_000_000
+
+# The 0-norm engine builds one span table per nonempty support, 2^k - 1 in all.
+MAX_SUBSET_DIM = 24
+
+# The most tuples a factorization set is materialized with.
+MAX_FACTORIZATIONS = 10_000_000

@@ -27,14 +27,9 @@ class NotAMember(SemigroupError):
     code = "not-a-member"
 
 
-class CapExceeded(SemigroupError):
-    """Factorization materialization hit its cap; use a streaming query."""
-
-    code = "cap-exceeded"
-
-
 class BudgetExceeded(SemigroupError):
-    """An element/enumeration/time budget ran out before the answer was exact."""
+    """An element budget or a size limit of `budget` ran out before the
+    answer was exact."""
 
     code = "budget-exceeded"
 

@@ -18,15 +18,13 @@ from typing import Iterator
 import numpy as np
 
 from .arith import INF
-from .budget import MAX_ENGINE_HORIZON, Budget
-from .errors import BudgetExceeded, CapExceeded, NotAMember
+from .budget import MAX_ENGINE_HORIZON, MAX_FACTORIZATIONS, Budget
+from .errors import BudgetExceeded, NotAMember
 from .semigroup import NumericalSemigroup, contains
 
 P0 = 0
 P1 = 1
 PINF = math.inf
-
-DEFAULT_FACTORIZATION_CAP = 10_000_000
 
 
 def make_factorization(s: NumericalSemigroup, exponents, x: int | None = None) -> tuple[int, ...]:
@@ -81,9 +79,13 @@ def _prefix_reach(gens: tuple[int, ...], x: int) -> list[bytes]:
 
 
 def iter_factorizations(s: NumericalSemigroup, x: int) -> Iterator[tuple[int, ...]]:
-    """Yield every factorization of x exactly once (empty iff x not in s)."""
+    """Yield every factorization of x exactly once (empty iff x not in s).
+    Raises BudgetExceeded before building its k tables of x + 1 bytes when x
+    is past the engine horizon."""
     if x < 0:
         raise ValueError("x must be nonnegative")
+    if x > MAX_ENGINE_HORIZON:
+        raise BudgetExceeded(f"enumeration tables to {x} exceed the engine budget")
     gens = s.generators
     k = len(gens)
     reach = _prefix_reach(gens, x)
@@ -106,19 +108,15 @@ def iter_factorizations(s: NumericalSemigroup, x: int) -> Iterator[tuple[int, ..
     yield from rec(k - 1, x)
 
 
-def enumerate_factorizations(
-    s: NumericalSemigroup, x: int, cap: int | None = DEFAULT_FACTORIZATION_CAP
-) -> set[tuple[int, ...]]:
-    """The complete factorization set of x as exponent tuples.
-
-    Raises CapExceeded past `cap` tuples, the signal to switch to the
-    streaming (length-only) queries instead of materializing.
-    """
+def enumerate_factorizations(s: NumericalSemigroup, x: int) -> set[tuple[int, ...]]:
+    """The complete factorization set of x as exponent tuples. Raises
+    BudgetExceeded past MAX_FACTORIZATIONS tuples; the length queries
+    need no tuples."""
     out = set()
     for z in iter_factorizations(s, x):
         out.add(z)
-        if cap is not None and len(out) > cap:
-            raise CapExceeded(f"more than {cap} factorizations of {x}")
+        if len(out) > MAX_FACTORIZATIONS:
+            raise BudgetExceeded(f"more than {MAX_FACTORIZATIONS} factorizations of {x}")
     return out
 
 
@@ -240,29 +238,3 @@ def delta_set_of_semigroup(s: NumericalSemigroup, p, budget: Budget | None = Non
     if p == PINF:
         return delta_inf_semigroup(s, budget=budget)[0]
     raise ValueError(f"semigroup delta sets are computed for p = 0 and p = inf, got {p!r}")
-
-
-def dominant_factorizations(
-    s: NumericalSemigroup, x: int, i: int, cap: int | None = DEFAULT_FACTORIZATION_CAP
-) -> tuple[set[tuple[int, ...]], LengthSet]:
-    """Factorizations of x whose i-th exponent (1-based) attains the max,
-    together with their max-norm length set.
-
-    Ties count for every index attaining the max, so the union over i of the
-    dominant sets is the whole factorization set.
-    """
-    k = s.embedding_dim
-    if not 1 <= i <= k:
-        raise ValueError(f"index must be in 1..{k}")
-    if x < 0 or not contains(s, x):
-        raise NotAMember(f"{x} is not in {s}")
-    picked: set[tuple[int, ...]] = set()
-    lengths: set[int] = set()
-    for z in iter_factorizations(s, x):
-        m = max(z)
-        if z[i - 1] == m:
-            picked.add(z)
-            lengths.add(m)
-            if cap is not None and len(picked) > cap:
-                raise CapExceeded(f"more than {cap} dominant factorizations of {x}")
-    return picked, LengthSet(PINF, tuple(sorted(lengths)))

@@ -102,20 +102,15 @@ class GluingStep:
     result_gens: tuple[int, ...]
 
 
-def verify_gluing(t1: int, gens1: tuple[int, ...], t2: int, gens2: tuple[int, ...]) -> bool:
-    """General gluing predicate for t1 * span(gens1) + t2 * span(gens2):
-    t1 must lie in span(gens2) without being a minimal generator of it,
-    symmetrically for t2, and the two multipliers must be coprime. Both
-    parts must be genuine numerical semigroups (gcd 1); (1,) is allowed."""
-    if math.gcd(t1, t2) != 1:
+def verify_gluing(scale: int, gens: tuple[int, ...], new: int) -> bool:
+    """Gluing predicate for scale * span(gens) + <new>: span(gens) must be a
+    numerical semigroup (gcd 1) that contains new without new being one of
+    its minimal generators, scale must be at least 2 (scale = 1 would make
+    new redundant) and the two multipliers must be coprime."""
+    if scale < 2 or math.gcd(scale, new) != 1:
         return False
-    for t, gens in ((t1, gens2), (t2, gens1)):
-        if t < 1:
-            return False
-        cone = ConeTable.build(gens)
-        if cone.gcd != 1 or t in cone.minimal() or not cone.contains(t):
-            return False
-    return True
+    cone = ConeTable.build(gens)
+    return cone.gcd == 1 and new not in cone.minimal() and cone.contains(new)
 
 
 def _checked(gens, what: str) -> NumericalSemigroup:
@@ -128,21 +123,23 @@ def _checked(gens, what: str) -> NumericalSemigroup:
 
 
 def _interval_seeds(spec: FamilySpec) -> tuple[int, int]:
-    """The spec's two seed primes; by default the two least primes above k."""
+    """The spec's two seeds, checked to be distinct primes above k; by
+    default the two least primes above k."""
+    k = spec.param("k")
     if not spec.has("seeds"):
-        p1 = next_prime(spec.param("k"))
+        p1 = next_prime(k)
         return p1, next_prime(p1)
     seeds = spec.param("seeds")
     if len(seeds) != 2:
         raise ValueError(f"interval needs exactly 2 seeds, got {len(seeds)}")
+    p1, p2 = seeds
+    if p1 == p2 or not (is_prime(p1) and is_prime(p2)) or min(p1, p2) <= k:
+        raise InvalidGenerators(f"seeds must be distinct primes above k={k}")
     return seeds
 
 
 def _interval_chain(k: int, seeds: tuple[int, int]) -> list[GluingStep]:
-    p1, p2 = seeds
-    if p1 == p2 or not (is_prime(p1) and is_prime(p2)) or min(p1, p2) <= k:
-        raise InvalidGenerators(f"seeds must be distinct primes above k={k}")
-    gens = tuple(sorted((p1, p2)))
+    gens = tuple(sorted(seeds))
     steps = []
     for i in range(3, k + 1):
         new = (k + 1 - i) * gens[0] + sum(gens[1:])

@@ -324,10 +324,10 @@ def _run_med(params) -> list[Instance]:
     return out
 
 
-def _three_gen_case(gens):
+def _three_gen_case(budget, gens):
     # a fresh instance: caching every 3-generated semigroup would grow the process
     s = make_semigroup(gens)
-    return gens, delta0_3gen(s).values, delta0_semigroup(s).values
+    return gens, delta0_3gen(s).values, delta0_semigroup(s, budget).values
 
 
 def three_generated_semigroups(max_gen: int):
@@ -338,16 +338,13 @@ def three_generated_semigroups(max_gen: int):
 def _run_three_gen_gluing(params) -> list[Instance]:
     max_gen = params.get("max_gen") or (24 if params.get("quick") else 40)
     cases = three_generated_semigroups(max_gen)
-    results = pmap(_three_gen_case, cases, params.get("workers", 1))
+    label = f"all 3-generated with a_3 <= {max_gen} ({len(cases)} semigroups)"
+    try:
+        results = pmap(partial(_three_gen_case, params.get("budget")), cases, params.get("workers", 1))
+    except BudgetExceeded as e:
+        return [Instance("three-gen-gluing", label, "budget", str(e))]
     bad = [(g, a, b) for g, a, b in results if a != b]
-    return [
-        _inst(
-            "three-gen-gluing",
-            f"all 3-generated with a_3 <= {max_gen} ({len(cases)} semigroups)",
-            not bad,
-            f"disagreements: {bad[:3]}" if bad else "",
-        )
-    ]
+    return [_inst("three-gen-gluing", label, not bad, f"disagreements: {bad[:3]}" if bad else "")]
 
 
 def _run_interval_family(params) -> list[Instance]:
@@ -358,7 +355,7 @@ def _run_interval_family(params) -> list[Instance]:
     chain_ks = (3,) if params.get("quick") else (3, 4, 5)
     for k in chain_ks:
         steps = family_chain(family("interval", k=k))
-        ok = all(verify_gluing(st.scale, st.base_gens, st.new_gen, (1,)) for st in steps)
+        ok = all(verify_gluing(st.scale, st.base_gens, st.new_gen) for st in steps)
         out.append(_inst("interval-family", f"interval:k={k} chain of {len(steps)} gluings", ok))
     return out
 
@@ -404,7 +401,7 @@ def _run_gaps_family(params) -> list[Instance]:
             )
         )
         chain = family_chain(spec)
-        ok_chain = all(verify_gluing(st.scale, st.base_gens, st.new_gen, (1,)) for st in chain)
+        ok_chain = all(verify_gluing(st.scale, st.base_gens, st.new_gen) for st in chain)
         out.append(_inst("gaps-family", f"gaps:k={k} chain of {len(chain)} gluings", ok_chain))
         if params.get("extended") and k == hi:
             out.append(_gaps_window_scan(s, k, params))

@@ -20,12 +20,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .arith import ConeTable
-from .budget import DEFAULT_ZERO_BUDGET, Budget
+from .budget import DEFAULT_ZERO_BUDGET, MAX_SUBSET_DIM, Budget
 from .errors import BudgetExceeded, NotAMember
 from .factorization import DeltaSet
 from .semigroup import NumericalSemigroup, cached, span
-
-MAX_SUBSET_DIM = 24
 
 
 @dataclass(frozen=True)

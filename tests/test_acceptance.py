@@ -115,7 +115,7 @@ def test_criterion_6_interval_family():
     # as a tower of gluings up to k = 5
     for k in (3, 4, 5):
         for st in family_chain(family("interval", k=k)):
-            if not verify_gluing(st.scale, st.base_gens, st.new_gen, (1,)):
+            if not verify_gluing(st.scale, st.base_gens, st.new_gen):
                 bad.append(("chain", k, st))
     _report(6, "interval family: exact delta0 for k=2..4, gluing chains to k=5", not bad)
 
@@ -181,7 +181,7 @@ def test_criterion_9_oracle_equivalence():
         s = make_semigroup(gens)
         k = s.embedding_dim
         for x in range(2001):
-            got = enumerate_factorizations(s, x, cap=None)
+            got = enumerate_factorizations(s, x)
             arr = np.array(sorted(got), dtype=np.int64).reshape(len(got), k)
             if not np.array_equal(arr, grid_factorizations(gens, x)):
                 bad.append((gens, x))

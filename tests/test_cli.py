@@ -150,6 +150,9 @@ def test_verify_zero_norm_claims_honour_budget(capsys):
     code, doc = run_json(capsys, "verify", "singleton-trades", "--budget-elements", "10")
     assert code == 0
     assert [r["status"] for r in doc["result"]["instances"]] == ["budget", "budget", "pass"]
+    code, doc = run_json(capsys, "verify", "three-gen-gluing", "--max-gen", "12", "--budget-elements", "5")
+    assert code == 0
+    assert [r["status"] for r in doc["result"]["instances"]] == ["budget"]
 
 
 def test_verify_with_range(capsys):
@@ -192,6 +195,23 @@ def test_family_bad_parameters(capsys):
         code, doc = run_json(capsys, "family", spec)
         assert code == 1
         assert doc["error"] == {"code": "invalid-argument", "message": message}, spec
+
+
+def test_family_interval_seeds_checked_at_every_k(capsys):
+    for spec in ("interval:k=2,seeds=4,9", "interval:k=2,seeds=2,3"):
+        code, doc = run_json(capsys, "family", spec)
+        assert code == 1
+        assert doc["error"] == {
+            "code": "invalid-generators",
+            "message": "seeds must be distinct primes above k=2",
+        }, spec
+
+
+def test_verify_gaps_family_past_the_enumeration_limit(capsys):
+    # 2 * a_18 = 34,155,986 exceeds the engine horizon: no table is built
+    code, doc = run_json(capsys, "verify", "gaps-family", "--k", "17..17")
+    assert code == 3
+    assert doc["error"]["code"] == "budget-exceeded"
 
 
 def test_family_unspecified_prediction(capsys):

@@ -1,21 +1,25 @@
 import pytest
 
 from sgdelta import (
-    CapExceeded,
+    BudgetExceeded,
     NotAMember,
     P0,
     P1,
     PINF,
     delta_of_sorted_set,
     delta_set_of_element,
-    dominant_factorizations,
+    dominant_length_set,
     enumerate_factorizations,
+    infinity_length_set,
+    iter_factorizations,
     length_set,
     make_factorization,
     make_semigroup,
     p_length,
     support,
 )
+
+from sgdelta import factorization
 
 from _oracles import box_factorizations, length_set_brute
 
@@ -51,10 +55,25 @@ def test_enumeration_matches_grid_oracle_at_scale():
             assert np.array_equal(got, grid_factorizations(gens, x)), (gens, x)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(factorization, "MAX_FACTORIZATIONS", 100)
+    with pytest.raises(BudgetExceeded):
+        enumerate_factorizations(make_semigroup([2, 3]), 3000)
+
+
+def test_enumeration_tables_have_a_limit(monkeypatch):
+    # past the engine horizon enumeration raises before building a table
+    built = []
+    reach = factorization._prefix_reach
+    monkeypatch.setattr(factorization, "MAX_ENGINE_HORIZON", 1000)
+    monkeypatch.setattr(factorization, "_prefix_reach", lambda gens, x: built.append(x) or reach(gens, x))
     s = make_semigroup([2, 3])
-    with pytest.raises(CapExceeded):
-        enumerate_factorizations(s, 3000, cap=100)
+    assert len(enumerate_factorizations(s, 1000)) == 167
+    with pytest.raises(BudgetExceeded):
+        next(iter_factorizations(s, 1001))
+    with pytest.raises(BudgetExceeded):
+        enumerate_factorizations(s, 1001)
+    assert built == [1000]
 
 
 def test_monotone_growth(geo):
@@ -137,23 +156,20 @@ def test_delta_of_sorted_set():
 
 
 def test_dominant_factorizations(med3):
-    zs, ls = dominant_factorizations(med3, 21, 1)
-    assert zs == {(7, 0, 0)} and ls.values == (7,)
-    zs2, ls2 = dominant_factorizations(med3, 21, 2)
-    assert zs2 == {(0, 1, 1)} and ls2.values == (1,)
-    zs3, _ = dominant_factorizations(med3, 21, 3)
-    assert zs3 == {(0, 1, 1)}  # ties belong to every attaining index
-    z0, l0 = dominant_factorizations(med3, 0, 1)
-    assert z0 == {(0, 0, 0)} and l0.values == (0,)
+    # 21 = 7 * 3 = 10 + 11
+    assert dominant_length_set(med3, 21, 1).values == (7,)
+    assert dominant_length_set(med3, 21, 2).values == (1,)
+    assert dominant_length_set(med3, 21, 3).values == (1,)  # ties belong to every attaining index
+    assert dominant_length_set(med3, 0, 1).values == (0,)
 
 
 def test_dominant_union_covers_everything(mcnugget):
     for x in (45, 58, 90):
-        full = enumerate_factorizations(mcnugget, x)
         union = set()
         for i in (1, 2, 3):
-            union |= dominant_factorizations(mcnugget, x, i)[0]
-        assert union == full
+            union |= set(dominant_length_set(mcnugget, x, i).values)
+        assert tuple(sorted(union)) == infinity_length_set(mcnugget, x).values
+        assert union == {max(z) for z in enumerate_factorizations(mcnugget, x)}
 
 
 def test_min_length_lower_and_upper_bound():

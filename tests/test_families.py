@@ -68,21 +68,21 @@ def test_parse_and_text_roundtrip():
 def test_family_chains_are_gluings():
     for spec in (family("interval", k=4), family("interval", k=5), family("gaps", k=6)):
         for step in family_chain(spec):
-            assert verify_gluing(step.scale, step.base_gens, step.new_gen, (1,)), step
+            assert verify_gluing(step.scale, step.base_gens, step.new_gen), step
 
 
 def test_gluing_verifier_accepts_valid_decomposition():
     # 2 * <2,3> + <5> = <4,5,6>
-    assert verify_gluing(2, (2, 3), 5, (1,))
+    assert verify_gluing(2, (2, 3), 5)
 
 
 def test_gluing_verifier_rejects():
     # attached element is a minimal generator of the base
-    assert not verify_gluing(3, (2, 3), 2, (1,))
+    assert not verify_gluing(3, (2, 3), 2)
     # multipliers not coprime
-    assert not verify_gluing(2, (3, 4), 6, (1,))
+    assert not verify_gluing(2, (3, 4), 6)
     # attached element outside the base span
-    assert not verify_gluing(3, (2, 3), 1, (1,))
+    assert not verify_gluing(3, (2, 3), 1)
 
 
 def test_interval_chain_seed_selection():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from sgdelta import (
@@ -16,6 +18,7 @@ from sgdelta import (
     minimal_presentation,
     singleton_support_presentation_exists,
     support,
+    verify_gluing,
 )
 from sgdelta import factorization
 from sgdelta.presentation import trade_value
@@ -155,6 +158,23 @@ def test_gluing_expressions(geo, med3):
     assert [(g.pivot_index, g.scale) for g in only] == [(1, 13)]
     with pytest.raises(ValueError):
         gluing_expressions_3gen(make_semigroup([2, 3]))
+
+
+def test_gluing_expressions_match_fresh_gluing_checks():
+    # the table read of gluing_expressions_3gen against verify_gluing, which
+    # builds a fresh table of each pivot's scaled-down complement
+    from sgdelta.verification import three_generated_semigroups
+
+    for gens in three_generated_semigroups(40):
+        want = []
+        for i, a in enumerate(gens, start=1):
+            others = [b for b in gens if b != a]
+            g = math.gcd(*others)
+            quotient = tuple(b // g for b in others)
+            if verify_gluing(g, quotient, a):
+                want.append((i, g, quotient))
+        got = [(e.pivot_index, e.scale, e.quotient.generators) for e in gluing_expressions_3gen(make_semigroup(gens))]
+        assert got == want, gens
 
 
 def test_delta0_3gen(geo, med3):
