@@ -54,10 +54,12 @@ def _p_name(p) -> str:
 
 def _parse_range(text: str) -> tuple[int, int]:
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+        lo, hi = (int(t) for t in text.split("..", 1))
+    else:
+        lo = hi = int(text)
+    if lo > hi:
+        raise ValueError(f"range {text!r} is reversed")
+    return lo, hi
 
 
 def _parse_gens(text: str) -> tuple[int, ...]:
@@ -212,7 +214,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         params["k_range"] = _parse_range(args.k)
     if args.x:
         params["x_range"] = _parse_range(args.x)
-    if args.max_gen:
+    if args.max_gen is not None:
         params["max_gen"] = args.max_gen
     if args.gens:
         params["gens"] = _parse_gens(args.gens)

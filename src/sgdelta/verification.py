@@ -1,17 +1,23 @@
 """Registry of verifiable structural claims.
 
 Each claim id maps to a runner that checks one structural statement on a
-grid of instances and returns per-instance pass/fail records with
-counterexample payloads. "verified" claims must pass; "report-only" claims
+grid of instances. "verified" claims must pass; "report-only" claims
 record observations without affecting exit status (used where an instance
 statement is known to admit exceptions even though the set-level result
 holds).
 
-Most claims take one of two shapes. A structure claim runs one check on each
-suite semigroup, and the suite entries are shared instances, so their cached
-sweeps serve every claim. A family claim is a row of `FAMILY_CLAIMS`: a
-family variant, its norms and its quick and full parameter grids. A budget
-overrun is a "budget" record in either shape, never an abort.
+Every row takes one path. A runner returns rows (label, status, detail)
+with no claim id; `run_claim` stamps the id of the claim's `ClaimSpec`, the
+one place it is written, and `run_all` is `run_claim` over `CLAIMS`. A
+structure claim runs one check on each suite semigroup, and the suite
+entries are shared instances, so their cached sweeps serve every claim. A
+family claim's runner is `_run_family` with the family variant, its norms
+and its quick and full parameter grids bound in its `ClaimSpec`.
+
+`_guard` is the one place a budget overrun becomes a row: the overrun
+semigroup, family member or gaps k gets one "budget" row and the run goes
+on, never an abort. A 3-generated grid with no semigroup raises
+ValueError rather than pass vacuously.
 """
 
 from __future__ import annotations
@@ -82,13 +88,22 @@ class ClaimSpec:
     runner: object = field(compare=False)
 
 
-def _inst(claim: str, label: str, ok: bool, detail: str = "") -> Instance:
-    return Instance(claim, label, "pass" if ok else "fail", detail)
+def _inst(label: str, ok: bool, detail: str = "") -> tuple[str, str, str]:
+    return label, "pass" if ok else "fail", detail
 
 
-def _violations(claim: str, label: str, bad: list, prefix: str = "violations=") -> Instance:
+def _violations(label: str, bad: list, prefix: str = "violations=") -> tuple[str, str, str]:
     """Pass row when `bad` is empty, else a fail row naming its first five entries."""
-    return _inst(claim, label, not bad, f"{prefix}{bad[:5]}" if bad else "")
+    return _inst(label, not bad, f"{prefix}{bad[:5]}" if bad else "")
+
+
+def _guard(label: str, rows) -> list[tuple[str, str, str]]:
+    """`rows()`, or one "budget" row under `label` when it overruns, so the
+    overrun member gets the row and the run goes on."""
+    try:
+        return rows()
+    except BudgetExceeded as e:
+        return [(label, "budget", str(e))]
 
 
 @cache
@@ -106,16 +121,9 @@ def _suite(params) -> list[NumericalSemigroup]:
     return [_suite_semigroup(g) for g in picked]
 
 
-def _run_suite(claim: str, check, params) -> list[Instance]:
-    """The rows `check(claim, s, params)` returns for each suite semigroup. A
-    budget overrun on one semigroup is a "budget" row and the rest still run."""
-    out = []
-    for s in _suite(params):
-        try:
-            out += check(claim, s, params)
-        except BudgetExceeded as e:
-            out.append(Instance(claim, str(s), "budget", str(e)))
-    return out
+def _run_suite(check, params) -> list[tuple]:
+    """The rows `check(s, params)` returns for each suite semigroup."""
+    return [r for s in _suite(params) for r in _guard(str(s), lambda: check(s, params))]
 
 
 def _members(s, lo, hi):
@@ -126,13 +134,13 @@ def _members(s, lo, hi):
 # structure claims, one check per suite semigroup
 
 
-def _minmax_bounds(claim, s, params) -> list[Instance]:
+def _minmax_bounds(s, params) -> list[tuple]:
     lo, hi = params.get("x_range") or (0, 10 * s.gen_sum)
     bad = [x for x in _members(s, lo, hi) if not verify_linf_bounds(s, x)]
-    return [_violations(claim, f"{s} x<={hi}", bad)]
+    return [_violations(f"{s} x<={hi}", bad)]
 
 
-def _aap(claim, s, params) -> list[Instance]:
+def _aap(s, params) -> list[tuple]:
     """Quick runs check [p, min(2p, p + 200)]; full runs every member up to
     the certificate horizon start + (W + 1) * period."""
     if params.get("x_range") or params.get("quick"):
@@ -149,10 +157,10 @@ def _aap(claim, s, params) -> list[Instance]:
         for i in range(1, s.embedding_dim + 1)
         if not verify_aap(s, x, i)
     ]
-    return [_violations(claim, f"{s} x in [{lo},{hi}]", bad)]
+    return [_violations(f"{s} x in [{lo},{hi}]", bad)]
 
 
-def _step_shift(claim, s, params) -> list[Instance]:
+def _step_shift(s, params) -> list[tuple]:
     consts = structure_constants(s)
     g1 = consts.records[0].complement_gcd
     sum_bound = s.generators[-1] + g1
@@ -167,26 +175,25 @@ def _step_shift(claim, s, params) -> list[Instance]:
                 x += 1
             if not verify_shift(s, x, i, bound, sum_bound):
                 bad.append(x)
-        out.append(_violations(claim, f"{s} i={i} bound={bound}", bad))
+        out.append(_violations(f"{s} i={i} bound={bound}", bad))
     return out
 
 
-def _gap_regions(claim, s, params) -> list[Instance]:
+def _gap_regions(s, params) -> list[tuple]:
     delta, cert = delta_inf_semigroup(s, budget=params.get("budget"))
     stride = max(1, cert.period // (8 if params.get("quick") else 40))
     xs = [x for x in range(cert.start, cert.start + cert.period + 1, stride) if contains(s, x)]
     bad = [x for x in xs if not verify_interval_decomposition(s, x)]
-    return [_violations(claim, f"{s} {len(xs)} samples from {cert.start}", bad)]
+    return [_violations(f"{s} {len(xs)} samples from {cert.start}", bad)]
 
 
-def _periodicity(claim, s, params) -> list[Instance]:
+def _periodicity(s, params) -> list[tuple]:
     budget = params.get("budget")
     d2, c2 = delta_inf_semigroup(s, window_periods=2, budget=budget)
     d3, _ = delta_inf_semigroup(s, window_periods=3, budget=budget)
     ok = d2 == d3
     return [
         _inst(
-            claim,
             f"{s} period={c2.period} start={c2.start} mode={c2.mode}",
             ok,
             "" if ok else f"window 2 gave {list(d2.values)}, window 3 gave {list(d3.values)}",
@@ -194,7 +201,7 @@ def _periodicity(claim, s, params) -> list[Instance]:
     ]
 
 
-def _residue_deltas(claim, s, params) -> list[Instance]:
+def _residue_deltas(s, params) -> list[tuple]:
     delta, _ = delta_inf_semigroup(s, budget=params.get("budget"))
     bound = 50 * s.generators[0]
     bad = [
@@ -203,125 +210,82 @@ def _residue_deltas(claim, s, params) -> list[Instance]:
         if not residue_delta_subset(s, j, bound, delta_inf=delta)
     ]
     # every failing residue is named, not only the first five
-    return [_inst(claim, f"{s} bound={bound}", not bad, f"violations at residues {bad}" if bad else "")]
+    return [_inst(f"{s} bound={bound}", not bad, f"violations at residues {bad}" if bad else "")]
 
 
-def _l0_tail(claim, s, params) -> list[Instance]:
+def _l0_tail(s, params) -> list[tuple]:
     x0 = delta0_stability_bound(s)
     hi = x0 + 3 * s.generators[-1]
     bad = [x for x in _members(s, x0 + 1, hi) if not check_l0_interval(s, x)]
-    return [_violations(claim, f"{s} window ({x0}, {hi}]", bad, "holes at ")]
+    return [_violations(f"{s} window ({x0}, {hi}]", bad, "holes at ")]
 
 
 # ---------------------------------------------------------------------------
 # family claims
 
 
-def _family_row(claim: str, spec: FamilySpec, p, budget) -> Instance:
+def _family_row(spec: FamilySpec, p, budget) -> list[tuple]:
     """The family's predicted p-delta set against the computed one."""
     pred = predicted_delta(spec, p)
     label = f"{spec.text()} p={'inf' if p == PINF else p}"
-    if pred is None:
-        return Instance(claim, label, "report", "no covered prediction")
-    try:
+
+    def row():
         computed = delta_set_of_semigroup(_suite_semigroup(construct_family(spec).generators), p, budget)
-    except BudgetExceeded as e:
-        return Instance(claim, label, "budget", str(e))
-    ok = pred.matches(computed)
-    return _inst(claim, label, ok, "" if ok else f"predicted {pred.describe()}, got {list(computed.values)}")
+        ok = pred.matches(computed)
+        return [_inst(label, ok, "" if ok else f"predicted {pred.describe()}, got {list(computed.values)}")]
+
+    return _guard(label, row)
 
 
-# claim id -> (family variant, norms, quick grid, full grid); a grid entry
-# holds the family parameters
-FAMILY_CLAIMS = {
-    "geometric-family": (
-        "geometric",
-        (PINF, P0),
-        [dict(a=2, b=3, k=3)],
-        [dict(a=2, b=3, k=2), dict(a=2, b=3, k=3), dict(a=3, b=4, k=2), dict(a=2, b=5, k=2)],
-    ),
-    "supersymmetric-family": (
-        "supersymmetric",
-        (PINF, P0),
-        [dict(p=(5, 3, 2))],
-        [dict(p=(3, 2)), dict(p=(5, 3, 2)), dict(p=(5, 4, 3))],
-    ),
-    "arithmetic-family": (
-        "arithmetic",
-        (PINF, P0),
-        [dict(a=5, d=1, k=2)],
-        [dict(a=5, d=1, k=2), dict(a=7, d=2, k=3), dict(a=9, d=1, k=4)],
-    ),
-    "generalized-arithmetic-delta0": (
-        "generalized_arithmetic",
-        (P0,),
-        [dict(a=5, h=2, d=3, k=2)],
-        [dict(a=5, h=2, d=3, k=2), dict(a=7, h=2, d=1, k=3), dict(a=5, h=3, d=2, k=3)],
-    ),
-}
-
-
-def _run_family(claim: str, params) -> list[Instance]:
-    variant, norms, quick, full = FAMILY_CLAIMS[claim]
+def _run_family(variant: str, norms, quick: list[dict], full: list[dict], params) -> list[tuple]:
+    """The family rows of each parameter set of the quick or the full grid."""
     grid = quick if params.get("quick") else full
-    return [_family_row(claim, family(variant, **kw), p, params.get("budget")) for kw in grid for p in norms]
+    return [r for kw in grid for p in norms for r in _family_row(family(variant, **kw), p, params.get("budget"))]
 
 
-def _run_three_gap(params) -> list[Instance]:
+def _run_three_gap(params) -> list[tuple]:
     lo, hi = params.get("m_range") or ((3, 4) if params.get("quick") else (3, 8))
     out = []
     for m in range(lo, hi + 1):
         spec = family("three_gap", m=m)
-        out += [_family_row("three-gap-family", spec, p, params.get("budget")) for p in (PINF, P0)]
+        out += _family_row(spec, PINF, params.get("budget")) + _family_row(spec, P0, params.get("budget"))
         s = construct_family(spec)
-        out.append(
-            _inst("three-gap-family", f"{spec.text()} max embedding dim", is_max_embedding_dimension(s))
-        )
+        out.append(_inst(f"{spec.text()} max embedding dim", is_max_embedding_dimension(s)))
     return out
 
 
-def _run_singleton_trades(params) -> list[Instance]:
+def _run_singleton_trades(params) -> list[tuple]:
     positives = [
         family("geometric", a=2, b=3, k=3),
         family("supersymmetric", p=(5, 3, 2)),
     ]
+
+    def row(label, s):
+        pred = singleton_support_presentation_exists(s)
+        d0 = delta0_semigroup(s, params.get("budget"))
+        ok = pred and d0 == DeltaSet((1,))
+        return [_inst(label, ok, "" if ok else f"predicate={pred} delta0={list(d0.values)}")]
+
     out = []
     for spec in positives:
         s = _suite_semigroup(construct_family(spec).generators)
         label = f"{spec.text()} -> {s}"
-        pred = singleton_support_presentation_exists(s)
-        try:
-            d0 = delta0_semigroup(s, params.get("budget"))
-        except BudgetExceeded as e:
-            out.append(Instance("singleton-trades", label, "budget", str(e)))
-            continue
-        ok = pred and d0 == DeltaSet((1,))
-        detail = "" if ok else f"predicate={pred} delta0={list(d0.values)}"
-        out.append(_inst("singleton-trades", label, ok, detail))
+        out += _guard(label, lambda: row(label, s))
     s = _suite_semigroup((3, 10, 11))
-    out.append(
-        _inst(
-            "singleton-trades",
-            f"{s} (negative case)",
-            not singleton_support_presentation_exists(s),
-        )
-    )
+    out.append(_inst(f"{s} (negative case)", not singleton_support_presentation_exists(s)))
     return out
 
 
-def _run_med(params) -> list[Instance]:
+def _run_med(params) -> list[tuple]:
     gens_list = [(3, 10, 11), (4, 5, 6, 7)] + ([] if params.get("quick") else [(5, 6, 7, 8, 9)])
-    out = []
-    for gens in gens_list:
-        s = _suite_semigroup(gens)
-        try:
-            d0 = delta0_semigroup(s, params.get("budget"))
-        except BudgetExceeded as e:
-            out.append(Instance("med-delta0", f"{s}", "budget", str(e)))
-            continue
+
+    def row(s):
+        d0 = delta0_semigroup(s, params.get("budget"))
         ok = is_max_embedding_dimension(s) and d0 == DeltaSet((1, 2))
-        out.append(_inst("med-delta0", f"{s}", ok, "" if ok else f"delta0={list(d0.values)}"))
-    return out
+        return [_inst(f"{s}", ok, "" if ok else f"delta0={list(d0.values)}")]
+
+    semigroups = [_suite_semigroup(gens) for gens in gens_list]
+    return [r for s in semigroups for r in _guard(f"{s}", lambda: row(s))]
 
 
 def _three_gen_case(budget, gens):
@@ -335,28 +299,33 @@ def three_generated_semigroups(max_gen: int):
     return [s.generators for s in candidates(3, max_gen, min_dim=3)]
 
 
-def _run_three_gen_gluing(params) -> list[Instance]:
-    max_gen = params.get("max_gen") or (24 if params.get("quick") else 40)
+def _run_three_gen_gluing(params) -> list[tuple]:
+    max_gen = params.get("max_gen")
+    if max_gen is None:
+        max_gen = 24 if params.get("quick") else 40
     cases = three_generated_semigroups(max_gen)
+    if not cases:
+        raise ValueError(f"no 3-generated semigroup has a_3 <= {max_gen}")
     label = f"all 3-generated with a_3 <= {max_gen} ({len(cases)} semigroups)"
-    try:
+
+    def row():
         results = pmap(partial(_three_gen_case, params.get("budget")), cases, params.get("workers", 1))
-    except BudgetExceeded as e:
-        return [Instance("three-gen-gluing", label, "budget", str(e))]
-    bad = [(g, a, b) for g, a, b in results if a != b]
-    return [_inst("three-gen-gluing", label, not bad, f"disagreements: {bad[:3]}" if bad else "")]
+        bad = [(g, a, b) for g, a, b in results if a != b]
+        return [_inst(label, not bad, f"disagreements: {bad[:3]}" if bad else "")]
+
+    return _guard(label, row)
 
 
-def _run_interval_family(params) -> list[Instance]:
+def _run_interval_family(params) -> list[tuple]:
     ks = (2, 3) if params.get("quick") else (2, 3, 4)
     out = []
     for k in ks:
-        out.append(_family_row("interval-family", family("interval", k=k), P0, params.get("budget")))
+        out += _family_row(family("interval", k=k), P0, params.get("budget"))
     chain_ks = (3,) if params.get("quick") else (3, 4, 5)
     for k in chain_ks:
         steps = family_chain(family("interval", k=k))
         ok = all(verify_gluing(st.scale, st.base_gens, st.new_gen) for st in steps)
-        out.append(_inst("interval-family", f"interval:k={k} chain of {len(steps)} gluings", ok))
+        out.append(_inst(f"interval:k={k} chain of {len(steps)} gluings", ok))
     return out
 
 
@@ -379,34 +348,33 @@ def gaps_expected_trades(s: NumericalSemigroup, k: int) -> set[frozenset]:
     return expected
 
 
-def _run_gaps_family(params) -> list[Instance]:
+def _run_gaps_family(params) -> list[tuple]:
     lo, hi = params.get("k_range") or ((3, 5) if params.get("quick") else (3, 10))
     out = []
     for k in range(lo, hi + 1):
-        spec = family("gaps", k=k)
-        s = construct_family(spec)
-        out.append(
-            _inst("gaps-family", f"gaps:k={k} element deltas at 2x and 3x top generator", *_gaps_element_check(s, k))
-        )
-        pres = minimal_presentation(s)
-        got = {t.sides() for t in pres.trades}
-        expected = gaps_expected_trades(s, k)
-        ok_tr = expected <= got and len(got) == k
-        out.append(
-            _inst(
-                "gaps-family",
-                f"gaps:k={k} forced trades present ({len(got)} total)",
-                ok_tr,
-                "" if ok_tr else f"missing {expected - got}",
-            )
-        )
-        chain = family_chain(spec)
-        ok_chain = all(verify_gluing(st.scale, st.base_gens, st.new_gen) for st in chain)
-        out.append(_inst("gaps-family", f"gaps:k={k} chain of {len(chain)} gluings", ok_chain))
-        if params.get("extended") and k == hi:
-            out.append(_gaps_window_scan(s, k, params))
+        out += _guard(f"gaps:k={k}", lambda: _gaps_rows(k, params.get("extended") and k == hi, params))
     if params.get("extended"):
-        out.append(_gaps_membership_half(16))
+        out += _guard("gaps:k=16", lambda: [_gaps_membership_half(16)])
+    return out
+
+
+def _gaps_rows(k: int, scan: bool, params) -> list[tuple]:
+    """Element deltas, forced trades and gluing chain of gaps:k, plus the
+    window scan when `scan`."""
+    spec = family("gaps", k=k)
+    s = construct_family(spec)
+    out = [_inst(f"gaps:k={k} element deltas at 2x and 3x top generator", *_gaps_element_check(s, k))]
+    got = {t.sides() for t in minimal_presentation(s).trades}
+    expected = gaps_expected_trades(s, k)
+    ok_tr = expected <= got and len(got) == k
+    out.append(
+        _inst(f"gaps:k={k} forced trades present ({len(got)} total)", ok_tr, "" if ok_tr else f"missing {expected - got}")
+    )
+    chain = family_chain(spec)
+    ok_chain = all(verify_gluing(st.scale, st.base_gens, st.new_gen) for st in chain)
+    out.append(_inst(f"gaps:k={k} chain of {len(chain)} gluings", ok_chain))
+    if scan:
+        out.append(_gaps_window_scan(s, k, params))
     return out
 
 
@@ -424,28 +392,27 @@ def _gaps_element_check(s: NumericalSemigroup, k: int) -> tuple[bool, str]:
     return ok, "" if ok else f"got {list(d2.values)} / {list(d3.values)}"
 
 
-def _gaps_membership_half(k: int) -> Instance:
+def _gaps_membership_half(k: int) -> tuple[str, str, str]:
     """Element-level facts at proof scale: the two forced elements pin the
     top of the window, i.e. {k-1, k} is contained in the 0-delta set."""
     s = construct_family(family("gaps", k=k))
-    return _inst("gaps-family", f"gaps:k={k} membership half {{k-1, k}}", *_gaps_element_check(s, k))
+    return _inst(f"gaps:k={k} membership half {{k-1, k}}", *_gaps_element_check(s, k))
 
 
-def _gaps_window_scan(s, k, params) -> Instance:
+def _gaps_window_scan(s, k, params) -> tuple[str, str, str]:
     """Sampled scan of the 0-delta window [ceil(7k/8), k]: exhaustive over a
     caller-bounded horizon instead of the full stability range."""
     horizon = params.get("x_range", (0, 6 * s.generators[-1]))[1]
     observed = delta0_union_brute(s, horizon)
     window = {v for v in observed.values if math.ceil(7 * k / 8) <= v <= k}
-    return Instance(
-        "gaps-family",
+    return (
         f"gaps:k={k} window scan to {horizon}",
         "report",
         f"window values {sorted(window)} (claim proven for k >= 16)",
     )
 
 
-def _run_geometric_proof_z(params) -> list[Instance]:
+def _run_geometric_proof_z(params) -> list[tuple]:
     """Report-only: the two-factorization instance claim used inside the
     geometric argument admits extra factorizations on some instances; the
     set-level delta statement is what the verified claims cover."""
@@ -459,34 +426,37 @@ def _run_geometric_proof_z(params) -> list[Instance]:
                 tuple([b, c - a] + [0] * (k - 2)),
                 tuple([0, c] + [0] * (k - 2)),
             }
-            out.append(
-                Instance(
-                    "geometric-proof-z",
-                    f"{s} x={c * a2}",
-                    "report",
-                    f"two-factorization claim {'holds' if z == expect else f'fails: {sorted(z)}'}",
-                )
-            )
+            holds = "holds" if z == expect else f"fails: {sorted(z)}"
+            out.append((f"{s} x={c * a2}", "report", f"two-factorization claim {holds}"))
     return out
 
 
 CLAIMS: dict[str, ClaimSpec] = {
     c.id: c
     for c in [
-        ClaimSpec("minmax-bounds", "sandwich bounds for least/top max-norm lengths", "verified", partial(_run_suite, "minmax-bounds", _minmax_bounds)),
-        ClaimSpec("aap-containment", "dominant lengths fill a residue-class interval", "verified", partial(_run_suite, "aap-containment", _aap)),
-        ClaimSpec("step-shift", "adding a generator shifts window lengths by one", "verified", partial(_run_suite, "step-shift", _step_shift)),
-        ClaimSpec("gap-regions", "delta gaps outside the base set touch boundary regions", "verified", partial(_run_suite, "gap-regions", _gap_regions)),
-        ClaimSpec("delta-periodicity", "per-element max-norm deltas repeat with the period", "verified", partial(_run_suite, "delta-periodicity", _periodicity)),
-        ClaimSpec("residue-class-deltas", "rescaled residual-class deltas embed in the delta set", "verified", partial(_run_suite, "residue-class-deltas", _residue_deltas)),
-        ClaimSpec("geometric-family", "geometric generators: max-norm delta is an interval", "verified", partial(_run_family, "geometric-family")),
-        ClaimSpec("supersymmetric-family", "supersymmetric: max-norm delta is an interval", "verified", partial(_run_family, "supersymmetric-family")),
-        ClaimSpec("arithmetic-family", "arithmetic generators: max-norm delta interval", "verified", partial(_run_family, "arithmetic-family")),
+        ClaimSpec("minmax-bounds", "sandwich bounds for least/top max-norm lengths", "verified", partial(_run_suite, _minmax_bounds)),
+        ClaimSpec("aap-containment", "dominant lengths fill a residue-class interval", "verified", partial(_run_suite, _aap)),
+        ClaimSpec("step-shift", "adding a generator shifts window lengths by one", "verified", partial(_run_suite, _step_shift)),
+        ClaimSpec("gap-regions", "delta gaps outside the base set touch boundary regions", "verified", partial(_run_suite, _gap_regions)),
+        ClaimSpec("delta-periodicity", "per-element max-norm deltas repeat with the period", "verified", partial(_run_suite, _periodicity)),
+        ClaimSpec("residue-class-deltas", "rescaled residual-class deltas embed in the delta set", "verified", partial(_run_suite, _residue_deltas)),
+        # a family claim's runner holds its variant, norms and quick and full parameter grids
+        ClaimSpec("geometric-family", "geometric generators: max-norm delta is an interval", "verified", partial(
+            _run_family, "geometric", (PINF, P0), [dict(a=2, b=3, k=3)],
+            [dict(a=2, b=3, k=2), dict(a=2, b=3, k=3), dict(a=3, b=4, k=2), dict(a=2, b=5, k=2)])),
+        ClaimSpec("supersymmetric-family", "supersymmetric: max-norm delta is an interval", "verified", partial(
+            _run_family, "supersymmetric", (PINF, P0), [dict(p=(5, 3, 2))],
+            [dict(p=(3, 2)), dict(p=(5, 3, 2)), dict(p=(5, 4, 3))])),
+        ClaimSpec("arithmetic-family", "arithmetic generators: max-norm delta interval", "verified", partial(
+            _run_family, "arithmetic", (PINF, P0), [dict(a=5, d=1, k=2)],
+            [dict(a=5, d=1, k=2), dict(a=7, d=2, k=3), dict(a=9, d=1, k=4)])),
         ClaimSpec("three-gap-family", "three-generator gap family: split delta set", "verified", _run_three_gap),
-        ClaimSpec("l0-interval-tail", "0-length sets are intervals beyond the stability bound", "verified", partial(_run_suite, "l0-interval-tail", _l0_tail)),
+        ClaimSpec("l0-interval-tail", "0-length sets are intervals beyond the stability bound", "verified", partial(_run_suite, _l0_tail)),
         ClaimSpec("singleton-trades", "singleton-support presentations force 0-delta {1}", "verified", _run_singleton_trades),
         ClaimSpec("med-delta0", "maximal embedding dimension forces 0-delta {1,2}", "verified", _run_med),
-        ClaimSpec("generalized-arithmetic-delta0", "generalized arithmetic: 0-delta {1,2}", "verified", partial(_run_family, "generalized-arithmetic-delta0")),
+        ClaimSpec("generalized-arithmetic-delta0", "generalized arithmetic: 0-delta {1,2}", "verified", partial(
+            _run_family, "generalized_arithmetic", (P0,), [dict(a=5, h=2, d=3, k=2)],
+            [dict(a=5, h=2, d=3, k=2), dict(a=7, h=2, d=1, k=3), dict(a=5, h=3, d=2, k=3)])),
         ClaimSpec("three-gen-gluing", "3-generated: gluing count decides the 0-delta set", "verified", _run_three_gen_gluing),
         ClaimSpec("interval-family", "interval construction realizes {1..k-1}", "verified", _run_interval_family),
         ClaimSpec("gaps-family", "gaps construction: window {k-1,k} plus forced trades", "verified", _run_gaps_family),
@@ -498,12 +468,8 @@ CLAIMS: dict[str, ClaimSpec] = {
 def run_claim(claim_id: str, **params) -> list[Instance]:
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim id {claim_id!r}")
-    return CLAIMS[claim_id].runner(params)
+    return [Instance(claim_id, *row) for row in CLAIMS[claim_id].runner(params)]
 
 
 def run_all(quick: bool = False, **params) -> list[Instance]:
-    params["quick"] = quick
-    out = []
-    for spec in CLAIMS.values():
-        out.extend(spec.runner(dict(params)))
-    return out
+    return [i for cid in CLAIMS for i in run_claim(cid, quick=quick, **params)]

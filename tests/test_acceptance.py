@@ -31,6 +31,7 @@ from sgdelta import (
     verify_gluing,
     verify_linf_bounds,
 )
+from sgdelta import factorization, verification
 from sgdelta.infinity import _get_engine
 from sgdelta.verification import SUITE_GENS, gaps_expected_trades, three_generated_semigroups
 
@@ -141,7 +142,7 @@ def test_criterion_7_gaps_family():
     if EXTENDED:
         from sgdelta.verification import _gaps_membership_half
 
-        assert _gaps_membership_half(16).status == "pass"
+        assert _gaps_membership_half(16)[1] == "pass"
 
 
 def test_criterion_8_structure_suite():
@@ -202,3 +203,45 @@ def test_criterion_10_l0_interval_tail():
             if contains(s, x) and not check_l0_interval(s, x):
                 bad.append((gens, x))
     _report(10, "0-length sets are intervals on (X0, X0 + 3*a_k]", not bad)
+
+
+def test_gaps_family_overrun_is_a_row_and_the_run_goes_on(monkeypatch):
+    # k = 3 enumerates x <= 3 * 17 = 51; k = 4 starts at 2 * 53 = 106
+    monkeypatch.setattr(factorization, "MAX_ENGINE_HORIZON", 100)
+    rows = [(r.label.split()[0], r.status) for r in verification.run_claim("gaps-family", k_range=(3, 5))]
+    assert rows == [("gaps:k=3", "pass")] * 3 + [("gaps:k=4", "budget"), ("gaps:k=5", "budget")]
+
+
+def test_full_registry():
+    # the full grid of every claim, in registry order
+    rows = verification.run_all()
+    per_claim = {cid: sum(r.claim == cid for r in rows) for cid in verification.CLAIMS}
+    assert per_claim == {
+        "minmax-bounds": 4,
+        "aap-containment": 4,
+        "step-shift": 8,
+        "gap-regions": 4,
+        "delta-periodicity": 4,
+        "residue-class-deltas": 4,
+        "geometric-family": 8,
+        "supersymmetric-family": 6,
+        "arithmetic-family": 6,
+        "three-gap-family": 18,
+        "l0-interval-tail": 4,
+        "singleton-trades": 3,
+        "med-delta0": 3,
+        "generalized-arithmetic-delta0": 3,
+        "three-gen-gluing": 1,
+        "interval-family": 6,
+        "gaps-family": 24,
+        "geometric-proof-z": 4,
+    }
+    assert [r.claim for r in rows] == sorted((r.claim for r in rows), key=list(verification.CLAIMS).index)
+    summary = {st: sum(r.status == st for r in rows) for st in ("pass", "fail", "report", "budget")}
+    assert summary == {"pass": 110, "fail": 0, "report": 4, "budget": 0}
+    assert [r.label for r in rows if r.claim == "three-gen-gluing"] == ["all 3-generated with a_3 <= 40 (5067 semigroups)"]
+    assert [r.label for r in rows if r.claim == "gaps-family"][-3:] == [
+        "gaps:k=10 element deltas at 2x and 3x top generator",
+        "gaps:k=10 forced trades present (10 total)",
+        "gaps:k=10 chain of 9 gluings",
+    ]

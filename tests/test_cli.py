@@ -208,10 +208,36 @@ def test_family_interval_seeds_checked_at_every_k(capsys):
 
 
 def test_verify_gaps_family_past_the_enumeration_limit(capsys):
-    # 2 * a_18 = 34,155,986 exceeds the engine horizon: no table is built
+    # 2 * a_18 = 34,155,986 exceeds the engine horizon: no table is built,
+    # and the overrun k is one budget row, as in every other claim
     code, doc = run_json(capsys, "verify", "gaps-family", "--k", "17..17")
-    assert code == 3
-    assert doc["error"]["code"] == "budget-exceeded"
+    assert code == 0
+    assert [(r["instance"], r["status"]) for r in doc["result"]["instances"]] == [("gaps:k=17", "budget")]
+
+
+def test_verify_reversed_range_is_an_error(capsys):
+    for argv in (
+        ("aap-containment", "--x", "10..5"),
+        ("three-gap-family", "--m", "5..3"),
+        ("gaps-family", "--k", "5..3"),
+    ):
+        code, doc = run_json(capsys, "verify", *argv)
+        assert code == 1, argv
+        assert doc["error"]["code"] == "invalid-argument", argv
+
+
+def test_verify_max_gen_is_read_as_given(capsys):
+    # 0 is not the default grid, and a grid with no semigroup is an error
+    for max_gen in ("0", "4"):
+        code, doc = run_json(capsys, "verify", "three-gen-gluing", "--max-gen", max_gen)
+        assert code == 1, max_gen
+        assert doc["error"]["code"] == "invalid-argument", max_gen
+    # <3,4,5> is the only 3-generated semigroup with a_3 <= 5
+    code, doc = run_json(capsys, "verify", "three-gen-gluing", "--max-gen", "5")
+    assert code == 0
+    assert [(r["instance"], r["status"]) for r in doc["result"]["instances"]] == [
+        ("all 3-generated with a_3 <= 5 (1 semigroups)", "pass")
+    ]
 
 
 def test_family_unspecified_prediction(capsys):
