@@ -30,8 +30,6 @@ def ceil_div(a: int, b: int) -> int:
 
 def modinv(a: int, m: int) -> int:
     """Inverse of a modulo m in [0, m-1]; m >= 1 and gcd(a, m) = 1."""
-    if m == 1:
-        return 0
     return pow(a, -1, m)
 
 
@@ -86,10 +84,9 @@ def apery_table(gens: tuple[int, ...], m: int) -> list[int]:
     dist = [INF] * m
     dist[0] = 0
     heap = [(0, 0)]
-    arcs = [(a, a % m) for a in gens if a % m != 0 or a == 0]
     # generators that are multiples of m never change the residue and never
     # improve a distance, so they can be dropped
-    arcs = [(a, s) for a, s in arcs if s != 0]
+    arcs = [(a, a % m) for a in gens if a % m]
     while heap:
         d, r = heapq.heappop(heap)
         if d != dist[r]:
@@ -146,8 +143,6 @@ class ConeTable:
     def frobenius_reduced(self) -> int:
         """Largest integer outside the gcd-scaled-down span; -1 when that
         span is all of the nonnegative integers."""
-        if self.modulus == 1:
-            return -1
         return max(self.least) - self.modulus
 
     def frobenius(self) -> int:

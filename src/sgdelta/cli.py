@@ -346,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--format", choices=("json", "csv"), default="json")
     shared.add_argument("--budget-elements", type=int, default=None)
     shared.add_argument("--threads", type=int, default=1)
-    shared.add_argument("--cache-dir", default=None)
 
     top = argparse.ArgumentParser(prog="sgdelta", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
@@ -370,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--x", type=int, default=None)
     c.add_argument("--m", type=int, default=None)
     c.add_argument("--p", default="inf")
+    c.add_argument("--cache-dir", default=None, help="result cache; SGDELTA_CACHE_DIR when unset")
     c.set_defaults(func=_cmd_compute)
 
     v = sub.add_parser("verify", parents=[shared], help="run registered claims")
@@ -428,11 +428,15 @@ def _emit(text: str) -> bool:
 
 def _run(args) -> tuple[str, int]:
     """The text to print and the exit code of one parsed command line."""
-    if getattr(args, "list_claims", False):
-        rows = {cid: {"summary": c.summary, "kind": c.kind} for cid, c in CLAIMS.items()}
-        return json.dumps(rows, sort_keys=True), EXIT_OK
     started = time.monotonic()
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        if args.budget_elements is not None and args.budget_elements < 0:
+            raise ValueError(f"--budget-elements must be nonnegative, got {args.budget_elements}")
+        if getattr(args, "list_claims", False):
+            rows = {cid: {"summary": c.summary, "kind": c.kind} for cid, c in CLAIMS.items()}
+            return json.dumps(rows, sort_keys=True), EXIT_OK
         envelope, code = args.func(args)
     except (SemigroupError, ValueError) as e:
         error = {"code": getattr(e, "code", "invalid-argument"), "message": str(e)}

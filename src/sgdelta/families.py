@@ -16,17 +16,6 @@ from .errors import InvalidGenerators, PeriodOverflow
 from .factorization import P0, PINF, DeltaSet
 from .semigroup import NumericalSemigroup, make_semigroup
 
-VARIANTS = (
-    "geometric",
-    "supersymmetric",
-    "arithmetic",
-    "generalized_arithmetic",
-    "med_check",
-    "three_gap",
-    "interval",
-    "gaps",
-)
-
 _PARAM_ORDER = {
     "geometric": ("a", "b", "k"),
     "supersymmetric": ("p",),
@@ -54,17 +43,13 @@ class FamilySpec:
         return any(k == name for k, _ in self.params)
 
     def text(self) -> str:
-        parts = []
-        for k in _PARAM_ORDER[self.variant]:
-            if not self.has(k):
-                continue
-            v = self.param(k)
-            parts.append(f"{k}=" + (",".join(map(str, v)) if isinstance(v, tuple) else str(v)))
+        """Canonical text form; `family` stores params in parameter order."""
+        parts = [f"{k}=" + (",".join(map(str, v)) if isinstance(v, tuple) else str(v)) for k, v in self.params]
         return f"{self.variant}:" + ",".join(parts)
 
 
 def family(variant: str, **kw) -> FamilySpec:
-    if variant not in VARIANTS:
+    if variant not in _PARAM_ORDER:
         raise ValueError(f"unknown family variant {variant!r}")
     params = []
     for key in _PARAM_ORDER[variant]:
@@ -114,8 +99,6 @@ def verify_gluing(scale: int, gens: tuple[int, ...], new: int) -> bool:
 
 
 def _checked(gens, what: str) -> NumericalSemigroup:
-    if any(g > INT64_MAX for g in gens):
-        raise PeriodOverflow(f"{what} generators exceed the 64-bit contract")
     s = make_semigroup(gens)
     if s.removed:
         raise InvalidGenerators(f"{what} produced a non-minimal generating set {tuple(gens)}")

@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import count
 
 import numpy as np
 
@@ -129,9 +129,8 @@ def structure_constants(s: NumericalSemigroup) -> StructureConstants:
 def _minmax_bfs(gens: tuple[int, ...], horizon: int, levels: float = math.inf) -> np.ndarray:
     """t over y = 0..horizon for the generators gens, by level search: going
     from exponent bound l to l + 1 adds at most one copy of each generator,
-    i.e. a subset-sum shift. Entries above `levels` stay INF."""
-    sums = sorted({sum(t) for r in range(1, len(gens) + 1) for t in combinations(gens, r)})
-    sums = [v for v in sums if v <= horizon]
+    so OR-ing in the shift by each generator in turn reaches every
+    subset-sum shift. Entries above `levels` stay INF."""
     reach = np.zeros(horizon + 1, dtype=bool)
     reach[0] = True
     t = np.full(horizon + 1, INF, dtype=np.int64)
@@ -140,8 +139,10 @@ def _minmax_bfs(gens: tuple[int, ...], horizon: int, levels: float = math.inf) -
         if level > levels:
             return t
         new = reach.copy()
-        for v in sums:
-            np.logical_or(new[v:], reach[:-v], out=new[v:])
+        for v in gens:
+            # numpy reads overlapping operands as if copied first, so each
+            # OR adds at most one copy of v
+            np.logical_or(new[v:], new[:-v], out=new[v:])
         newly = new & ~reach
         if not newly.any():
             return t
@@ -502,13 +503,12 @@ def verify_aap(s: NumericalSemigroup, x: int, i: int) -> bool:
     a_i = s.generators[i - 1]
     g = rec.complement_gcd
     dom = set(eng.dominant_values(x, i).tolist())
-    res = (rec.inverse * x) % g if g > 1 else 0
-    if g > 1 and any(l % g != res for l in dom):
+    res = (rec.inverse * x) % g
+    if any(l % g != res for l in dom):
         return False
     lo = ceil_div(x, consts.gen_sum) + s.generators[-1]
+    lo += (res - lo) % g
     hi = x // a_i - rec.margin
-    if g > 1:
-        lo += (res - lo) % g
     for l in range(lo, hi + 1, g):
         if l not in dom:
             return False

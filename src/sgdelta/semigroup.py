@@ -49,17 +49,11 @@ class QuotientData:
     y0: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NumericalSemigroup:
     generators: tuple[int, ...]
     removed: tuple[int, ...] = field(default=(), compare=False, repr=False)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __eq__(self, other):
-        return isinstance(other, NumericalSemigroup) and self.generators == other.generators
-
-    def __hash__(self):
-        return hash(self.generators)
 
     def __repr__(self):
         return f"NumericalSemigroup{self.generators}"
@@ -194,7 +188,7 @@ def _quotient_data(s: NumericalSemigroup, i: int) -> QuotientData:
     cone = span(s, tuple(j for j in range(1, s.embedding_dim + 1) if j != i))
     g = cone.gcd
     qgens = tuple(a // g for a in cone.minimal())
-    inv = modinv(a_i % g, g) if g > 1 else 0
+    inv = modinv(a_i % g, g)
     fill = g * (cone.frobenius_reduced() + 1)  # every multiple of g from here on is in the span
     total = s.gen_sum - a_i
     return QuotientData(i, g, qgens, inv, ceil_div(fill, a_i), ceil_div(total * (fill + total), cone.gens[0]))

@@ -225,12 +225,15 @@ def _l0_tail(s, params) -> list[tuple]:
 
 
 def _family_row(spec: FamilySpec, p, budget) -> list[tuple]:
-    """The family's predicted p-delta set against the computed one."""
-    pred = predicted_delta(spec, p)
+    """The family's predicted p-delta set against the computed one. The
+    member is built first, so invalid parameters raise its error before any
+    prediction is made from them."""
     label = f"{spec.text()} p={'inf' if p == PINF else p}"
 
     def row():
-        computed = delta_set_of_semigroup(_suite_semigroup(construct_family(spec).generators), p, budget)
+        s = _suite_semigroup(construct_family(spec).generators)
+        pred = predicted_delta(spec, p)
+        computed = delta_set_of_semigroup(s, p, budget)
         ok = pred.matches(computed)
         return [_inst(label, ok, "" if ok else f"predicted {pred.describe()}, got {list(computed.values)}")]
 
@@ -322,11 +325,14 @@ def _run_interval_family(params) -> list[tuple]:
     for k in ks:
         out += _family_row(family("interval", k=k), P0, params.get("budget"))
     chain_ks = (3,) if params.get("quick") else (3, 4, 5)
-    for k in chain_ks:
-        steps = family_chain(family("interval", k=k))
-        ok = all(verify_gluing(st.scale, st.base_gens, st.new_gen) for st in steps)
-        out.append(_inst(f"interval:k={k} chain of {len(steps)} gluings", ok))
-    return out
+    return out + [_chain_row(family("interval", k=k)) for k in chain_ks]
+
+
+def _chain_row(spec: FamilySpec) -> tuple[str, str, str]:
+    """Every link of the gluing chain behind an interval or gaps member."""
+    steps = family_chain(spec)
+    ok = all(verify_gluing(st.scale, st.base_gens, st.new_gen) for st in steps)
+    return _inst(f"{spec.text()} chain of {len(steps)} gluings", ok)
 
 
 def gaps_expected_trades(s: NumericalSemigroup, k: int) -> set[frozenset]:
@@ -370,9 +376,7 @@ def _gaps_rows(k: int, scan: bool, params) -> list[tuple]:
     out.append(
         _inst(f"gaps:k={k} forced trades present ({len(got)} total)", ok_tr, "" if ok_tr else f"missing {expected - got}")
     )
-    chain = family_chain(spec)
-    ok_chain = all(verify_gluing(st.scale, st.base_gens, st.new_gen) for st in chain)
-    out.append(_inst(f"gaps:k={k} chain of {len(chain)} gluings", ok_chain))
+    out.append(_chain_row(spec))
     if scan:
         out.append(_gaps_window_scan(s, k, params))
     return out

@@ -131,13 +131,11 @@ def delta0_semigroup(s: NumericalSemigroup, budget: Budget | None = None) -> Del
     x0 = delta0_stability_bound(s)
     if x0 > budget.max_element:
         raise BudgetExceeded(f"stability bound {x0} exceeds element budget {budget.max_element}")
-    union = _delta_union_to(s, x0)
-    union.add(1)
-    return DeltaSet.from_iterable(union)
+    return delta0_union_brute(s, x0)
 
 
 def delta0_union_brute(s: NumericalSemigroup, horizon: int) -> DeltaSet:
-    """{1} union the 0-deltas up to an arbitrary horizon, by the same DP as
-    `delta0_semigroup`; read past the stability bound it checks that bound,
-    not the DP."""
+    """{1} union the 0-deltas up to an arbitrary horizon. `delta0_semigroup`
+    reads it at the stability bound; read past that bound it checks the
+    bound, not the DP."""
     return DeltaSet.from_iterable(_delta_union_to(s, horizon) | {1})

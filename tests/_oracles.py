@@ -6,8 +6,10 @@ oracles iterate coordinate grids, and graph components are computed on the
 literal factorization graph. The min-max exponent tables of one and two
 generators have closed forms, `minmax_single` and `minmax_pair`; the library
 once built those tables with them, and now builds every table by level
-search. Three oracles are the engines' former passes, which read library
-tables in a different way: `full_mask_deltas` (the per-x max-norm mask),
+search. `minmax_subset_sums` is that search with its former level step,
+one shift per subset sum of the generators. Three oracles are the engines'
+former passes, which read library tables in a different way:
+`full_mask_deltas` (the per-x max-norm mask),
 `doubling_empirical_start` (the empirical start over doubling horizons) and
 `cone_union_deltas` (one span-table membership pass per 0-norm support).
 `component_least_factorizations` reads the library's enumeration, the
@@ -81,6 +83,30 @@ def minmax_brute(gens, y):
             m = max(z)
             best = m if best is None else min(best, m)
     return best
+
+
+def minmax_subset_sums(gens, horizon, levels=math.inf):
+    """Min-max table of gens over y = 0..horizon by level search, each level
+    the union of the previous one shifted by every subset sum of gens;
+    entries above `levels` stay MINMAX_INF."""
+    sums = sorted({sum(c) for r in range(1, len(gens) + 1) for c in combinations(gens, r)})
+    reach = np.zeros(horizon + 1, dtype=bool)
+    reach[0] = True
+    t = np.full(horizon + 1, MINMAX_INF, dtype=np.int64)
+    t[0] = 0
+    level = 0
+    while level < levels:
+        level += 1
+        new = reach.copy()
+        for v in sums:
+            if v <= horizon:
+                new[v:] |= reach[: horizon + 1 - v]
+        newly = new & ~reach
+        if not newly.any():
+            break
+        t[newly] = level
+        reach = new
+    return t
 
 
 def minmax_single(a, horizon):

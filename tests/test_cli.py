@@ -177,6 +177,40 @@ def test_verify_csv(capsys):
     assert all(",med-delta0,pass" in l for l in lines[1:])
 
 
+def test_out_of_range_counts_are_errors(capsys):
+    for argv in (
+        ("compute", "--gens", "3,10,11", "frobenius", "--threads", "0"),
+        ("verify", "interval-family", "--quick", "--threads", "-3"),
+        ("verify", "all", "--list", "--threads", "0"),
+        ("compute", "--gens", "3,10,11", "frobenius", "--budget-elements", "-5"),
+        ("search", "--target", "1", "--p", "0", "--max-gen", "8", "--budget-elements", "-1"),
+    ):
+        code, doc = run_json(capsys, *argv)
+        assert code == 1, argv
+        assert doc["error"]["code"] == "invalid-argument", argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "all", "--quick"), ("search", "--target", "1", "--p", "0", "--max-gen", "8"), ("family", "three_gap:m=3")],
+    ids=["verify", "search", "family"],
+)
+def test_cache_dir_only_on_compute(tmp_path, argv):
+    # compute alone reads the cache, so elsewhere the flag is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_family_claim_builds_the_member_before_predicting(capsys):
+    # m = 0 would predict a delta set containing 0; the member's own error wins
+    for argv in (("verify", "three-gap-family", "--m", "0..1"), ("family", "three_gap:m=0")):
+        code, doc = run_json(capsys, *argv)
+        assert code == 1, argv
+        assert doc["error"] == {"code": "invalid-generators", "message": "three_gap needs m >= 3"}, argv
+
+
 def test_family_command(capsys):
     code, doc = run_json(capsys, "family", "geometric:a=2,b=3,k=3")
     assert code == 0

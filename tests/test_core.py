@@ -69,8 +69,10 @@ def test_semigroup_value_semantics():
     a = make_semigroup([3, 10, 11])
     b = make_semigroup([3, 10, 11, 13])  # 13 reduces away
     assert a == b and hash(a) == hash(b)
-    assert b.removed == (13,)
+    assert b.removed == (13,) and a.removed == ()
     assert len({a, b}) == 1
+    # equality is between instances, never with a bare generator tuple
+    assert a != a.generators and a.generators != a
     # caches are per instance and never leak across equal values
     assert a._cache is not b._cache
     quotient_data(a, 1)

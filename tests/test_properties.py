@@ -23,6 +23,7 @@ from _oracles import (
     minmax_brute,
     minmax_pair,
     minmax_single,
+    minmax_subset_sums,
     sweep_row,
 )
 
@@ -167,12 +168,26 @@ def test_folded_minmax_reads_match_references(gens):
         elif len(others) == 2:
             want = minmax_pair(*others, hi)
         else:
-            want = infinity._minmax_bfs(others, hi)
+            want = minmax_subset_sums(others, hi)
         # unreachable y read INF or more, and the references give INF
         assert (np.minimum(got, MINMAX_INF) == want).all(), i
         for y in range(61):
             m = minmax_brute(others, y)
             assert (got[y] >= MINMAX_INF) if m is None else got[y] == m, (i, y)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    gens=st.lists(st.integers(1, 59), min_size=1, max_size=4, unique=True),
+    horizon=st.integers(0, 400),
+    levels=st.one_of(st.just(math.inf), st.integers(0, 40)),
+)
+@example(gens=[9, 11, 13], horizon=260, levels=math.inf)
+@example(gens=[4, 6, 9, 20], horizon=400, levels=3)
+def test_minmax_level_step_matches_subset_sums(gens, horizon, levels):
+    # one shift per generator against one shift per subset sum
+    got = infinity._minmax_bfs(tuple(gens), horizon, levels)
+    assert (got == minmax_subset_sums(gens, horizon, levels)).all()
 
 
 GAPS5 = sg.construct_family(sg.parse_family("gaps:k=5")).generators
