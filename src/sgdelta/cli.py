@@ -25,11 +25,8 @@ from .budget import Budget
 from .errors import BudgetExceeded, SemigroupError
 from .factorization import P0, P1, PINF, delta_of_sorted_set, delta_set_of_semigroup, length_set
 from .families import construct_family, parse_family, predicted_delta
-from .infinity import delta_inf_semigroup
 from .presentation import betti_elements, minimal_presentation, trade_value
 from .semigroup import apery_set, contains, frobenius, make_semigroup
-from .verification import CLAIMS, run_all, run_claim
-from .search import search_delta
 from .zero import delta0_semigroup, delta0_stability_bound
 
 EXIT_OK = 0
@@ -109,13 +106,19 @@ def _cache_get(cdir: Path | None, key: str):
 
 def _cache_put(cdir: Path | None, key: str, value: dict) -> None:
     """Writes a per-process temp file and renames it over the entry, so no
-    reader ever sees a partly written entry."""
+    reader ever sees a partly written entry. A cache that cannot be written
+    costs the entry, not the result: one line goes to stderr."""
     if cdir is None:
         return
-    cdir.mkdir(parents=True, exist_ok=True)
     tmp = cdir / f"{key}.{os.getpid()}.tmp"
-    tmp.write_text(json.dumps(value, sort_keys=True))
-    os.replace(tmp, cdir / f"{key}.json")
+    try:
+        cdir.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(json.dumps(value, sort_keys=True))
+        os.replace(tmp, cdir / f"{key}.json")
+    except OSError as e:
+        print(f"sgdelta: result not cached: {e}", file=sys.stderr)
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +192,8 @@ def _cmd_compute(args) -> tuple[dict, int]:
             result["delta"] = list(d.values)
             result["stability_bound"] = delta0_stability_bound(s)
         elif p == PINF:
+            from .infinity import delta_inf_semigroup
+
             d, cert = delta_inf_semigroup(s, budget=budget)
             result["delta"] = list(d.values)
             payload["certificate"] = dataclasses.asdict(cert)
@@ -202,6 +207,8 @@ def _cmd_compute(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    from .verification import run_all, run_claim
+
     params = {
         "quick": args.quick,
         "extended": args.extended,
@@ -236,6 +243,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_search(args) -> tuple[dict, int]:
+    from .search import search_delta
+
     p = _parse_p(args.p)
     report = search_delta(
         _parse_gens(args.target),
@@ -435,6 +444,8 @@ def _run(args) -> tuple[str, int]:
         if args.budget_elements is not None and args.budget_elements < 0:
             raise ValueError(f"--budget-elements must be nonnegative, got {args.budget_elements}")
         if getattr(args, "list_claims", False):
+            from .verification import CLAIMS
+
             rows = {cid: {"summary": c.summary, "kind": c.kind} for cid, c in CLAIMS.items()}
             return json.dumps(rows, sort_keys=True), EXIT_OK
         envelope, code = args.func(args)

@@ -7,6 +7,8 @@ be finished by the remaining prefix of generators. It serves callers that
 need the tuples themselves and is the independent oracle for the length
 sets, which come from one exact engine per norm: the support cones (p = 0),
 a least-part-count table (p = 1) and the min-max tables (p = inf).
+numpy and the max-norm engine are imported only where a query needs them,
+so a 0-norm query loads neither.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterator
-
-import numpy as np
 
 from .arith import INF
 from .budget import MAX_ENGINE_HORIZON, MAX_FACTORIZATIONS, Budget
@@ -66,6 +66,8 @@ def _prefix_reach(gens: tuple[int, ...], x: int) -> list[bytes]:
     of distinct power-of-two multiples), then frozen to bytes for fast
     scalar indexing in the recursion.
     """
+    import numpy as np
+
     cur = np.zeros(x + 1, dtype=bool)
     cur[0] = True
     out = []
@@ -179,7 +181,7 @@ def delta_of_sorted_set(values) -> DeltaSet:
     return DeltaSet.from_iterable(b - a for a, b in zip(vals, vals[1:]))
 
 
-def _one_norm_lengths(s: NumericalSemigroup, x: int) -> np.ndarray:
+def _one_norm_lengths(s: NumericalSemigroup, x: int) -> list[int]:
     """1-lengths of a member x, the 1-norm analogue of the min-max tables.
 
     A length-l factorization puts l - (z_2 + ... + z_k) copies on a_1, so l is
@@ -187,6 +189,8 @@ def _one_norm_lengths(s: NumericalSemigroup, x: int) -> np.ndarray:
     a_i - a_1 (i >= 2) summing to y. Part b relaxes m[y] to m[y - b] + 1: a
     running minimum of m[y] - j down each residue class r mod b, y = j*b + r.
     """
+    import numpy as np
+
     if x > MAX_ENGINE_HORIZON:
         raise BudgetExceeded(f"1-norm length table to {x} exceeds the engine budget")
     gens = s.generators
@@ -202,22 +206,23 @@ def _one_norm_lengths(s: NumericalSemigroup, x: int) -> np.ndarray:
         j = np.arange(rows, dtype=np.int64)[:, None]
         m = (np.minimum.accumulate(grid.reshape(rows, b) - j, axis=0) + j).ravel()[: n + 1]
     ls = np.arange(lo, x // a1 + 1, dtype=np.int64)
-    return ls[m[x - ls * a1] <= ls]
+    return ls[m[x - ls * a1] <= ls].tolist()
 
 
 def length_set(s: NumericalSemigroup, x: int, p) -> LengthSet:
     """Sorted distinct p-lengths of x from the exact engine of that norm;
     no factorization is enumerated."""
-    from .infinity import infinity_length_set
-    from .zero import support_length_set
-
     if x < 0 or not contains(s, x):
         raise NotAMember(f"{x} is not in {s}")
     if p == P0:
+        from .zero import support_length_set
+
         return LengthSet(p, support_length_set(s, x))
     if p == P1:
-        return LengthSet(p, tuple(_one_norm_lengths(s, x).tolist()))
+        return LengthSet(p, tuple(_one_norm_lengths(s, x)))
     if p == PINF:
+        from .infinity import infinity_length_set
+
         return infinity_length_set(s, x)
     raise ValueError(f"p must be 0, 1 or inf, got {p!r}")
 
@@ -230,11 +235,12 @@ def delta_set_of_semigroup(s: NumericalSemigroup, p, budget: Budget | None = Non
     """Exact delta set of the whole semigroup from the engine of that norm:
     the support-stability union (p = 0) or the certified max-norm union
     (p = inf, certificate dropped). Raises BudgetExceeded past `budget`."""
-    from .infinity import delta_inf_semigroup
-    from .zero import delta0_semigroup
-
     if p == P0:
+        from .zero import delta0_semigroup
+
         return delta0_semigroup(s, budget=budget)
     if p == PINF:
+        from .infinity import delta_inf_semigroup
+
         return delta_inf_semigroup(s, budget=budget)[0]
     raise ValueError(f"semigroup delta sets are computed for p = 0 and p = inf, got {p!r}")

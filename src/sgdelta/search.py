@@ -83,6 +83,9 @@ def search_delta(
     exhausted."""
     if p not in (P0, PINF):
         raise ValueError("search supports p = 0 and p = inf")
+    if max_dim < 2 or max_gen < 3:
+        # the space would hold no candidate, and its search would pass vacuously
+        raise ValueError(f"no semigroup has embedding dimension 2..{max_dim} and generators 2..{max_gen}")
     target = DeltaSet.from_iterable(target)
     if 1 not in target:
         reason = (

@@ -307,6 +307,19 @@ def test_search_rejection(capsys):
     assert "contains 1" in doc["error"]["message"]
 
 
+def test_search_over_an_empty_space_is_an_error(capsys):
+    # no candidate exists, so a search there would decide nothing
+    for argv in (("--max-gen", "10", "--max-dim", "0"), ("--max-gen", "-4")):
+        code, doc = run_json(capsys, "search", "--target", "1,2", "--p", "0", *argv)
+        assert code == 1, argv
+        assert doc["error"]["code"] == "invalid-argument", argv
+    # the smallest space holds <2,3>
+    code, doc = run_json(capsys, "search", "--target", "1", "--p", "0", "--max-gen", "3", "--max-dim", "2")
+    assert code == 0
+    assert doc["result"]["tested"] == 1 and doc["result"]["hits"] == [[2, 3]]
+    assert doc["result"]["exhausted"] is True
+
+
 def test_cache_roundtrip(tmp_path, capsys):
     argv = [
         "compute",
@@ -339,6 +352,30 @@ def test_cache_unreadable_entry_is_a_miss(tmp_path, capsys):
     code, doc3 = run_json(capsys, *argv)
     assert code == 0 and doc3["timing"]["cached"] and doc3["result"] == doc1["result"]
     assert [f.name for f in tmp_path.iterdir()] == [entry.name]
+
+
+def test_cache_unwritable_keeps_the_result(tmp_path, capsys):
+    argv = ["compute", "--gens", "3,5", "frobenius", "--cache-dir"]
+    # the cache directory is a file, so no entry can be written
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main([*argv, str(blocker)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["result"]["frobenius"] == 7
+    assert len(captured.err.splitlines()) == 1 and "not cached" in captured.err
+    assert blocker.read_text() == ""
+    # the entry's path is a directory, so the rename fails; its temp file goes
+    cdir = tmp_path / "cache"
+    run_json(capsys, *argv, str(cdir))
+    (entry,) = cdir.iterdir()
+    entry.unlink()
+    entry.mkdir()
+    code = main([*argv, str(cdir)])
+    captured = capsys.readouterr()
+    assert code == 0 and json.loads(captured.out)["result"]["frobenius"] == 7
+    assert len(captured.err.splitlines()) == 1 and "not cached" in captured.err
+    assert list(cdir.iterdir()) == [entry]
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

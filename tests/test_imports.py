@@ -1,10 +1,20 @@
-"""Every name a library module imports is read somewhere in that module.
+"""What the package imports, and when.
 
-The test dependencies bring no linter, so this walks each module's syntax
-tree. The package `__init__` is left out: it imports names to re-export them.
+Every name a library module imports is read somewhere in that module. The
+test dependencies bring no linter, so this walks each module's syntax tree,
+imports inside functions included. The package `__init__` is left out: it
+resolves its names on first use from one table, which is checked here
+against the modules. Each CLI command runs in a fresh interpreter, which
+shows the modules it loads: numpy, the max-norm engine and the claim
+registry only where the command needs them.
 """
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,7 +43,110 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == ["combinations"]
 
 
+def test_the_check_sees_imports_inside_functions():
+    source = "def f():\n    import numpy as np\n    from .zero import span\n    return np.abs(1)\n"
+    assert unused_imports(source) == ["span"]
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_no_unused_imports(name):
     source = (Path(sgdelta.__file__).parent / name).read_text()
     assert unused_imports(source) == [], name
+
+
+# the public names of the package, pinned so that the lazy table can neither
+# drop nor add one unnoticed
+STAR_NAMES = {
+    "AperyTable", "Budget", "BudgetExceeded", "DEFAULT_INF_BUDGET", "DEFAULT_ZERO_BUDGET",
+    "DeltaSet", "FamilySpec", "GluingExpression", "InvalidGenerators", "LengthSet",
+    "MinimalPresentation", "NonCoprimeGenerators", "NotAMember", "NumericalSemigroup", "P0",
+    "P1", "PINF", "PeriodOverflow", "PeriodicityCertificate", "QuotientData", "SearchReport",
+    "SemigroupError", "StructureConstants", "SupportProfile", "ThresholdNotMet", "Trade",
+    "VerificationError", "apery_set", "betti_elements", "check_l0_interval",
+    "construct_family", "contains", "delta0_3gen", "delta0_semigroup", "delta0_stability_bound",
+    "delta0_union_brute", "delta_inf_semigroup", "delta_of_sorted_set", "delta_set_of_element",
+    "delta_set_of_semigroup", "dominant_length_set", "enumerate_factorizations", "family",
+    "family_chain", "frobenius", "gluing_expressions_3gen", "index_graph_components",
+    "infinity_length_set", "is_max_embedding_dimension", "iter_factorizations", "length_set",
+    "make_factorization", "make_semigroup", "make_trade", "minimal_presentation", "p_length",
+    "parse_family", "predicted_delta", "quotient_data", "residue_delta_subset", "search_delta",
+    "singleton_support_presentation_exists", "span", "structure_constants", "support",
+    "support_length_set", "support_profiles", "verify_aap", "verify_gluing",
+    "verify_interval_decomposition", "verify_linf_bounds", "verify_shift",
+}
+
+
+def test_star_import_exports_the_pinned_names():
+    namespace = {}
+    exec("from sgdelta import *", namespace)
+    assert set(namespace) - {"__builtins__"} == STAR_NAMES
+    assert len(STAR_NAMES) == 72
+
+
+@pytest.mark.parametrize("module", sorted(sgdelta._EXPORTS))
+def test_every_exported_name_is_defined_by_its_module(module):
+    qualified = f"sgdelta.{module}"
+    defined = vars(importlib.import_module(qualified))
+    assert [name for name in sgdelta._EXPORTS[module] if name not in defined] == []
+    for name in sgdelta._EXPORTS[module]:
+        # a class or function is filed under the module that defines it, not
+        # one that imports it
+        assert getattr(defined[name], "__module__", qualified) == qualified, name
+        assert getattr(sgdelta, name) is defined[name]
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(sgdelta, "no_such_name")
+    assert not hasattr(sgdelta, "no_such_name")
+    assert STAR_NAMES <= set(dir(sgdelta))
+
+
+LOADED_AFTER = """
+import contextlib, io, json, sys
+from sgdelta import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(json.loads(sys.argv[1]))
+    except SystemExit:
+        pass
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def loaded_after(*argv: str) -> set[str]:
+    """The modules a fresh interpreter holds after `sgdelta` runs argv."""
+    env = {**os.environ, "PYTHONPATH": str(Path(sgdelta.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    return set(json.loads(proc.stdout))
+
+
+HEAVY = {"numpy", "sgdelta.infinity", "sgdelta.verification", "concurrent.futures"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--version"],
+        ["compute", "--gens", "7,11,13,17", "delta", "--x", "3000", "--p", "0"],
+        ["compute", "--gens", "7,11,13,17", "delta-semigroup", "--p", "0"],
+        ["family", "gaps:k=5", "--p", "0"],
+        ["search", "--target", "1,2", "--p", "0", "--max-gen", "10", "--threads", "1"],
+    ],
+    ids=["version", "delta-p0", "delta-semigroup-p0", "family-p0", "search-p0"],
+)
+def test_p0_commands_load_no_heavy_module(argv):
+    assert sorted(loaded_after(*argv) & HEAVY) == []
+
+
+def test_max_norm_command_loads_numpy():
+    # the probe sees numpy where a command needs it
+    loaded = loaded_after("compute", "--gens", "7,11,13,17", "delta-semigroup", "--p", "inf")
+    assert {"numpy", "sgdelta.infinity"} <= loaded
