@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .budget import MAX_APERY_MODULUS
 from .errors import BudgetExceeded
@@ -21,6 +22,10 @@ INF = 1 << 62
 INT64_MAX = (1 << 63) - 1
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# The most span tables `cone_table` keeps: enough for a realization search
+# to build each support it meets about once (p = 0, generators <= 24).
+_CONE_MEMO = 4096
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -117,17 +122,8 @@ class ConeTable:
 
     @classmethod
     def build(cls, gens) -> "ConeTable":
-        gens = tuple(sorted(set(int(g) for g in gens)))
-        if not gens or gens[0] < 1:
-            raise ValueError("cone generators must be positive")
-        d = 0
-        for g in gens:
-            d = math.gcd(d, g)
-        reduced = tuple(g // d for g in gens)
-        m = reduced[0]
-        if m == 1:
-            return cls(gens, d, 1, (0,))
-        return cls(gens, d, m, tuple(apery_table(reduced, m)))
+        """The one shared span table of gens, in any order and with repeats."""
+        return cone_table(tuple(sorted(set(int(g) for g in gens))))
 
     def contains(self, y: int) -> bool:
         if y < 0 or y % self.gcd:
@@ -150,3 +146,17 @@ class ConeTable:
         if self.gcd != 1:
             raise ValueError("frobenius needs a gcd-1 span")
         return self.frobenius_reduced()
+
+
+@lru_cache(maxsize=_CONE_MEMO)
+def cone_table(gens: tuple[int, ...]) -> ConeTable:
+    """The span table of sorted, distinct gens, shared process-wide (tables are
+    frozen); past `_CONE_MEMO` sets the least recently used is rebuilt."""
+    if not gens or gens[0] < 1:
+        raise ValueError("cone generators must be positive")
+    d = math.gcd(*gens)
+    reduced = tuple(g // d for g in gens)
+    m = reduced[0]
+    if m == 1:
+        return ConeTable(gens, d, 1, (0,))
+    return ConeTable(gens, d, m, tuple(apery_table(reduced, m)))

@@ -576,13 +576,7 @@ def verify_interval_decomposition(s: NumericalSemigroup, x: int) -> bool:
     return True
 
 
-def residue_delta_subset(
-    s: NumericalSemigroup,
-    j: int,
-    bound: int,
-    delta_inf: DeltaSet | None = None,
-    budget: Budget | None = None,
-) -> bool:
+def residue_delta_subset(s: NumericalSemigroup, j: int, bound: int, delta_inf: DeltaSet) -> bool:
     """Classical delta of the residual span restricted to one residue class
     mod a_1, rescaled by a_1 (consecutive class members differ by multiples
     of a_1, each multiple witnessing a top-window max-norm gap), contained
@@ -594,7 +588,5 @@ def residue_delta_subset(
     members = [y for y in range(j, bound + 1, a1) if cone.contains(y)]
     if len(members) <= 1:
         return True
-    if delta_inf is None:
-        delta_inf = delta_inf_semigroup(s, budget=budget)[0]
     diffs = {(b - a) // a1 for a, b in zip(members, members[1:])}
     return diffs <= delta_inf.as_set()

@@ -86,6 +86,9 @@ def search_delta(
     if max_dim < 2 or max_gen < 3:
         # the space would hold no candidate, and its search would pass vacuously
         raise ValueError(f"no semigroup has embedding dimension 2..{max_dim} and generators 2..{max_gen}")
+    if max_seconds is not None and not 0 <= max_seconds < math.inf:
+        # NaN would never pass the deadline, and NaN or inf is no JSON echo
+        raise ValueError(f"the time budget must be finite and nonnegative, got {max_seconds}")
     target = DeltaSet.from_iterable(target)
     if 1 not in target:
         reason = (

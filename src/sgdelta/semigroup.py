@@ -2,8 +2,9 @@
 
 A numerical semigroup is held by its minimal generator tuple (gcd 1, no
 generator a nonnegative combination of the others). Construction normalizes
-arbitrary generating sets and reports what it removed. Apery tables and
-membership are cached per instance; instances are immutable and all
+arbitrary generating sets and reports what it removed. Span tables, which
+answer membership, are shared by equal generator sets (`arith.cone_table`);
+all else is cached per instance. Instances and tables are immutable and all
 operations are pure, so concurrent readers are safe (caches are plain dict
 writes, atomic under the interpreter lock).
 """
@@ -11,9 +12,9 @@ writes, atomic under the interpreter lock).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .arith import INT64_MAX, ConeTable, apery_table, ceil_div, modinv
+from .arith import INT64_MAX, ConeTable, apery_table, ceil_div, cone_table, modinv
 from .errors import InvalidGenerators, NonCoprimeGenerators, NotAMember, PeriodOverflow
 
 
@@ -71,9 +72,8 @@ class NumericalSemigroup:
         return sum(self.generators)
 
 
-def _canonicalize(raw) -> tuple[tuple[int, ...], tuple[int, ...], ConeTable | None]:
-    """(minimal generators, removed inputs, span table); validates positivity
-    and gcd. The table is None for two generators, which need none."""
+def _canonicalize(raw) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(minimal generators, removed inputs); validates positivity and gcd."""
     gens = [int(g) for g in raw]
     if not gens:
         raise InvalidGenerators("generator list is empty")
@@ -93,10 +93,9 @@ def _canonicalize(raw) -> tuple[tuple[int, ...], tuple[int, ...], ConeTable | No
     dup = {g for g in gens if gens.count(g) > 1}
     if len(uniq) == 2:
         # two distinct gcd-1 generators are always minimal; no table needed
-        return tuple(uniq), tuple(sorted(dup)), None
-    cone = ConeTable.build(uniq)
-    kept = cone.minimal()
-    return kept, tuple(sorted(set(uniq) - set(kept) | dup)), replace(cone, gens=kept)
+        return tuple(uniq), tuple(sorted(dup))
+    kept = cone_table(tuple(uniq)).minimal()
+    return kept, tuple(sorted(set(uniq) - set(kept) | dup))
 
 
 def make_semigroup(raw_generators) -> NumericalSemigroup:
@@ -104,14 +103,10 @@ def make_semigroup(raw_generators) -> NumericalSemigroup:
 
     Duplicates and non-minimal generators are silently removed and reported
     on the .removed field. gcd > 1 is a hard error. Semigroups whose
-    lcm-based period would not fit in 64 signed bits are rejected. The table
-    that decided minimality is kept as the instance's span(s).
+    lcm-based period would not fit in 64 signed bits are rejected.
     """
-    gens, removed, cone = _canonicalize(raw_generators)
-    s = NumericalSemigroup(gens, removed)
+    s = NumericalSemigroup(*_canonicalize(raw_generators))
     delta_period(s)  # raises PeriodOverflow past 64 bits
-    if cone is not None:
-        s._cache["least"] = cone
     return s
 
 
@@ -136,10 +131,10 @@ def cached(s: NumericalSemigroup, key, build):
 
 def span(s: NumericalSemigroup, idx: tuple[int, ...] | None = None) -> ConeTable:
     """Least-element table of the span of the generators at the 1-based
-    indices idx (all of them when None), built once per instance and subset."""
-    if idx is None or len(idx) == s.embedding_dim:
-        return cached(s, "least", lambda: ConeTable.build(s.generators))
-    return cached(s, ("span", idx), lambda: ConeTable.build(s.generators[i - 1] for i in idx))
+    indices idx (all of them when None), shared by equal generator sets."""
+    if idx is None:
+        return cone_table(s.generators)  # already sorted and distinct
+    return ConeTable.build(s.generators[i - 1] for i in idx)
 
 
 def apery_set(s: NumericalSemigroup, m: int) -> AperyTable:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sgdelta.arith import INF, ConeTable, apery_table, ceil_div, is_prime, modinv, next_prime
+from sgdelta import arith
+from sgdelta.arith import INF, ConeTable, apery_table, ceil_div, cone_table, is_prime, modinv, next_prime
 from sgdelta.errors import BudgetExceeded
 
 from _oracles import cone_contains_array, member_brute
@@ -75,3 +76,21 @@ def test_cone_frobenius():
     assert ConeTable.build((6, 9)).frobenius_reduced() == 1
     with pytest.raises(ValueError):
         ConeTable.build((6, 9)).frobenius()
+
+
+def test_cone_table_is_one_value_per_generator_set():
+    table = ConeTable.build((20, 6, 9, 6))
+    assert ConeTable.build([6, 9, 20]) is table
+    assert ConeTable.build(g for g in (9, 20, 20, 6)) is table
+    assert cone_table((6, 9, 20)) is table
+    assert table.gens == (6, 9, 20)
+
+
+def test_cone_table_eviction_rebuilds_an_equal_table():
+    cone_table.cache_clear()
+    first = ConeTable.build((6, 9, 20))
+    for b in range(3, 2 * arith._CONE_MEMO + 3, 2):  # as many other sets as the memo holds
+        ConeTable.build((2, b))
+    assert cone_table.cache_info().currsize == arith._CONE_MEMO
+    again = ConeTable.build((6, 9, 20))
+    assert again is not first and again == first

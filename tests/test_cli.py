@@ -320,6 +320,18 @@ def test_search_over_an_empty_space_is_an_error(capsys):
     assert doc["result"]["exhausted"] is True
 
 
+@pytest.mark.parametrize("seconds", ["nan", "inf", "-1"])
+def test_search_time_budget_must_be_finite_and_nonnegative(capsys, seconds):
+    # NaN never passed the deadline and was echoed as a bare NaN; -1 tested
+    # nothing and exited 0
+    code, out = run_cli(
+        capsys, "search", "--target", "1,2", "--p", "0", "--max-gen", "8", "--budget-seconds", seconds
+    )
+    doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} is not JSON"))
+    assert code == 1
+    assert doc["error"]["code"] == "invalid-argument"
+
+
 def test_cache_roundtrip(tmp_path, capsys):
     argv = [
         "compute",

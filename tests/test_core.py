@@ -17,7 +17,9 @@ from sgdelta import (
     quotient_data,
     residue_delta_subset,
     semigroup,
+    span,
     structure_constants,
+    verify_gluing,
 )
 
 from _oracles import member_brute
@@ -73,7 +75,8 @@ def test_semigroup_value_semantics():
     assert len({a, b}) == 1
     # equality is between instances, never with a bare generator tuple
     assert a != a.generators and a.generators != a
-    # caches are per instance and never leak across equal values
+    # instance caches never leak across equal values; span tables are values
+    # of their generator set and shared by design
     assert a._cache is not b._cache
     quotient_data(a, 1)
     assert ("quotient", 1) in a._cache and ("quotient", 1) not in b._cache
@@ -173,11 +176,10 @@ def test_quotient_data_reconstructs_and_is_coprime():
                 assert q.inverse == 0
 
 
-def test_one_table_per_generator_subset(monkeypatch):
-    # canonicalization, membership, the quotient data, the 0-norm cones, the
-    # residue check, the Betti scan and the Apery set of a_1 share one table
-    # per subset: the full span and the three pairs (singleton spans need no
-    # table)
+@pytest.fixture
+def heap_builds(monkeypatch):
+    """The generators of every residue table built from here on. Span tables
+    are shared across tests, so the ones built before are dropped first."""
     calls = []
     orig = arith.apery_table
 
@@ -187,6 +189,15 @@ def test_one_table_per_generator_subset(monkeypatch):
 
     monkeypatch.setattr(arith, "apery_table", counting)
     monkeypatch.setattr(semigroup, "apery_table", counting)
+    arith.cone_table.cache_clear()
+    return calls
+
+
+def test_one_table_per_generator_subset(heap_builds):
+    # canonicalization, membership, the quotient data, the 0-norm cones, the
+    # residue check, the Betti scan and the Apery set of a_1 share one table
+    # per subset: the full span and the three pairs (singleton spans need no
+    # table)
     s = make_semigroup([6, 9, 20])
     contains(s, 43)
     frobenius(s)
@@ -196,4 +207,15 @@ def test_one_table_per_generator_subset(monkeypatch):
     betti_elements(s)
     minimal_presentation(s)
     apery_set(s, 6)
-    assert len(calls) == 4
+    assert len(heap_builds) == 4
+
+
+def test_equal_generator_sets_share_one_table(heap_builds):
+    # two equal-valued instances and the gluing predicate on the same set
+    # read one table, built once
+    a = make_semigroup([3, 10, 11])
+    b = make_semigroup([11, 3, 10, 3])
+    assert verify_gluing(2, (11, 10, 3), 13)
+    assert contains(a, 13) and contains(b, 13)
+    assert span(a) is span(b) is span(b, (1, 2, 3))
+    assert heap_builds == [(3, 10, 11)]
