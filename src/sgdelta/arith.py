@@ -3,19 +3,24 @@
 Everything here works on bare generator tuples (no semigroup invariants
 assumed) so it can serve quotient constructions like <a_j / d : j in I>,
 including the degenerate span <1> = all nonnegative integers.
+
+Residue tables are built by the round robin of Böcker & Lipták ("A fast and
+simple algorithm for the money changing problem", Algorithmica 48, 2007):
+adding one generator to a table mod m takes O(m) steps, so a span table is
+one step from the memoized table of its generators but the last, and
+O(k * m) from scratch.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .budget import MAX_APERY_MODULUS
 from .errors import BudgetExceeded
 
-# Sentinel for "no element in this residue class" in shortest-path tables.
+# Sentinel for "no element in this residue class" in residue tables.
 # Small enough that sentinel + generator never overflows int64.
 INF = 1 << 62
 
@@ -75,36 +80,58 @@ def next_prime(n: int) -> int:
     return c
 
 
-def apery_table(gens: tuple[int, ...], m: int) -> list[int]:
-    """Least element of the nonnegative span of gens in each class mod m.
-
-    Returned list w has w[r] = min{n in span : n = r mod m}, INF when the
-    class is unreachable (happens iff gcd(gens) does not generate r mod m).
-    Shortest-path relaxation over the residue graph with arc weights gens.
-    """
+def _empty_table(m: int) -> list[int]:
+    """The residue table mod m of the empty span: 0, then INF in every other
+    class. Raises BudgetExceeded past `MAX_APERY_MODULUS`, before allocating."""
     if m <= 0:
         raise ValueError("modulus must be positive")
     if m > MAX_APERY_MODULUS:
         raise BudgetExceeded(f"residue table of size {m} exceeds the table budget")
-    dist = [INF] * m
-    dist[0] = 0
-    heap = [(0, 0)]
-    # generators that are multiples of m never change the residue and never
-    # improve a distance, so they can be dropped
-    arcs = [(a, a % m) for a in gens if a % m]
-    while heap:
-        d, r = heapq.heappop(heap)
-        if d != dist[r]:
+    least = [INF] * m
+    least[0] = 0
+    return least
+
+
+def _round_robin(least: list[int], m: int, a: int) -> None:
+    """Add generator a to the residue table least mod m, in place.
+
+    The arcs r -> r + a split the classes into gcd(a, m) cycles. Nothing on a
+    cycle improves its least entry, so one walk around the cycle from there,
+    relaxing each class from the one before, finishes it. The cycle through
+    0 starts at 0; a cycle whose classes are all INF stays unreachable.
+    """
+    step = a % m
+    if not step:
+        return  # a multiple of m never improves a class
+    cycles = math.gcd(step, m)
+    turns = m // cycles - 1
+    for c in range(cycles):
+        r = min(range(c, m, cycles), key=least.__getitem__) if c else 0
+        n = least[r]
+        if n == INF:
             continue
-        for a, s in arcs:
-            r2 = r + s
-            if r2 >= m:
-                r2 -= m
-            d2 = d + a
-            if d2 < dist[r2]:
-                dist[r2] = d2
-                heapq.heappush(heap, (d2, r2))
-    return dist
+        for _ in range(turns):
+            r += step
+            if r >= m:
+                r -= m
+            n += a
+            old = least[r]
+            if n < old:
+                least[r] = n
+            else:
+                n = old
+
+
+def residue_table(gens, m: int) -> list[int]:
+    """Least element of the nonnegative span of gens in each class mod m.
+
+    Returned list w has w[r] = min{n in span : n = r mod m}, INF when the
+    class is unreachable (happens iff gcd(gens) does not generate r mod m).
+    """
+    least = _empty_table(m)
+    for a in gens:
+        _round_robin(least, m, a)
+    return least
 
 
 @dataclass(frozen=True)
@@ -148,15 +175,39 @@ class ConeTable:
         return self.frobenius_reduced()
 
 
-@lru_cache(maxsize=_CONE_MEMO)
+# The memo of `cone_table`, least recently used first.
+_TABLES: OrderedDict[tuple[int, ...], ConeTable] = OrderedDict()
+
+
 def cone_table(gens: tuple[int, ...]) -> ConeTable:
     """The span table of sorted, distinct gens, shared process-wide (tables are
     frozen); past `_CONE_MEMO` sets the least recently used is rebuilt."""
+    table = _TABLES.get(gens)
+    if table is not None:
+        _TABLES.move_to_end(gens)
+        return table
+    table = _TABLES[gens] = _build_cone(gens)
+    if len(_TABLES) > _CONE_MEMO:
+        _TABLES.popitem(last=False)
+    return table
+
+
+def _build_cone(gens: tuple[int, ...]) -> ConeTable:
+    """The span table of gens: one round-robin step from the table of
+    gens[:-1] when the memo holds it, else every generator from scratch. The
+    prefix is never built for this, so the memo holds only asked-for sets."""
     if not gens or gens[0] < 1:
         raise ValueError("cone generators must be positive")
     d = math.gcd(*gens)
-    reduced = tuple(g // d for g in gens)
-    m = reduced[0]
-    if m == 1:
-        return ConeTable(gens, d, 1, (0,))
-    return ConeTable(gens, d, m, tuple(apery_table(reduced, m)))
+    m = gens[0] // d
+    prefix = _TABLES.get(gens[:-1])
+    if prefix is None:
+        least = residue_table([g // d for g in gens[1:]], m)
+    else:
+        # in units of d the prefix spans e times its reduced span, so its
+        # class r mod m / e lifts to class e * r mod m, with e times the value
+        e = prefix.gcd // d
+        least = _empty_table(m)
+        least[::e] = [e * v for v in prefix.least] if e > 1 else prefix.least
+        _round_robin(least, m, gens[-1] // d)
+    return ConeTable(gens, d, m, tuple(least))

@@ -5,8 +5,9 @@ generator a nonnegative combination of the others). Construction normalizes
 arbitrary generating sets and reports what it removed. Span tables, which
 answer membership, are shared by equal generator sets (`arith.cone_table`);
 all else is cached per instance. Instances and tables are immutable and all
-operations are pure, so concurrent readers are safe (caches are plain dict
-writes, atomic under the interpreter lock).
+operations are pure. Instance caches are plain dict writes, atomic under the
+interpreter lock; the span-table memo serves one thread, and parallel work
+runs in processes, each with its own memo.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arith import INT64_MAX, ConeTable, apery_table, ceil_div, cone_table, modinv
+from .arith import INT64_MAX, ConeTable, ceil_div, cone_table, modinv, residue_table
 from .errors import InvalidGenerators, NonCoprimeGenerators, NotAMember, PeriodOverflow
 
 
@@ -145,7 +146,7 @@ def apery_set(s: NumericalSemigroup, m: int) -> AperyTable:
     return cached(
         s,
         ("apery", m),
-        lambda: AperyTable(m, span(s).least if m == s.multiplicity else tuple(apery_table(s.generators, m))),
+        lambda: AperyTable(m, span(s).least if m == s.multiplicity else tuple(residue_table(s.generators, m))),
     )
 
 
@@ -153,7 +154,7 @@ def contains(s: NumericalSemigroup, x: int) -> bool:
     """x has at least one factorization. x must be nonnegative."""
     if x < 0:
         raise ValueError("membership is defined on nonnegative integers")
-    w = span(s).least  # gcd 1, so the table is indexed by x mod a_1
+    w = cone_table(s.generators).least  # gcd 1, so the table is indexed by x mod a_1
     return x >= w[x % s.multiplicity]
 
 

@@ -13,15 +13,18 @@ former passes, which read library tables in a different way:
 `doubling_empirical_start` (the empirical start over doubling horizons) and
 `cone_union_deltas` (one span-table membership pass per 0-norm support).
 `component_least_factorizations` reads the library's enumeration, the
-oracle for the presentation representatives picked from span tables."""
+oracle for the presentation representatives picked from span tables.
+`apery_table` is the library's former residue-table builder, a heap
+Dijkstra over the residue graph, the oracle for the round-robin tables."""
 
+import heapq
 import math
 from itertools import combinations, product
 
 import numpy as np
 
 from sgdelta import BudgetExceeded, enumerate_factorizations, frobenius, index_graph_components, infinity, support
-from sgdelta.arith import ConeTable
+from sgdelta.arith import INF, ConeTable
 
 
 def box_factorizations(gens, x):
@@ -72,6 +75,24 @@ def minimal_generators_brute(gens):
 
 # unreachable entries of a min-max table; the library's tables read INF or more
 MINMAX_INF = 1 << 62
+
+
+def apery_table(gens, m):
+    """Least element of the span of gens in each class mod m, INF where none:
+    shortest paths from class 0 over the arcs r -> r + a mod m of weight a."""
+    dist = [INF] * m
+    dist[0] = 0
+    heap = [(0, 0)]
+    while heap:
+        d, r = heapq.heappop(heap)
+        if d != dist[r]:
+            continue
+        for a in gens:
+            r2 = (r + a) % m
+            if d + a < dist[r2]:
+                dist[r2] = d + a
+                heapq.heappush(heap, (d + a, r2))
+    return dist
 
 
 def minmax_brute(gens, y):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from sgdelta import arith
-from sgdelta.arith import INF, ConeTable, apery_table, ceil_div, cone_table, is_prime, modinv, next_prime
+from sgdelta.arith import INF, ConeTable, ceil_div, cone_table, is_prime, modinv, next_prime, residue_table
 from sgdelta.errors import BudgetExceeded
+from sgdelta.semigroup import apery_set, make_semigroup
 
 from _oracles import cone_contains_array, member_brute
 
@@ -41,21 +42,24 @@ def test_next_prime():
 
 
 def test_apery_table_plain():
-    w = apery_table((3, 10, 11), 3)
+    w = residue_table((3, 10, 11), 3)
     assert w == [0, 10, 11]
-    w2 = apery_table((2, 3), 2)
+    w2 = residue_table((2, 3), 2)
     assert w2 == [0, 3]
 
 
 def test_apery_table_gcd_leaves_unreachable_classes():
-    w = apery_table((4, 6), 4)
+    w = residue_table((4, 6), 4)
     assert w[0] == 0 and w[2] == 6
     assert w[1] == INF and w[3] == INF
 
 
 def test_apery_table_budget_guard():
+    # both entry points refuse the modulus before allocating a table
     with pytest.raises(BudgetExceeded):
-        apery_table((10**9 + 7, 10**9 + 9), 10**9 + 7)
+        ConeTable.build((10**9 + 7, 10**9 + 9))
+    with pytest.raises(BudgetExceeded):
+        apery_set(make_semigroup([3, 5]), 10**9 + 7)
 
 
 def test_cone_table_matches_brute():
@@ -87,10 +91,10 @@ def test_cone_table_is_one_value_per_generator_set():
 
 
 def test_cone_table_eviction_rebuilds_an_equal_table():
-    cone_table.cache_clear()
+    arith._TABLES.clear()
     first = ConeTable.build((6, 9, 20))
     for b in range(3, 2 * arith._CONE_MEMO + 3, 2):  # as many other sets as the memo holds
         ConeTable.build((2, b))
-    assert cone_table.cache_info().currsize == arith._CONE_MEMO
+    assert len(arith._TABLES) == arith._CONE_MEMO
     again = ConeTable.build((6, 9, 20))
     assert again is not first and again == first

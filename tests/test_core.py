@@ -16,7 +16,6 @@ from sgdelta import (
     minimal_presentation,
     quotient_data,
     residue_delta_subset,
-    semigroup,
     span,
     structure_constants,
     verify_gluing,
@@ -177,23 +176,25 @@ def test_quotient_data_reconstructs_and_is_coprime():
 
 
 @pytest.fixture
-def heap_builds(monkeypatch):
-    """The generators of every residue table built from here on. Span tables
-    are shared across tests, so the ones built before are dropped first."""
+def table_builds(monkeypatch):
+    """The generators of every residue table the span memo misses from here
+    on; a singleton's span, of modulus 1, needs no table. Span tables are
+    shared across tests, so the ones built before are dropped first."""
     calls = []
-    orig = arith.apery_table
+    orig = arith._build_cone
 
-    def counting(gens, m):
-        calls.append(tuple(gens))
-        return orig(gens, m)
+    def counting(gens):
+        table = orig(gens)
+        if table.modulus > 1:
+            calls.append(tuple(gens))
+        return table
 
-    monkeypatch.setattr(arith, "apery_table", counting)
-    monkeypatch.setattr(semigroup, "apery_table", counting)
-    arith.cone_table.cache_clear()
+    monkeypatch.setattr(arith, "_build_cone", counting)
+    arith._TABLES.clear()
     return calls
 
 
-def test_one_table_per_generator_subset(heap_builds):
+def test_one_table_per_generator_subset(table_builds):
     # canonicalization, membership, the quotient data, the 0-norm cones, the
     # residue check, the Betti scan and the Apery set of a_1 share one table
     # per subset: the full span and the three pairs (singleton spans need no
@@ -207,10 +208,10 @@ def test_one_table_per_generator_subset(heap_builds):
     betti_elements(s)
     minimal_presentation(s)
     apery_set(s, 6)
-    assert len(heap_builds) == 4
+    assert len(table_builds) == 4
 
 
-def test_equal_generator_sets_share_one_table(heap_builds):
+def test_equal_generator_sets_share_one_table(table_builds):
     # two equal-valued instances and the gluing predicate on the same set
     # read one table, built once
     a = make_semigroup([3, 10, 11])
@@ -218,4 +219,4 @@ def test_equal_generator_sets_share_one_table(heap_builds):
     assert verify_gluing(2, (11, 10, 3), 13)
     assert contains(a, 13) and contains(b, 13)
     assert span(a) is span(b) is span(b, (1, 2, 3))
-    assert heap_builds == [(3, 10, 11)]
+    assert table_builds == [(3, 10, 11)]

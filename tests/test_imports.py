@@ -138,9 +138,11 @@ HEAVY = {"numpy", "sgdelta.infinity", "sgdelta.verification", "concurrent.future
         ["compute", "--gens", "7,11,13,17", "delta", "--x", "3000", "--p", "0"],
         ["compute", "--gens", "7,11,13,17", "delta-semigroup", "--p", "0"],
         ["family", "gaps:k=5", "--p", "0"],
+        ["family", "gaps:k=9", "--p", "0"],
         ["search", "--target", "1,2", "--p", "0", "--max-gen", "10", "--threads", "1"],
+        ["compute", "--gens", "6,9,20", "apery", "--m", "7"],
     ],
-    ids=["version", "delta-p0", "delta-semigroup-p0", "family-p0", "search-p0"],
+    ids=["version", "delta-p0", "delta-semigroup-p0", "family-p0", "family-gaps9-p0", "search-p0", "apery"],
 )
 def test_p0_commands_load_no_heavy_module(argv):
     assert sorted(loaded_after(*argv) & HEAVY) == []

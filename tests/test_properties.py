@@ -1,6 +1,6 @@
 """Property tests: the per-norm engines and the presentation representatives
-against enumeration, and the semigroup-level delta route against the engine
-of each norm."""
+against enumeration, the semigroup-level delta route against the engine of
+each norm, and the round-robin residue tables against a heap Dijkstra."""
 
 import math
 from itertools import combinations
@@ -12,10 +12,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 import sgdelta as sg
-from sgdelta import infinity, presentation, zero
+from sgdelta import arith, infinity, presentation, zero
 
 from _oracles import (
     MINMAX_INF,
+    apery_table,
     component_least_factorizations,
     cone_union_deltas,
     full_mask_deltas,
@@ -118,6 +119,44 @@ def test_span_tables_match_reachability(gens, sums, dups):
         assert sg.quotient_data(s, i).margin == -(-g * (f + 1) // a[i - 1]), i
         total = sum(others)
         assert sg.quotient_data(s, i).y0 == -(-total * (g * (f + 1) + total) // min(others)), i
+
+
+def _assert_matches_heap(table):
+    """A span table equals the heap oracle's table of its gcd-reduced generators."""
+    d = math.gcd(*table.gens)
+    assert (table.gcd, table.modulus) == (d, table.gens[0] // d), table.gens
+    assert table.least == tuple(apery_table([g // d for g in table.gens], table.modulus)), table.gens
+
+
+# multiples of a small factor, at most 400, so prefixes of the sorted set
+# often share a gcd above 1 that drops as generators join
+scaled = st.builds(lambda f, n: f * max(1, n // f), st.sampled_from([1, 2, 3, 4, 6, 12]), st.integers(1, 400))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    gens=st.lists(scaled, min_size=1, max_size=6, unique=True),
+    m=st.integers(1, 60),
+    pick=st.tuples(st.integers(0, 5), st.integers(1, 3)),
+)
+@example(gens=[8, 22, 33, 82, 200], m=4, pick=(0, 1))  # the gcd falls 8 -> 2 -> 1 along the prefixes
+@example(gens=[6, 10, 15], m=1, pick=(2, 2))  # every pair has gcd > 1
+@example(gens=[7], m=7, pick=(0, 1))  # a singleton spans the multiples of 7: modulus 1
+def test_residue_tables_match_the_heap_oracle(gens, m, pick):
+    gens = tuple(sorted(gens))
+    # every prefix, each one round-robin step from the one before it
+    arith._TABLES.clear()
+    for n in range(1, len(gens) + 1):
+        _assert_matches_heap(arith.cone_table(gens[:n]))
+    # the same set from a cleared memo, every generator from scratch
+    arith._TABLES.clear()
+    _assert_matches_heap(arith.cone_table(gens))
+    # a residue table mod any m, generators that are multiples of m included
+    assert arith.residue_table(gens, m) == apery_table(gens, m)
+    if math.gcd(*gens) == 1 and 1 not in gens:
+        s = sg.make_semigroup(gens)
+        member = s.generators[pick[0] % s.embedding_dim] * pick[1]  # a_1 and other members
+        assert sg.apery_set(s, member).entries == tuple(apery_table(s.generators, member))
 
 
 @settings(derandomize=True, deadline=None, max_examples=15)
