@@ -6,9 +6,10 @@ including the degenerate span <1> = all nonnegative integers.
 
 Residue tables are built by the round robin of Böcker & Lipták ("A fast and
 simple algorithm for the money changing problem", Algorithmica 48, 2007):
-adding one generator to a table mod m takes O(m) steps, so a span table is
-one step from the memoized table of its generators but the last, and
-O(k * m) from scratch.
+adding one generator to a table mod m takes O(m) steps. A span table grows
+from its least generator alone, one generator at a time in ascending order,
+skipping each one the table already holds, so it keeps exactly the minimal
+generators of the span; a step the memo already holds costs a lookup.
 """
 
 from __future__ import annotations
@@ -136,7 +137,8 @@ def residue_table(gens, m: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ConeTable:
-    """Membership oracle for the nonnegative integer span of a generator set.
+    """Membership oracle for the nonnegative integer span of a generator set,
+    held by the span's minimal generators gens.
 
     gcd is factored out first: y belongs iff gcd | y and the reduced value
     clears the least-member table of its residue class.
@@ -158,11 +160,6 @@ class ConeTable:
         q = y // self.gcd
         return q >= self.least[q % self.modulus]
 
-    def minimal(self) -> tuple[int, ...]:
-        """Minimal generators of the span, in the units of gens: a generator
-        is redundant iff subtracting a smaller one lands back in the span."""
-        return tuple(g for n, g in enumerate(self.gens) if not any(self.contains(g - a) for a in self.gens[:n]))
-
     def frobenius_reduced(self) -> int:
         """Largest integer outside the gcd-scaled-down span; -1 when that
         span is all of the nonnegative integers."""
@@ -181,33 +178,43 @@ _TABLES: OrderedDict[tuple[int, ...], ConeTable] = OrderedDict()
 
 def cone_table(gens: tuple[int, ...]) -> ConeTable:
     """The span table of sorted, distinct gens, shared process-wide (tables are
-    frozen); past `_CONE_MEMO` sets the least recently used is rebuilt."""
+    frozen) and filed under gens and under its minimal generators; past
+    `_CONE_MEMO` sets the least recently used is rebuilt."""
     table = _TABLES.get(gens)
     if table is not None:
         _TABLES.move_to_end(gens)
         return table
     table = _TABLES[gens] = _build_cone(gens)
-    if len(_TABLES) > _CONE_MEMO:
+    _TABLES.setdefault(table.gens, table)
+    while len(_TABLES) > _CONE_MEMO:
         _TABLES.popitem(last=False)
     return table
 
 
 def _build_cone(gens: tuple[int, ...]) -> ConeTable:
-    """The span table of gens: one round-robin step from the table of
-    gens[:-1] when the memo holds it, else every generator from scratch. The
-    prefix is never built for this, so the memo holds only asked-for sets."""
+    """The span table of sorted, distinct gens, grown from gens[0] alone: a
+    generator the table already holds is redundant and skipped, and any other
+    takes the memoized table of the kept generators plus it, else one
+    `_extend` step. So the table's gens are the span's minimal generators.
+    Steps outside the memo are not memoized, so it holds only asked-for sets
+    and their minimal generators."""
     if not gens or gens[0] < 1:
         raise ValueError("cone generators must be positive")
-    d = math.gcd(*gens)
-    m = gens[0] // d
-    prefix = _TABLES.get(gens[:-1])
-    if prefix is None:
-        least = residue_table([g // d for g in gens[1:]], m)
-    else:
-        # in units of d the prefix spans e times its reduced span, so its
-        # class r mod m / e lifts to class e * r mod m, with e times the value
-        e = prefix.gcd // d
-        least = _empty_table(m)
-        least[::e] = [e * v for v in prefix.least] if e > 1 else prefix.least
-        _round_robin(least, m, gens[-1] // d)
-    return ConeTable(gens, d, m, tuple(least))
+    table = ConeTable(gens[:1], gens[0], 1, (0,))
+    for a in gens[1:]:
+        if not table.contains(a):
+            table = _TABLES.get(table.gens + (a,)) or _extend(table, a)
+    return table
+
+
+def _extend(table: ConeTable, a: int) -> ConeTable:
+    """The span table of table.gens plus a, one round-robin step from table."""
+    d = math.gcd(table.gcd, a)
+    m = table.gens[0] // d
+    # in units of d the old span is e times its reduced span, so its class
+    # r mod m / e lifts to class e * r mod m, with e times the value
+    e = table.gcd // d
+    least = _empty_table(m)
+    least[::e] = [e * v for v in table.least] if e > 1 else table.least
+    _round_robin(least, m, a // d)
+    return ConeTable(table.gens + (a,), d, m, tuple(least))

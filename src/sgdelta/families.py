@@ -95,7 +95,7 @@ def verify_gluing(scale: int, gens: tuple[int, ...], new: int) -> bool:
     if scale < 2 or math.gcd(scale, new) != 1:
         return False
     cone = ConeTable.build(gens)
-    return cone.gcd == 1 and new not in cone.minimal() and cone.contains(new)
+    return cone.gcd == 1 and new not in cone.gens and cone.contains(new)
 
 
 def _checked(gens, what: str) -> NumericalSemigroup:

@@ -1,11 +1,12 @@
 """Exhaustive realization search: which semigroups in a bounded space have a
 prescribed 0- or max-norm delta set.
 
-Candidates are enumerated by ascending embedding dimension, then
-lexicographically; non-canonical generator lists are skipped so no semigroup
-is tested twice, and each candidate is probed on the instance that tested
-its canonicity. A search never claims nonexistence beyond its bounds, and
-every hit is recomputed on a fresh instance before being reported.
+Candidates are generator tuples, enumerated by ascending embedding
+dimension, then lexicographically; a tuple that is not the minimal generator
+set of its span, or whose gcd exceeds 1, is skipped so no semigroup is
+tested twice. Each probe builds its own instance, in whichever process runs
+it. A search never claims nonexistence beyond its bounds, and every hit is
+recomputed on a fresh instance before being reported.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, islice
 
+from .arith import cone_table
 from .budget import Budget
 from .errors import BudgetExceeded, SemigroupError
 from .factorization import P0, PINF, DeltaSet, delta_set_of_semigroup
@@ -35,35 +37,21 @@ class SearchReport:
 
 
 def candidates(max_dim: int, max_gen: int, min_dim: int = 2):
-    """Canonical semigroups by ascending embedding dimension, then
-    lexicographically by generators; each is the instance built to test
-    canonicity."""
+    """Minimal gcd-1 generator tuples by ascending embedding dimension, then
+    lexicographically."""
     for k in range(min_dim, max_dim + 1):
         for gens in combinations(range(2, max_gen + 1), k):
-            g = 0
-            for a in gens:
-                g = math.gcd(g, a)
-            if g != 1:
-                continue
-            try:
-                s = make_semigroup(gens)
-            except SemigroupError:
-                continue
-            if s.generators == gens:
-                yield s
+            if math.gcd(*gens) == 1 and cone_table(gens).gens == gens:
+                yield gens
 
 
 def _probe(args):
-    s, p, target, budget = args
+    gens, p, target, budget = args
     try:
-        d = delta_set_of_semigroup(s, p, budget)
+        d = delta_set_of_semigroup(make_semigroup(gens), p, budget)
     except BudgetExceeded as e:
-        return s.generators, "budget", str(e)
-    finally:
-        # a batch holds its instances until it ends; drop each one's tables
-        # and sweeps once it is probed
-        s._cache.clear()
-    return s.generators, "hit" if d.values == target else "miss", ""
+        return gens, "budget", str(e)
+    return gens, "hit" if d.values == target else "miss", ""
 
 
 def search_delta(
@@ -98,8 +86,6 @@ def search_delta(
         )
         raise ValueError(f"unrealizable target {list(target.values)}: {reason}")
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
-    # batches are drawn as they start, so one batch of instances is alive at
-    # a time
     cands = candidates(max_dim, max_gen)
     hits: list[tuple[int, ...]] = []
     skipped: list[tuple[tuple[int, ...], str]] = []
@@ -110,7 +96,7 @@ def search_delta(
         if deadline is not None and time.monotonic() > deadline:
             exhausted = False
             break
-        results = pmap(_probe, [(s, p, target.values, budget) for s in batch], workers)
+        results = pmap(_probe, [(gens, p, target.values, budget) for gens in batch], workers)
         for gens, status, detail in results:
             tested += 1
             if status == "budget":

@@ -2,12 +2,14 @@
 
 A numerical semigroup is held by its minimal generator tuple (gcd 1, no
 generator a nonnegative combination of the others). Construction normalizes
-arbitrary generating sets and reports what it removed. Span tables, which
-answer membership, are shared by equal generator sets (`arith.cone_table`);
-all else is cached per instance. Instances and tables are immutable and all
-operations are pure. Instance caches are plain dict writes, atomic under the
-interpreter lock; the span-table memo serves one thread, and parallel work
-runs in processes, each with its own memo.
+arbitrary generating sets and reports what it removed: the span table of the
+input set keeps only its minimal generators and is filed under them too, so
+the instance reads that same table. Span tables, which answer membership,
+are shared by equal generator sets (`arith.cone_table`); all else is cached
+per instance. Instances and tables are immutable and all operations are
+pure. Instance caches are plain dict writes, atomic under the interpreter
+lock; the span-table memo serves one thread, and parallel work runs in
+processes, each with its own memo.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def _canonicalize(raw) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if len(uniq) == 2:
         # two distinct gcd-1 generators are always minimal; no table needed
         return tuple(uniq), tuple(sorted(dup))
-    kept = cone_table(tuple(uniq)).minimal()
+    kept = cone_table(tuple(uniq)).gens
     return kept, tuple(sorted(set(uniq) - set(kept) | dup))
 
 
@@ -183,7 +185,7 @@ def _quotient_data(s: NumericalSemigroup, i: int) -> QuotientData:
     a_i = s.generators[i - 1]
     cone = span(s, tuple(j for j in range(1, s.embedding_dim + 1) if j != i))
     g = cone.gcd
-    qgens = tuple(a // g for a in cone.minimal())
+    qgens = tuple(a // g for a in cone.gens)
     inv = modinv(a_i % g, g)
     fill = g * (cone.frobenius_reduced() + 1)  # every multiple of g from here on is in the span
     total = s.gen_sum - a_i

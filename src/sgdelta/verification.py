@@ -299,7 +299,7 @@ def _three_gen_case(budget, gens):
 
 def three_generated_semigroups(max_gen: int):
     """All canonical 3-generated semigroups with largest generator <= max_gen."""
-    return [s.generators for s in candidates(3, max_gen, min_dim=3)]
+    return list(candidates(3, max_gen, min_dim=3))
 
 
 def _run_three_gen_gluing(params) -> list[tuple]:

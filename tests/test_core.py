@@ -20,6 +20,7 @@ from sgdelta import (
     structure_constants,
     verify_gluing,
 )
+from sgdelta.arith import ConeTable
 
 from _oracles import member_brute
 
@@ -220,3 +221,15 @@ def test_equal_generator_sets_share_one_table(table_builds):
     assert contains(a, 13) and contains(b, 13)
     assert span(a) is span(b) is span(b, (1, 2, 3))
     assert table_builds == [(3, 10, 11)]
+
+
+@pytest.mark.parametrize("raw", [[3, 10, 11, 13], [3, 6, 10, 11]])
+def test_non_minimal_input_builds_one_table(table_builds, raw):
+    # canonicalization walks the input set once and keeps its minimal
+    # generators; the instance's span is that same table, filed under both
+    s = make_semigroup(raw)
+    contains(s, 5)
+    frobenius(s)
+    assert s.generators == (3, 10, 11)
+    assert table_builds == [tuple(raw)]
+    assert span(s) is ConeTable.build(raw)

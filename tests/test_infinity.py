@@ -205,7 +205,8 @@ def test_empirical_start_matches_doubling_search():
     # with the same message; both read one instance's sweep, which the full
     # mask tests check row by row
     outcomes = {}
-    for s in candidates(2, 12):
+    for gens in candidates(2, 12):
+        s = make_semigroup(gens)
         for cap in (30_000, 60_000):
             for w in (1, 2, 3):
                 got = _start_or_message(infinity._empirical_start, s, w, cap)

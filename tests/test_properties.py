@@ -103,7 +103,7 @@ def test_span_tables_match_reachability(gens, sums, dups):
             table = sg.span(s, idx)
             sub = [a[i - 1] for i in idx]
             assert [table.contains(y) for y in range(top + 1)] == _reach(sub, top), idx
-            assert table.minimal() == minimal_generators_brute(sub), idx
+            assert table.gens == minimal_generators_brute(sub), idx
     # redundant sums of two inputs and repeated inputs are removed and reported
     n = len(gens)
     raw = [gens[i % n] + gens[j % n] for i, j in sums] + list(gens) + [gens[i % n] for i in dups]
@@ -121,11 +121,13 @@ def test_span_tables_match_reachability(gens, sums, dups):
         assert sg.quotient_data(s, i).y0 == -(-total * (g * (f + 1) + total) // min(others)), i
 
 
-def _assert_matches_heap(table):
-    """A span table equals the heap oracle's table of its gcd-reduced generators."""
-    d = math.gcd(*table.gens)
-    assert (table.gcd, table.modulus) == (d, table.gens[0] // d), table.gens
-    assert table.least == tuple(apery_table([g // d for g in table.gens], table.modulus)), table.gens
+def _assert_matches_heap(table, asked):
+    """A span table equals the heap oracle's table of the asked generators,
+    gcd-reduced, and keeps exactly their minimal generators."""
+    d = math.gcd(*asked)
+    assert (table.gcd, table.modulus) == (d, asked[0] // d), asked
+    assert table.least == tuple(apery_table([g // d for g in asked], table.modulus)), asked
+    assert table.gens == minimal_generators_brute(asked), asked
 
 
 # multiples of a small factor, at most 400, so prefixes of the sorted set
@@ -144,13 +146,13 @@ scaled = st.builds(lambda f, n: f * max(1, n // f), st.sampled_from([1, 2, 3, 4,
 @example(gens=[7], m=7, pick=(0, 1))  # a singleton spans the multiples of 7: modulus 1
 def test_residue_tables_match_the_heap_oracle(gens, m, pick):
     gens = tuple(sorted(gens))
-    # every prefix, each one round-robin step from the one before it
+    # every prefix, each one round-robin step from the memoized one before it
     arith._TABLES.clear()
     for n in range(1, len(gens) + 1):
-        _assert_matches_heap(arith.cone_table(gens[:n]))
-    # the same set from a cleared memo, every generator from scratch
+        _assert_matches_heap(arith.cone_table(gens[:n]), gens[:n])
+    # the same set from a cleared memo, every kept generator one step
     arith._TABLES.clear()
-    _assert_matches_heap(arith.cone_table(gens))
+    _assert_matches_heap(arith.cone_table(gens), gens)
     # a residue table mod any m, generators that are multiples of m included
     assert arith.residue_table(gens, m) == apery_table(gens, m)
     if math.gcd(*gens) == 1 and 1 not in gens:

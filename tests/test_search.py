@@ -1,6 +1,12 @@
+import math
+from itertools import combinations
+
 import pytest
 
 from sgdelta import Budget, P0, PINF, search, search_delta
+from sgdelta.search import candidates
+
+from _oracles import minimal_generators_brute
 
 
 def test_search_delta0_pair():
@@ -45,6 +51,28 @@ def test_search_deterministic_across_worker_counts():
     assert serial.tested == pooled.tested
 
 
+def test_max_norm_search_deterministic_across_worker_counts():
+    # tuples cross the pool and each worker builds its own instances; the
+    # low budget skips some pairs, so hits, misses and skips all occur
+    runs = [
+        search_delta([1, 2, 3], PINF, max_dim=2, max_gen=9, budget=Budget(max_element=5000), workers=w)
+        for w in (1, 2)
+    ]
+    serial, pooled = ((r.hits, r.skipped, r.tested, r.exhausted) for r in runs)
+    assert serial == pooled
+    assert serial[0] and serial[1] and len(serial[0]) + len(serial[1]) < serial[2]
+
+
+def test_candidates_match_the_minimality_oracle():
+    expected = [
+        g
+        for k in range(2, 5)
+        for g in combinations(range(2, 17), k)
+        if math.gcd(*g) == 1 and minimal_generators_brute(g) == g
+    ]
+    assert list(candidates(4, 16)) == expected
+
+
 def test_search_orders_and_counts():
     report = search_delta([1], P0, max_dim=2, max_gen=8)
     # 2-generated semigroups always have 0-delta {1}
@@ -53,8 +81,8 @@ def test_search_orders_and_counts():
 
 
 def test_search_builds_each_candidate_once(monkeypatch):
-    # one instance tests canonicity and is probed; a hit gets one more, fresh,
-    # for its re-verification
+    # each probe builds one instance; a hit gets one more, fresh, for its
+    # re-verification
     calls = []
     orig = search.make_semigroup
 
