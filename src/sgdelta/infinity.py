@@ -44,27 +44,29 @@ positions of its own period on each side, which already show every gap that
 occurs in or across it, and it lies where the class of index 1 fills, so no
 gap spans it. The sweep runs the exact test only at kept positions and
 counts a gap only between kept lengths with no dropped position between
-them. The least length lies within a_k of x / A, inside the bottom window,
-so x is a member iff its row has a length. The sweep runs in batches of
-consecutive x. A batch whose widest length range, max(x // a_1 -
-ceil(x / A) + 1) over its x, is narrower than the wide layout keeps that
-whole range instead (the narrow layout: columns ceil(x / A) + j below that
-width) and drops nothing; a batch has at most 2^13 cells, or one row.
+them. It keeps only gap flags, so the row of a non-member is empty, like
+that of a member with one length. The sweep runs in batches of consecutive
+x. A batch whose widest length range, max(x // a_1 - ceil(x / A) + 1)
+over its x, is narrower than the wide layout keeps that whole range
+instead (the narrow layout: columns ceil(x / A) + j below that width) and
+drops nothing; a batch has at most 2^13 cells, or one row.
 Element queries read the full mask.
 
 Each instance caches one engine and one sweep. The engine grows by doubling
 until every table reaches its top, and is never rebuilt after that. The
-sweep is a member flag and a row of gap flags per x, so every x is swept at
-most once per instance.
+sweep is a row of gap flags per x, so every x is swept at most once per
+instance.
 
 The semigroup-level delta set is the union of per-element delta sets up to
 start + W * period, where start either comes from the explicit shift-identity
 validity bounds (theorem-backed) or from the first observed window of exact
-periodicity (empirical). The empirical search checks the window at
-floor = F + 1 first; a window that fails rules out every start up to its
-last mismatch, so the next one starts just past it, and the sweep reaches
-exactly start + (W + 1) * period. Either way the window is re-verified by
-direct computation and recorded in the certificate.
+periodicity (empirical), which begins at F + 1. One loop serves both: it
+sweeps to start + (W + 1) * period and compares the rows of the window
+[start, start + W * period) with those one period later. Every such x lies
+past the Frobenius number F, so it is a member and its gap row is its delta
+set. A match is recorded in the certificate. A mismatch falsifies a
+theorem-backed start; in empirical mode it rules out every start up to the
+last mismatch, so the next window starts just past it.
 """
 
 from __future__ import annotations
@@ -277,12 +279,10 @@ def _batches(s: NumericalSemigroup, lo: int, stop: int):
         lo = hi
 
 
-def _sweep_rows(
-    gens: tuple[int, ...], tables: list[np.ndarray], win: np.ndarray, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Member flags, shape (hi - lo,), and gap flags, shape (hi - lo, D) with
-    column d set iff d is in the delta set, for the elements x in [lo, hi).
-    tables[i] holds t_i unfolded to at least hi - 1."""
+def _sweep_rows(gens: tuple[int, ...], tables: list[np.ndarray], win: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Gap flags, shape (hi - lo, D) with column d set iff d is in the delta
+    set, for the elements x in [lo, hi). tables[i] holds t_i unfolded to at
+    least hi - 1."""
     total = sum(gens)
     add, div, shift = win
     xs = np.arange(lo, hi, dtype=np.int64)[:, None]
@@ -308,10 +308,10 @@ def _sweep_rows(
     step = step.ravel()[flat]
     gaps = np.zeros((hi - lo, int(step.max(initial=0)) + 1), dtype=bool)
     gaps[flat // (pos.shape[1] - 1), step] = True
-    return hit.any(axis=1), gaps
+    return gaps
 
 
-def _sweep_parts(s: NumericalSemigroup, lo: int, stop: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _sweep_parts(s: NumericalSemigroup, lo: int, stop: int) -> list[np.ndarray]:
     """The `_sweep_rows` output of each batch of x in [lo, stop), in order."""
     eng = _get_engine(s, stop - 1)
     # transient plain tables: a gather beats a fold per cell
@@ -320,39 +320,24 @@ def _sweep_parts(s: NumericalSemigroup, lo: int, stop: int) -> list[tuple[np.nda
     return [_sweep_rows(s.generators, tables, win, a, b) for a, b, win in _batches(s, lo, stop)]
 
 
-@dataclass(frozen=True)
-class _Sweep:
-    """Per-element max-norm delta sets of x = 0..len(member) - 1: member[x]
-    flags membership, gaps[x, d] that d is in the delta set of x."""
-
-    member: np.ndarray
-    gaps: np.ndarray
-
-    def repeats(self, lo: int, hi: int, p: int) -> np.ndarray:
-        """For x in [lo, hi): the row of x equals the row of x + p."""
-        m, g = self.member, self.gaps
-        return (m[lo:hi] == m[lo + p : hi + p]) & (g[lo:hi] == g[lo + p : hi + p]).all(axis=1)
-
-
-def _deltas(s: NumericalSemigroup, upto: int) -> _Sweep:
-    """The sweep for x = 0..upto at least. Each x is swept once per
-    instance: a longer request extends the cached sweep into a new one that
-    replaces it, and the old one is never mutated, so concurrent readers stay
-    safe."""
+def _deltas(s: NumericalSemigroup, upto: int) -> np.ndarray:
+    """The gap flags of x = 0..upto at least: gaps[x, d] is set iff d is in
+    the delta set of x. Each x is swept once per instance: a longer request
+    extends the cached sweep into a new array that replaces it, and the old
+    one is never mutated, so concurrent readers stay safe."""
     done = s._cache.get("inf-deltas")
-    have = 0 if done is None else len(done.member)
+    have = 0 if done is None else len(done)
     if have > upto:
         return done
-    parts = [] if done is None else [(done.member, done.gaps)]
+    parts = [] if done is None else [done]
     parts += _sweep_parts(s, have, upto + 1)
-    gaps = np.zeros((upto + 1, max(g.shape[1] for _, g in parts)), dtype=bool)
+    gaps = np.zeros((upto + 1, max(g.shape[1] for g in parts)), dtype=bool)
     row = 0
-    for _, g in parts:
+    for g in parts:
         gaps[row : row + len(g), : g.shape[1]] = g
         row += len(g)
-    out = _Sweep(np.concatenate([m for m, _ in parts]), gaps)
-    s._cache["inf-deltas"] = out
-    return out
+    s._cache["inf-deltas"] = gaps
+    return gaps
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +412,9 @@ def delta_inf_semigroup(
     Returns the union of per-element delta sets for x <= start + W * period.
     With a theorem-backed start nothing new appears later; the empirical
     mode (k = 2, or explicit bounds beyond budget) reports the verified
-    window as evidence.
+    window as evidence. The empirical search needs w + 2 periods of room
+    past the Frobenius number to begin, and gives up once a window would
+    reach past the element budget.
     """
     budget = budget or DEFAULT_INF_BUDGET
     w = window_periods
@@ -435,37 +422,25 @@ def delta_inf_semigroup(
         raise ValueError("need at least one window period")
     consts = structure_constants(s)
     p = consts.period
-    start, mode = _theorem_start(s, consts), "theorem-backed"
-    if start is None or start + (w + 1) * p > budget.max_element:
-        start, mode = _empirical_start(s, p, w, budget), "empirical"
-    sweep = _deltas(s, start + (w + 1) * p)
-    bad = np.flatnonzero(~sweep.repeats(start, start + w * p, p))
-    if bad.size:
-        raise VerificationError(
-            f"periodicity falsified at x={start + int(bad[0])} (period {p}) on {s}; "
-            "this contradicts the structure analysis"
-        )
-    union_to = start + w * p
-    union = np.flatnonzero(sweep.gaps[: union_to + 1].any(axis=0))
-    cert = PeriodicityCertificate(start, p, w, mode, union_to, _windows(s).shape[1])
-    return DeltaSet.from_iterable(union.tolist()), cert
-
-
-def _empirical_start(s: NumericalSemigroup, p: int, w: int, budget: Budget) -> int:
-    """Smallest x0 past the Frobenius number whose whole window
-    [x0, x0 + w * p) repeats with period p. A window that fails rules out
-    every start up to its last mismatch, so the search jumps one past it and
-    sweeps exactly to the next window's end, start + (w + 1) * p. It needs
-    w + 2 periods of room past the Frobenius number to begin, and gives up
-    once a window would reach past the element budget."""
-    start = frobenius(s) + 1  # all x beyond are members
     cap = budget.max_element
-    if start + (w + 2) * p <= cap:
-        while start + (w + 1) * p <= cap:
-            bad = np.flatnonzero(~_deltas(s, start + (w + 1) * p).repeats(start, start + w * p, p))
-            if not bad.size:
-                return start
-            start += int(bad[-1]) + 1
+    start, mode = _theorem_start(s, consts), "theorem-backed"
+    if start is None or start + (w + 1) * p > cap:
+        start, mode = frobenius(s) + 1, "empirical"  # all x beyond are members
+    fits = mode == "theorem-backed" or start + (w + 2) * p <= cap
+    while fits and start + (w + 1) * p <= cap:
+        gaps = _deltas(s, start + (w + 1) * p)
+        bad = np.flatnonzero((gaps[start : start + w * p] != gaps[start + p : start + (w + 1) * p]).any(axis=1))
+        if not bad.size:
+            union_to = start + w * p
+            union = np.flatnonzero(gaps[: union_to + 1].any(axis=0))
+            cert = PeriodicityCertificate(start, p, w, mode, union_to, _windows(s).shape[1])
+            return DeltaSet.from_iterable(union.tolist()), cert
+        if mode == "theorem-backed":
+            raise VerificationError(
+                f"periodicity falsified at x={start + int(bad[0])} (period {p}) on {s}; "
+                "this contradicts the structure analysis"
+            )
+        start += int(bad[-1]) + 1
     raise BudgetExceeded(f"no verified periodicity window within element budget {cap}")
 
 

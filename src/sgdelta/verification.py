@@ -137,7 +137,7 @@ def _members(s, lo, hi):
 def _minmax_bounds(s, params) -> list[tuple]:
     lo, hi = params.get("x_range") or (0, 10 * s.gen_sum)
     bad = [x for x in _members(s, lo, hi) if not verify_linf_bounds(s, x)]
-    return [_violations(f"{s} x<={hi}", bad)]
+    return [_violations(f"{s} x in [{lo},{hi}]" if lo else f"{s} x<={hi}", bad)]
 
 
 def _aap(s, params) -> list[tuple]:
@@ -180,6 +180,10 @@ def _step_shift(s, params) -> list[tuple]:
 
 
 def _gap_regions(s, params) -> list[tuple]:
+    # bad input, checked before the certificate so that a budget overrun
+    # cannot turn it into a budget row
+    if s.embedding_dim < 3:
+        raise ValueError("interval decomposition references the third generator")
     delta, cert = delta_inf_semigroup(s, budget=params.get("budget"))
     stride = max(1, cert.period // (8 if params.get("quick") else 40))
     xs = [x for x in range(cert.start, cert.start + cert.period + 1, stride) if contains(s, x)]

@@ -23,7 +23,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from sgdelta import BudgetExceeded, enumerate_factorizations, frobenius, index_graph_components, infinity, support
+from sgdelta import BudgetExceeded, contains, enumerate_factorizations, frobenius, index_graph_components, infinity, support
 from sgdelta.arith import INF, ConeTable
 
 
@@ -180,7 +180,8 @@ def doubling_empirical_start(s, p, w, budget):
     cap = budget.max_element
     horizon = floor_start + (w + 2) * p
     while horizon <= cap:
-        same = infinity._deltas(s, horizon).repeats(floor_start, horizon - p, p)
+        gaps = infinity._deltas(s, horizon)
+        same = (gaps[floor_start : horizon - p] == gaps[floor_start + p : horizon]).all(axis=1)
         # runs of repeating rows start at floor_start and after each mismatch
         cuts = np.flatnonzero(~same)
         starts = np.concatenate(([0], cuts + 1))
@@ -191,11 +192,12 @@ def doubling_empirical_start(s, p, w, budget):
     raise BudgetExceeded(f"no verified periodicity window within element budget {cap}")
 
 
-def sweep_row(sweep, x):
-    """Row x of a max-norm sweep in the form of `full_mask_deltas`."""
-    if not sweep.member[x]:
+def sweep_row(s, gaps, x):
+    """Row x of a max-norm sweep's gap flags in the form of
+    `full_mask_deltas`, with membership read from the span table."""
+    if not contains(s, x):
         return None
-    return tuple(np.flatnonzero(sweep.gaps[x]).tolist())
+    return tuple(np.flatnonzero(gaps[x]).tolist())
 
 
 def cone_contains_array(cone, y):

@@ -163,6 +163,28 @@ def test_verify_with_range(capsys):
     assert not any("m=5" in l for l in labels)
 
 
+def test_verify_minmax_bounds_labels_its_range(capsys):
+    # a range from 0 keeps the x<=hi label that verify all --quick pins
+    for x, label in (("100..200", "x in [100,200]"), ("0..200", "x<=200")):
+        code, doc = run_json(capsys, "verify", "minmax-bounds", "--gens", "4,6,9", "--x", x)
+        assert code == 0
+        assert [(r["instance"], r["status"]) for r in doc["result"]["instances"]] == [
+            (f"NumericalSemigroup(4, 6, 9) {label}", "pass")
+        ]
+
+
+def test_verify_gap_regions_rejects_two_generators_at_any_budget(capsys):
+    # k < 3 is bad input, never a budget row: at 30,000 the certificate of
+    # <7,9> overruns
+    for extra in ((), ("--budget-elements", "30000")):
+        code, doc = run_json(capsys, "verify", "gap-regions", "--gens", "7,9", *extra)
+        assert code == 1, extra
+        assert doc["error"] == {
+            "code": "invalid-argument",
+            "message": "interval decomposition references the third generator",
+        }, extra
+
+
 def test_verify_unknown_claim(capsys):
     code, doc = run_json(capsys, "verify", "no-such-claim")
     assert code == 1

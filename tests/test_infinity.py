@@ -15,6 +15,7 @@ from sgdelta import (
     delta_inf_semigroup,
     delta_set_of_element,
     dominant_length_set,
+    frobenius,
     infinity_length_set,
     iter_factorizations,
     make_semigroup,
@@ -188,9 +189,16 @@ def test_sweep_rows_match_full_mask_on_suite(gens):
     s = make_semigroup(gens)
     _, cert = delta_inf_semigroup(s, window_periods=3)
     top = cert.start + 4 * cert.period
-    sweep = infinity._deltas(s, top)
+    gaps = infinity._deltas(s, top)
     eng = infinity._get_engine(s, top)
-    assert [sweep_row(sweep, x) for x in range(top + 1)] == [full_mask_deltas(eng, x) for x in range(top + 1)]
+    assert [sweep_row(s, gaps, x) for x in range(top + 1)] == [full_mask_deltas(eng, x) for x in range(top + 1)]
+
+
+def _certificate_start(s, p, w, budget):
+    """The start of the certificate; k = 2 has no theorem start, so it is
+    the empirical one. p is unused: the signature is that of
+    `doubling_empirical_start`."""
+    return delta_inf_semigroup(s, w, budget)[1].start
 
 
 def _start_or_message(fn, s, w, cap):
@@ -209,7 +217,7 @@ def test_empirical_start_matches_doubling_search():
         s = make_semigroup(gens)
         for cap in (30_000, 60_000):
             for w in (1, 2, 3):
-                got = _start_or_message(infinity._empirical_start, s, w, cap)
+                got = _start_or_message(_certificate_start, s, w, cap)
                 assert got == _start_or_message(doubling_empirical_start, s, w, cap), (s, cap, w)
                 outcomes[s.generators, cap, w] = got
     # the search (w = 2) skips these two at the benchmark's budget
@@ -221,8 +229,8 @@ def test_empirical_start_needs_room_for_two_periods_past_its_window():
     # <2,3>: floor 2, period 90, start 29; its w = 1 window ends at
     # 29 + 2 * 90 <= 240 < 2 + 3 * 90, but the search starts only with w + 2
     # periods of room past the floor, as the doubling search did
-    assert _start_or_message(infinity._empirical_start, make_semigroup([2, 3]), 1, 10_000) == 29
-    for fn in (infinity._empirical_start, doubling_empirical_start):
+    assert _start_or_message(_certificate_start, make_semigroup([2, 3]), 1, 10_000) == 29
+    for fn in (_certificate_start, doubling_empirical_start):
         assert _start_or_message(fn, make_semigroup([2, 3]), 1, 240) == (
             "no verified periodicity window within element budget 240"
         )
@@ -271,8 +279,9 @@ def test_one_row_batches_match_full_mask(gens, lo, stop):
     # the rows of ⟨3,260,262⟩ (W = 11,480) where the length range passes the
     # cell budget, and where it passes W
     s = make_semigroup(gens)
-    parts = infinity._sweep_parts(s, lo, stop)
-    rows = [None if not m else tuple(np.flatnonzero(g).tolist()) for member, gaps in parts for m, g in zip(member, gaps)]
+    # every x here lies past the Frobenius number, so each is a member
+    assert lo > frobenius(s)
+    rows = [tuple(np.flatnonzero(g).tolist()) for gaps in infinity._sweep_parts(s, lo, stop) for g in gaps]
     eng = infinity._get_engine(s, stop)
     assert rows == [full_mask_deltas(eng, x) for x in range(lo, stop)]
 

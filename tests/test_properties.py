@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import sgdelta as sg
 from sgdelta import arith, infinity, presentation, zero
@@ -178,10 +178,32 @@ def test_sweep_rows_match_full_mask(gens):
         top = cert.start + 4 * cert.period
     except sg.BudgetExceeded:
         top = 6000
-    sweep = infinity._deltas(s, top)
+    gaps = infinity._deltas(s, top)
     eng = infinity._get_engine(s, top)
     for x in range(top + 1):
-        assert sweep_row(sweep, x) == full_mask_deltas(eng, x), x
+        assert sweep_row(s, gaps, x) == full_mask_deltas(eng, x), x
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(gens=st.lists(st.integers(2, 60), min_size=3, max_size=5, unique=True).filter(lambda g: math.gcd(*g) == 1))
+def test_theorem_starts_lie_past_the_frobenius_number(gens):
+    # the certificate compares gap rows alone, which decide its window only
+    # where every x is a member; shift_threshold_sum(s, a_k + g_1) exceeds
+    # a_1 * a_k, which exceeds F by Schur's bound
+    s = sg.make_semigroup(gens)
+    assume(s.embedding_dim >= 3)
+    assert infinity._theorem_start(s, sg.structure_constants(s)) > sg.frobenius(s)
+
+
+@pytest.mark.parametrize(
+    "gens, cap", [((2, 3), None), ((5, 7), None), ((8, 9), None), ((3, 10, 11), 2000), ((3, 25, 26), 20_000)]
+)
+def test_empirical_starts_lie_past_the_frobenius_number(gens, cap):
+    # k = 2, and k = 3 with its theorem start past the budget
+    s = sg.make_semigroup(gens)
+    _, cert = sg.delta_inf_semigroup(s, budget=sg.Budget(max_element=cap) if cap else None)
+    assert cert.mode == "empirical"
+    assert cert.start >= sg.frobenius(s) + 1
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
