@@ -7,8 +7,7 @@ a claim registry that re-verifies their structural statements on concrete
 instances.
 
 Each public name below is imported from its module on first use (PEP 562),
-so numpy loads only with the 1-norm table, the max-norm engine or
-enumeration.
+so numpy loads only with the 1-norm table or the max-norm engine.
 """
 
 import importlib

@@ -21,8 +21,8 @@ DEFAULT_INF_BUDGET = Budget(max_element=300_000)
 DEFAULT_ZERO_BUDGET = Budget(max_element=5_000_000)
 
 # The largest x a length table serves, for the 1-norm and the max-norm
-# engines and the enumeration's prefix tables alike; past this their tables
-# and the sweep's per-x rows reach GB scale.
+# engines, and the largest x enumerated; past this the tables and the
+# sweep's per-x rows reach GB scale.
 MAX_ENGINE_HORIZON = 20_000_000
 
 # Residue tables above this size would dominate memory.

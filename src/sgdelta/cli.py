@@ -214,17 +214,12 @@ def _cmd_verify(args) -> tuple[dict, int]:
         "extended": args.extended,
         "workers": args.threads,
         "budget": _budget(args),
+        "m_range": _parse_range(args.m) if args.m else None,
+        "k_range": _parse_range(args.k) if args.k else None,
+        "x_range": _parse_range(args.x) if args.x else None,
+        "max_gen": args.max_gen,
+        "gens": _parse_gens(args.gens) if args.gens else None,
     }
-    if args.m:
-        params["m_range"] = _parse_range(args.m)
-    if args.k:
-        params["k_range"] = _parse_range(args.k)
-    if args.x:
-        params["x_range"] = _parse_range(args.x)
-    if args.max_gen is not None:
-        params["max_gen"] = args.max_gen
-    if args.gens:
-        params["gens"] = _parse_gens(args.gens)
 
     if args.claim == "all":
         instances = run_all(**params)

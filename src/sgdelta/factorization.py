@@ -2,13 +2,13 @@
 
 A factorization of x is an exponent tuple z with sum(z_i * a_i) = x, aligned
 to the generator order. Enumeration recurses from the largest generator down
-(tightest branch bound first) and prunes every branch whose remainder cannot
-be finished by the remaining prefix of generators. It serves callers that
-need the tuples themselves and is the independent oracle for the length
-sets, which come from one exact engine per norm: the support cones (p = 0),
-a least-part-count table (p = 1) and the min-max tables (p = inf).
-numpy and the max-norm engine are imported only where a query needs them,
-so a 0-norm query loads neither.
+(tightest branch bound first) and prunes every branch whose remainder is
+outside the shared span table of the remaining prefix of generators. It
+serves callers that need the tuples and is the oracle for the length sets,
+which come from one exact engine per norm: the support cones (p = 0), a
+least-part-count table (p = 1) and the min-max tables (p = inf). numpy and
+the max-norm engine load only where a query needs them, so neither a 0-norm
+query nor an enumeration loads them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .arith import INF
+from .arith import INF, cone_table
 from .budget import MAX_ENGINE_HORIZON, MAX_FACTORIZATIONS, Budget
 from .errors import BudgetExceeded, NotAMember
 from .semigroup import NumericalSemigroup, contains
@@ -59,39 +59,19 @@ def p_length(z, p) -> int:
     raise ValueError(f"p must be 0, 1 or inf, got {p!r}")
 
 
-def _prefix_reach(gens: tuple[int, ...], x: int) -> list[bytes]:
-    """reach[j][y] = 1 iff y is a nonnegative combination of gens[: j + 1].
-
-    Built by or-ing doubled shifts per generator (any multiple of a is a sum
-    of distinct power-of-two multiples), then frozen to bytes for fast
-    scalar indexing in the recursion.
-    """
-    import numpy as np
-
-    cur = np.zeros(x + 1, dtype=bool)
-    cur[0] = True
-    out = []
-    for a in gens:
-        step = a
-        while step <= x:
-            np.logical_or(cur[step:], cur[:-step], out=cur[step:])
-            step *= 2
-        out.append(cur.tobytes())
-    return out
-
-
 def iter_factorizations(s: NumericalSemigroup, x: int) -> Iterator[tuple[int, ...]]:
-    """Yield every factorization of x exactly once (empty iff x not in s).
-    Raises BudgetExceeded before building its k tables of x + 1 bytes when x
-    is past the engine horizon."""
+    """Yield every factorization of x exactly once (empty iff x not in s); no
+    allocation is sized by x. Raises BudgetExceeded past the engine horizon,
+    before any span table is requested."""
     if x < 0:
         raise ValueError("x must be nonnegative")
     if x > MAX_ENGINE_HORIZON:
-        raise BudgetExceeded(f"enumeration tables to {x} exceed the engine budget")
+        raise BudgetExceeded(f"enumeration of {x} exceeds the engine horizon")
     gens = s.generators
     k = len(gens)
-    reach = _prefix_reach(gens, x)
-    if not reach[-1][x]:
+    # below[j] answers membership in the span of gens[: j + 1]
+    below = [cone_table(gens[: j + 1]).contains for j in range(k)]
+    if not below[-1](x):
         return
     z = [0] * k
 
@@ -101,9 +81,8 @@ def iter_factorizations(s: NumericalSemigroup, x: int) -> Iterator[tuple[int, ..
             yield tuple(z)
             return
         a = gens[j]
-        below = reach[j - 1]
         for c in range(rem // a, -1, -1):
-            if below[rem - c * a]:
+            if below[j - 1](rem - c * a):
                 z[j] = c
                 yield from rec(j - 1, rem - c * a)
 

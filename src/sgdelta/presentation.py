@@ -74,9 +74,8 @@ def index_graph_components(s: NumericalSemigroup, x: int) -> list[tuple[int, ...
     """Connected components (sorted 1-based index tuples) of the index graph
     of x; one component per factorization-graph component."""
     gens = s.generators
-    # y is in S iff y >= w[y mod a_1]; w is never negative, so neither is y
-    w, a_1 = span(s).least, s.multiplicity
-    verts = [i for i, a in enumerate(gens, start=1) if x - a >= w[(x - a) % a_1]]
+    member = span(s).contains
+    verts = [i for i, a in enumerate(gens, start=1) if member(x - a)]
     parent = {i: i for i in verts}
 
     def find(i):
@@ -88,8 +87,7 @@ def index_graph_components(s: NumericalSemigroup, x: int) -> list[tuple[int, ...
     for u in range(len(verts)):
         for v in range(u + 1, len(verts)):
             i, j = verts[u], verts[v]
-            rest = x - gens[i - 1] - gens[j - 1]
-            if rest >= w[rest % a_1]:
+            if member(x - gens[i - 1] - gens[j - 1]):
                 parent[find(i)] = find(j)
     comps: dict[int, list[int]] = {}
     for i in verts:

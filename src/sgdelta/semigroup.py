@@ -156,8 +156,7 @@ def contains(s: NumericalSemigroup, x: int) -> bool:
     """x has at least one factorization. x must be nonnegative."""
     if x < 0:
         raise ValueError("membership is defined on nonnegative integers")
-    w = cone_table(s.generators).least  # gcd 1, so the table is indexed by x mod a_1
-    return x >= w[x % s.multiplicity]
+    return cone_table(s.generators).contains(x)
 
 
 def frobenius(s: NumericalSemigroup) -> int:

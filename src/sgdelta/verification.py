@@ -8,7 +8,8 @@ holds).
 
 Every row takes one path. A runner returns rows (label, status, detail)
 with no claim id; `run_claim` stamps the id of the claim's `ClaimSpec`, the
-one place it is written, and `run_all` is `run_claim` over `CLAIMS`. A
+one place it is written, and refuses a set parameter outside the spec's
+`reads`; `run_all` is `run_claim` over `CLAIMS`, each given what it reads. A
 structure claim runs one check on each suite semigroup, and the suite
 entries are shared instances, so their cached sweeps serve every claim. A
 family claim's runner is `_run_family` with the family variant, its norms
@@ -86,6 +87,11 @@ class ClaimSpec:
     summary: str
     kind: str  # "verified" | "report-only"
     runner: object = field(compare=False)
+    reads: tuple[str, ...] = ()  # the keys of OPTIONAL its runner reads
+
+
+# The CLI flag of each parameter a claim takes only if it reads it; all take quick, workers, budget.
+OPTIONAL = dict(gens="--gens", x_range="--x", m_range="--m", k_range="--k", max_gen="--max-gen", extended="--extended")
 
 
 def _inst(label: str, ok: bool, detail: str = "") -> tuple[str, str, str]:
@@ -388,9 +394,9 @@ def _gaps_rows(k: int, scan: bool, params) -> list[tuple]:
 
 def _gaps_element_check(s: NumericalSemigroup, k: int) -> tuple[bool, str]:
     """The 0-deltas of twice and three times the top generator are {k-1} and
-    {k}. Support sizes are read off the factorizations, the route independent
-    of the support engine: these elements have a handful of factorizations
-    even at k = 16, where the engine would build 2^17 cones."""
+    {k}. Support sizes are read off the factorizations, which prune with
+    prefix span tables: these elements have a handful even at k = 16, where
+    the support engine would build 2^17 span tables, one per support."""
     top = s.generators[-1]
     d2, d3 = (
         delta_of_sorted_set(sorted({p_length(z, P0) for z in iter_factorizations(s, c * top)}))
@@ -410,7 +416,7 @@ def _gaps_membership_half(k: int) -> tuple[str, str, str]:
 def _gaps_window_scan(s, k, params) -> tuple[str, str, str]:
     """Sampled scan of the 0-delta window [ceil(7k/8), k]: exhaustive over a
     caller-bounded horizon instead of the full stability range."""
-    horizon = params.get("x_range", (0, 6 * s.generators[-1]))[1]
+    horizon = (params.get("x_range") or (0, 6 * s.generators[-1]))[1]
     observed = delta0_union_brute(s, horizon)
     window = {v for v in observed.values if math.ceil(7 * k / 8) <= v <= k}
     return (
@@ -439,15 +445,20 @@ def _run_geometric_proof_z(params) -> list[tuple]:
     return out
 
 
+def _suite_claim(cid: str, summary: str, check, reads=("gens",)) -> ClaimSpec:
+    """A structure claim: `check` on each suite semigroup, or on gens alone."""
+    return ClaimSpec(cid, summary, "verified", partial(_run_suite, check), reads)
+
+
 CLAIMS: dict[str, ClaimSpec] = {
     c.id: c
     for c in [
-        ClaimSpec("minmax-bounds", "sandwich bounds for least/top max-norm lengths", "verified", partial(_run_suite, _minmax_bounds)),
-        ClaimSpec("aap-containment", "dominant lengths fill a residue-class interval", "verified", partial(_run_suite, _aap)),
-        ClaimSpec("step-shift", "adding a generator shifts window lengths by one", "verified", partial(_run_suite, _step_shift)),
-        ClaimSpec("gap-regions", "delta gaps outside the base set touch boundary regions", "verified", partial(_run_suite, _gap_regions)),
-        ClaimSpec("delta-periodicity", "per-element max-norm deltas repeat with the period", "verified", partial(_run_suite, _periodicity)),
-        ClaimSpec("residue-class-deltas", "rescaled residual-class deltas embed in the delta set", "verified", partial(_run_suite, _residue_deltas)),
+        _suite_claim("minmax-bounds", "sandwich bounds for least/top max-norm lengths", _minmax_bounds, ("gens", "x_range")),
+        _suite_claim("aap-containment", "dominant lengths fill a residue-class interval", _aap, ("gens", "x_range")),
+        _suite_claim("step-shift", "adding a generator shifts window lengths by one", _step_shift),
+        _suite_claim("gap-regions", "delta gaps outside the base set touch boundary regions", _gap_regions),
+        _suite_claim("delta-periodicity", "per-element max-norm deltas repeat with the period", _periodicity),
+        _suite_claim("residue-class-deltas", "rescaled residual-class deltas embed in the delta set", _residue_deltas),
         # a family claim's runner holds its variant, norms and quick and full parameter grids
         ClaimSpec("geometric-family", "geometric generators: max-norm delta is an interval", "verified", partial(
             _run_family, "geometric", (PINF, P0), [dict(a=2, b=3, k=3)],
@@ -458,26 +469,44 @@ CLAIMS: dict[str, ClaimSpec] = {
         ClaimSpec("arithmetic-family", "arithmetic generators: max-norm delta interval", "verified", partial(
             _run_family, "arithmetic", (PINF, P0), [dict(a=5, d=1, k=2)],
             [dict(a=5, d=1, k=2), dict(a=7, d=2, k=3), dict(a=9, d=1, k=4)])),
-        ClaimSpec("three-gap-family", "three-generator gap family: split delta set", "verified", _run_three_gap),
-        ClaimSpec("l0-interval-tail", "0-length sets are intervals beyond the stability bound", "verified", partial(_run_suite, _l0_tail)),
+        ClaimSpec("three-gap-family", "three-generator gap family: split delta set", "verified", _run_three_gap, reads=("m_range",)),
+        _suite_claim("l0-interval-tail", "0-length sets are intervals beyond the stability bound", _l0_tail),
         ClaimSpec("singleton-trades", "singleton-support presentations force 0-delta {1}", "verified", _run_singleton_trades),
         ClaimSpec("med-delta0", "maximal embedding dimension forces 0-delta {1,2}", "verified", _run_med),
         ClaimSpec("generalized-arithmetic-delta0", "generalized arithmetic: 0-delta {1,2}", "verified", partial(
             _run_family, "generalized_arithmetic", (P0,), [dict(a=5, h=2, d=3, k=2)],
             [dict(a=5, h=2, d=3, k=2), dict(a=7, h=2, d=1, k=3), dict(a=5, h=3, d=2, k=3)])),
-        ClaimSpec("three-gen-gluing", "3-generated: gluing count decides the 0-delta set", "verified", _run_three_gen_gluing),
+        ClaimSpec("three-gen-gluing", "3-generated: gluing count decides the 0-delta set", "verified", _run_three_gen_gluing, reads=("max_gen",)),
         ClaimSpec("interval-family", "interval construction realizes {1..k-1}", "verified", _run_interval_family),
-        ClaimSpec("gaps-family", "gaps construction: window {k-1,k} plus forced trades", "verified", _run_gaps_family),
+        ClaimSpec("gaps-family", "gaps construction: window {k-1,k} plus forced trades", "verified", _run_gaps_family,
+                  reads=("x_range", "k_range", "extended")),
         ClaimSpec("geometric-proof-z", "instance-level two-factorization observation", "report-only", _run_geometric_proof_z),
     ]
 }
 
 
+def _unread(spec: ClaimSpec, params) -> list[str]:
+    """The parameters of OPTIONAL set in params (not None, not False) that the
+    claim ignores; gaps-family reads x_range only for the extended scan."""
+    reads = [k for k in spec.reads if k != "x_range" or spec.id != "gaps-family" or params.get("extended")]
+    return [k for k, v in params.items() if k in OPTIONAL and k not in reads and v is not None and v is not False]
+
+
 def run_claim(claim_id: str, **params) -> list[Instance]:
+    """The rows of one claim; a set optional parameter it ignores is a ValueError."""
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim id {claim_id!r}")
-    return [Instance(claim_id, *row) for row in CLAIMS[claim_id].runner(params)]
+    spec = CLAIMS[claim_id]
+    if unread := _unread(spec, params):
+        when = " without extended (--extended)" if unread[0] in spec.reads else ""
+        raise ValueError(f"{claim_id} does not read {unread[0]} ({OPTIONAL[unread[0]]}){when}")
+    return [Instance(claim_id, *row) for row in spec.runner(params)]
 
 
 def run_all(quick: bool = False, **params) -> list[Instance]:
-    return [i for cid in CLAIMS for i in run_claim(cid, quick=quick, **params)]
+    """`run_claim` over every claim, each given the optional parameters it reads."""
+    out = []
+    for cid, spec in CLAIMS.items():
+        unread = _unread(spec, params)
+        out += run_claim(cid, quick=quick, **{k: v for k, v in params.items() if k not in unread})
+    return out

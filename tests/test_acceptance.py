@@ -1,12 +1,6 @@
 """Acceptance suite: every criterion is exact (set equality / boolean), no
 tolerances to tune. One printed line per criterion; run with -s to see them.
-
-The extended gaps check (k = 16 membership half plus the sampled window
-scan) is opt-in via SGDELTA_EXTENDED=1: constructing the semigroup is cheap
-but the scans take a while.
 """
-
-import os
 
 import numpy as np
 
@@ -33,11 +27,9 @@ from sgdelta import (
 )
 from sgdelta import factorization, verification
 from sgdelta.infinity import _get_engine
-from sgdelta.verification import SUITE_GENS, gaps_expected_trades, three_generated_semigroups
+from sgdelta.verification import SUITE_GENS, _gaps_membership_half, gaps_expected_trades, three_generated_semigroups
 
 from _oracles import full_mask_deltas, grid_factorizations
-
-EXTENDED = os.environ.get("SGDELTA_EXTENDED") == "1"
 
 
 def _report(num, desc, ok):
@@ -133,16 +125,10 @@ def test_criterion_7_gaps_family():
         got = {t.sides() for t in minimal_presentation(s).trades}
         if not gaps_expected_trades(s, k) <= got or len(got) != k:
             bad.append((k, "trades"))
-    _report(
-        7,
-        "gaps family k=3..10: element deltas {k}/{k-1} and the forced trades"
-        + (" (+extended k=16 membership half)" if EXTENDED else ""),
-        not bad,
-    )
-    if EXTENDED:
-        from sgdelta.verification import _gaps_membership_half
-
-        assert _gaps_membership_half(16)[1] == "pass"
+    # the proof-scale members: the two forced elements of k = 16
+    if _gaps_membership_half(16)[1] != "pass":
+        bad.append((16, "membership half"))
+    _report(7, "gaps family k=3..10: element deltas {k}/{k-1} and the forced trades; k=16 membership half", not bad)
 
 
 def test_criterion_8_structure_suite():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import sgdelta
+from sgdelta import verification
 from sgdelta.cli import main
 
 
@@ -171,6 +172,49 @@ def test_verify_minmax_bounds_labels_its_range(capsys):
         assert [(r["instance"], r["status"]) for r in doc["result"]["instances"]] == [
             (f"NumericalSemigroup(4, 6, 9) {label}", "pass")
         ]
+
+
+def test_verify_rejects_parameters_its_claim_does_not_read(capsys):
+    for argv, message in (
+        (("l0-interval-tail", "--gens", "4,6,9", "--x", "100..200"), "l0-interval-tail does not read x_range (--x)"),
+        (("med-delta0", "--gens", "3,5", "--quick"), "med-delta0 does not read gens (--gens)"),
+        (("three-gap-family", "--k", "3..4"), "three-gap-family does not read k_range (--k)"),
+        (("step-shift", "--m", "3..4"), "step-shift does not read m_range (--m)"),
+        (("geometric-family", "--max-gen", "0"), "geometric-family does not read max_gen (--max-gen)"),
+        (("interval-family", "--extended"), "interval-family does not read extended (--extended)"),
+        # the window scan that --extended adds is all that reads --x
+        (
+            ("gaps-family", "--k", "3..3", "--x", "0..200"),
+            "gaps-family does not read x_range (--x) without extended (--extended)",
+        ),
+    ):
+        code, doc = run_json(capsys, "verify", *argv)
+        assert code == 1, argv
+        assert doc["error"] == {"code": "invalid-argument", "message": message}, argv
+
+
+def test_verify_all_gives_each_claim_the_parameters_it_reads(capsys, monkeypatch):
+    seen = {}
+
+    def claim(cid, reads):
+        def runner(params):
+            seen[cid] = sorted(k for k, v in params.items() if k in verification.OPTIONAL and v not in (None, False))
+            return [("row", "pass", "")]
+
+        return verification.ClaimSpec(cid, "", "verified", runner, reads)
+
+    specs = [
+        claim("minmax-bounds", ("gens", "x_range")),
+        claim("gaps-family", ("x_range", "k_range", "extended")),
+        claim("med-delta0", ()),
+    ]
+    monkeypatch.setattr(verification, "CLAIMS", {c.id: c for c in specs})
+    code, doc = run_json(capsys, "verify", "all", "--quick", "--gens", "4,6,9", "--x", "0..200", "--k", "3..3")
+    assert code == 0
+    assert seen == {"minmax-bounds": ["gens", "x_range"], "gaps-family": ["k_range"], "med-delta0": []}
+    code, doc = run_json(capsys, "verify", "all", "--quick", "--x", "0..200", "--extended")
+    assert code == 0
+    assert seen == {"minmax-bounds": ["x_range"], "gaps-family": ["extended", "x_range"], "med-delta0": []}
 
 
 def test_verify_gap_regions_rejects_two_generators_at_any_budget(capsys):

@@ -62,18 +62,20 @@ def test_enumeration_cap(monkeypatch):
 
 
 def test_enumeration_tables_have_a_limit(monkeypatch):
-    # past the engine horizon enumeration raises before building a table
-    built = []
-    reach = factorization._prefix_reach
+    # past the engine horizon enumeration raises before requesting a span table
+    requested = []
+    table = factorization.cone_table
     monkeypatch.setattr(factorization, "MAX_ENGINE_HORIZON", 1000)
-    monkeypatch.setattr(factorization, "_prefix_reach", lambda gens, x: built.append(x) or reach(gens, x))
+    monkeypatch.setattr(factorization, "cone_table", lambda gens: requested.append(gens) or table(gens))
     s = make_semigroup([2, 3])
     assert len(enumerate_factorizations(s, 1000)) == 167
+    assert requested
+    requested.clear()
     with pytest.raises(BudgetExceeded):
         next(iter_factorizations(s, 1001))
     with pytest.raises(BudgetExceeded):
         enumerate_factorizations(s, 1001)
-    assert built == [1000]
+    assert requested == []
 
 
 def test_monotone_growth(geo):

@@ -6,7 +6,7 @@ imports inside functions included. The package `__init__` is left out: it
 resolves its names on first use from one table, which is checked here
 against the modules. Each CLI command runs in a fresh interpreter, which
 shows the modules it loads: numpy, the max-norm engine and the claim
-registry only where the command needs them.
+registry only where the command needs them, and enumeration loads no numpy.
 """
 
 import ast
@@ -114,11 +114,20 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
-def loaded_after(*argv: str) -> set[str]:
-    """The modules a fresh interpreter holds after `sgdelta` runs argv."""
+ENUMERATION = """
+import json, sys
+from sgdelta import enumerate_factorizations, make_semigroup
+enumerate_factorizations(make_semigroup([3, 5, 7]), 100)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def loaded_after(*argv: str, script: str = LOADED_AFTER) -> set[str]:
+    """The modules a fresh interpreter holds after `sgdelta` runs argv, or
+    after `script` runs."""
     env = {**os.environ, "PYTHONPATH": str(Path(sgdelta.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED_AFTER, json.dumps(argv)],
+        [sys.executable, "-c", script, json.dumps(argv)],
         capture_output=True,
         text=True,
         env=env,
@@ -152,3 +161,8 @@ def test_max_norm_command_loads_numpy():
     # the probe sees numpy where a command needs it
     loaded = loaded_after("compute", "--gens", "7,11,13,17", "delta-semigroup", "--p", "inf")
     assert {"numpy", "sgdelta.infinity"} <= loaded
+
+
+def test_enumeration_loads_no_numpy():
+    # the prefix prune reads the shared span tables, which are plain tuples
+    assert "numpy" not in loaded_after(script=ENUMERATION)

@@ -20,6 +20,7 @@ from _oracles import (
     component_least_factorizations,
     cone_union_deltas,
     full_mask_deltas,
+    grid_factorizations,
     minimal_generators_brute,
     minmax_brute,
     minmax_pair,
@@ -45,6 +46,17 @@ def test_length_sets_match_enumeration(gens, x):
                 sg.length_set(s, x, p)
         else:
             assert sg.length_set(s, x, p).values == tuple(sorted({sg.p_length(z, p) for z in zs})), p
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(gens=generators, x=st.integers(0, 150))
+# prefixes whose span has gcd 2: <6, 10> and <4, 6>
+@example(gens=[6, 10, 15], x=121)
+@example(gens=[4, 6, 9], x=105)
+def test_enumeration_matches_grid_scan(gens, x):
+    s = sg.make_semigroup(gens)
+    grid = grid_factorizations(s.generators, x)
+    assert sorted(sg.iter_factorizations(s, x)) == [tuple(z) for z in grid.tolist()]
 
 
 def _outcome(fn):
