@@ -38,18 +38,26 @@ per index) the length mask repeats with period G = lcm(g_1, ..., g_k). The
 sweep keeps the bottom window [ceil(x / A), ceil(x / A) + a_k + keep) and,
 per index, [x // a_i - margin_i - keep, x // a_i + keep], with
 keep = 2G + 1, clipped to [ceil(x / A), x // a_1] and merged; index 1's
-window ends at x // a_1, where every column above it clips. These are the
-columns of the wide layout. A dropped stretch then has at least keep kept
-positions of its own period on each side, which already show every gap that
-occurs in or across it, and it lies where the class of index 1 fills, so no
-gap spans it. The sweep runs the exact test only at kept positions and
-counts a gap only between kept lengths with no dropped position between
-them. It keeps only gap flags, so the row of a non-member is empty, like
-that of a member with one length. The sweep runs in batches of consecutive
-x. A batch whose widest length range, max(x // a_1 - ceil(x / A) + 1)
-over its x, is narrower than the wide layout keeps that whole range
-instead (the narrow layout: columns ceil(x / A) + j below that width) and
-drops nothing; a batch has at most 2^13 cells, or one row.
+window ends at x // a_1, where every column above it clips. A dropped
+stretch then has at least keep kept positions of its own period on each
+side, which already show every gap that occurs in or across it, and it lies
+where the class of index 1 fills, so no gap spans it. These are the columns
+of the wide layout: the bottom window, then the top windows from a_k down
+to a_1, each ascending. Once the windows separate, every row is therefore
+already sorted, and a batch is sorted only when some row is out of order
+(small x, where windows overlap). The sweep runs the exact test only at
+kept positions; each unfolded table ends in one INF, where every read at
+y < 0 is pointed, so the test is one gather per index. It counts a gap only
+between consecutive lengths of a row with no dropped position between them:
+with rank the number of distinct positions up to a column, pos - rank is
+equal at two lengths iff none was dropped between them, so the gaps come
+from the compacted list of lengths alone. It keeps only gap flags, so the
+row of a non-member is empty, like that of a member with one length. The
+sweep runs in batches of consecutive x. A batch whose widest length range,
+max(x // a_1 - ceil(x / A) + 1) over its x, is narrower than the wide
+layout keeps that whole range instead (the narrow layout: columns
+ceil(x / A) + j below that width), drops nothing and needs no sort; a batch
+has at most 2^13 cells, or one row.
 Element queries read the full mask.
 
 Each instance caches one engine and one sweep. The engine grows by doubling
@@ -236,10 +244,12 @@ _SWEEP_CELLS = 1 << 13
 def _windows(s: NumericalSemigroup) -> np.ndarray:
     """Column layout of the sweep, shape (3, W): column j of the row of x is
     the position (x + add[j]) // div[j] + shift[j] for the rows add, div and
-    shift, before clipping to the length range. The columns cover the bottom
-    window [ceil(x/A), ceil(x/A) + a_k + keep) and, per index i, the top
-    window [x//a_i - margin_i - keep, x//a_i + keep], with keep = 2G + 1 and
-    G the lcm of the complement gcds. Index 1's top window ends at x//a_1,
+    shift, before clipping to the length range. The columns hold the bottom
+    window [ceil(x/A), ceil(x/A) + a_k + keep), then, for i from k down to
+    1, the top window [x//a_i - margin_i - keep, x//a_i + keep], with
+    keep = 2G + 1 and G the lcm of the complement gcds. Each window ascends
+    and the windows follow in the order of their positions, so once they
+    separate a row needs no sort. Index 1's top window ends at x//a_1,
     since every column above it clips to x//a_1."""
 
     def build():
@@ -247,7 +257,8 @@ def _windows(s: NumericalSemigroup) -> np.ndarray:
         total = consts.gen_sum
         keep = 2 * math.lcm(*(r.complement_gcd for r in consts.records)) + 1
         cols = [(total - 1, total, j) for j in range(s.generators[-1] + keep)]
-        for i, (a_i, rec) in enumerate(zip(s.generators, consts.records)):
+        for i in reversed(range(s.embedding_dim)):
+            a_i, rec = s.generators[i], consts.records[i]
             cols += [(0, a_i, j) for j in range(-rec.margin - keep, (keep if i else 0) + 1)]
         return np.array(cols, dtype=np.int64).T
 
@@ -282,41 +293,46 @@ def _batches(s: NumericalSemigroup, lo: int, stop: int):
 def _sweep_rows(gens: tuple[int, ...], tables: list[np.ndarray], win: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Gap flags, shape (hi - lo, D) with column d set iff d is in the delta
     set, for the elements x in [lo, hi). tables[i] holds t_i unfolded to at
-    least hi - 1."""
+    least hi - 1, then one INF."""
     total = sum(gens)
     add, div, shift = win
     xs = np.arange(lo, hi, dtype=np.int64)[:, None]
     pos = (xs + add) // div + shift
     np.clip(pos, (xs + total - 1) // total, xs // gens[0], out=pos)
-    pos.sort(axis=1)
-    kept = np.ones(pos.shape, dtype=bool)  # first of each run of equal positions
-    np.not_equal(pos[:, 1:], pos[:, :-1], out=kept[:, 1:])
+    if (pos[:, 1:] < pos[:, :-1]).any():  # windows that overlap
+        pos.sort(axis=1)
     hit = np.zeros(pos.shape, dtype=bool)
     for a_i, table in zip(gens, tables):
         y = xs - pos * a_i
-        ok = y >= 0
-        hit |= ok & (table[np.where(ok, y, 0)] <= pos)
+        np.maximum(y, -1, out=y)  # y < 0 reads the trailing INF
+        hit |= table[y] <= pos
+    kept = np.ones(pos.shape, dtype=bool)  # first of each run of equal positions
+    np.not_equal(pos[:, 1:], pos[:, :-1], out=kept[:, 1:])
     hit &= kept
-    rank = np.cumsum(kept, axis=1)
-    # per cell, the position and rank of the last length at or before it
-    last = np.maximum.accumulate(np.where(hit, pos, -1), axis=1)
-    last_rank = np.maximum.accumulate(np.where(hit, rank, 0), axis=1)
-    step = pos[:, 1:] - last[:, :-1]
-    # a length, its predecessor, and no dropped position between the two
-    real = hit[:, 1:] & (last[:, :-1] >= 0) & (step == rank[:, 1:] - last_rank[:, :-1])
-    flat = np.flatnonzero(real)
-    step = step.ravel()[flat]
+    # the kept lengths in row order; pos minus the rank among distinct
+    # positions is equal at two of them iff no position between was dropped
+    cell = np.flatnonzero(hit)
+    row = cell // pos.shape[1]
+    at = pos.ravel()[cell]
+    run = at - np.cumsum(kept, axis=1).ravel()[cell]
+    real = (row[1:] == row[:-1]) & (run[1:] == run[:-1])
+    step = np.diff(at)[real]
     gaps = np.zeros((hi - lo, int(step.max(initial=0)) + 1), dtype=bool)
-    gaps[flat // (pos.shape[1] - 1), step] = True
+    gaps[row[1:][real], step] = True
     return gaps
 
 
 def _sweep_parts(s: NumericalSemigroup, lo: int, stop: int) -> list[np.ndarray]:
     """The `_sweep_rows` output of each batch of x in [lo, stop), in order."""
     eng = _get_engine(s, stop - 1)
-    # transient plain tables: a gather beats a fold per cell
-    ys = np.arange(stop, dtype=np.int64)
+    # transient plain tables, a gather being cheaper than a fold per cell;
+    # the engine reaches only stop - 1, so the last read is a placeholder
+    # that the trailing INF overwrites
+    ys = np.arange(stop + 1, dtype=np.int64)
+    ys[-1] = 0
     tables = [eng.minmax(i, ys) for i in range(s.embedding_dim)]
+    for t in tables:
+        t[-1] = INF
     return [_sweep_rows(s.generators, tables, win, a, b) for a, b, win in _batches(s, lo, stop)]
 
 

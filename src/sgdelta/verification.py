@@ -365,6 +365,10 @@ def gaps_expected_trades(s: NumericalSemigroup, k: int) -> set[frozenset]:
 
 
 def _run_gaps_family(params) -> list[tuple]:
+    x_range = params.get("x_range")
+    if x_range and x_range[0]:
+        # the window scan runs from 0 and reads only the upper end
+        raise ValueError(f"gaps-family reads only the upper end of x_range (--x), not the lower end {x_range[0]}")
     lo, hi = params.get("k_range") or ((3, 5) if params.get("quick") else (3, 10))
     out = []
     for k in range(lo, hi + 1):
@@ -414,8 +418,9 @@ def _gaps_membership_half(k: int) -> tuple[str, str, str]:
 
 
 def _gaps_window_scan(s, k, params) -> tuple[str, str, str]:
-    """Sampled scan of the 0-delta window [ceil(7k/8), k]: exhaustive over a
-    caller-bounded horizon instead of the full stability range."""
+    """Sampled scan of the 0-delta window [ceil(7k/8), k]: exhaustive over
+    [0, horizon], the horizon being the upper end of x_range, instead of the
+    full stability range."""
     horizon = (params.get("x_range") or (0, 6 * s.generators[-1]))[1]
     observed = delta0_union_brute(s, horizon)
     window = {v for v in observed.values if math.ceil(7 * k / 8) <= v <= k}

@@ -15,7 +15,9 @@ former passes, which read library tables in a different way:
 `component_least_factorizations` reads the library's enumeration, the
 oracle for the presentation representatives picked from span tables.
 `apery_table` is the library's former residue-table builder, a heap
-Dijkstra over the residue graph, the oracle for the round-robin tables."""
+Dijkstra over the residue graph, the oracle for the round-robin tables.
+`sweep_rows_reference` is the sweep kernel's contract in plain Python, for
+any column layout and any tables."""
 
 import heapq
 import math
@@ -190,6 +192,26 @@ def doubling_empirical_start(s, p, w, budget):
             return floor_start + int(starts[long[0]])
         horizon = min(cap, horizon * 2) if horizon < cap else cap + 1
     raise BudgetExceeded(f"no verified periodicity window within element budget {cap}")
+
+
+def sweep_rows_reference(gens, tables, win, lo, hi):
+    """The gap rows of `infinity._sweep_rows` for x in [lo, hi), in plain
+    Python: per x, the sorted distinct positions of the columns clipped to
+    [ceil(x / A), x // a_1], the lengths among them (y = x - l * a_i < 0 is
+    a miss), and a gap between consecutive lengths only when no position
+    between the two was dropped. Each row is a tuple of gap sizes."""
+    total = sum(gens)
+    rows = []
+    for x in range(lo, hi):
+        bottom, top = -(-x // total), x // gens[0]
+        kept = sorted({min(max((x + add) // div + shift, bottom), top) for add, div, shift in win.T.tolist()})
+        lengths = [
+            (n, l)
+            for n, l in enumerate(kept)
+            if any(x - l * a >= 0 and table[x - l * a] <= l for a, table in zip(gens, tables))
+        ]
+        rows.append(tuple(sorted({l2 - l1 for (n1, l1), (n2, l2) in zip(lengths, lengths[1:]) if l2 - l1 == n2 - n1})))
+    return rows
 
 
 def sweep_row(s, gaps, x):

@@ -2,6 +2,8 @@
 tolerances to tune. One printed line per criterion; run with -s to see them.
 """
 
+from itertools import chain
+
 import numpy as np
 
 from sgdelta import (
@@ -169,7 +171,8 @@ def test_criterion_9_oracle_equivalence():
         k = s.embedding_dim
         for x in range(2001):
             got = enumerate_factorizations(s, x)
-            arr = np.array(sorted(got), dtype=np.int64).reshape(len(got), k)
+            arr = np.fromiter(chain.from_iterable(got), dtype=np.int64, count=len(got) * k).reshape(len(got), k)
+            arr = arr[np.lexsort(arr.T[::-1])]  # the grid's row order
             if not np.array_equal(arr, grid_factorizations(gens, x)):
                 bad.append((gens, x))
                 break

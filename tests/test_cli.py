@@ -193,6 +193,28 @@ def test_verify_rejects_parameters_its_claim_does_not_read(capsys):
         assert doc["error"] == {"code": "invalid-argument", "message": message}, argv
 
 
+def test_gaps_family_refuses_a_lower_end_of_x(capsys, monkeypatch):
+    # the window scan runs from 0 and reads only the upper end of --x, so a
+    # lower end is refused before any row, the scan among them, is built
+    built = []
+    monkeypatch.setattr(verification, "_gaps_rows", lambda *args: built.append(args) or [])
+    code, doc = run_json(capsys, "verify", "gaps-family", "--k", "10..10", "--extended", "--x", "100..131502")
+    assert code == 1
+    assert doc["error"] == {
+        "code": "invalid-argument",
+        "message": "gaps-family reads only the upper end of x_range (--x), not the lower end 100",
+    }
+    assert built == []
+    monkeypatch.undo()
+    # a lower end of 0 and the default scan the same range: 6 * 17 for k = 3
+    rows = [
+        run_json(capsys, "verify", "gaps-family", "--k", "3..3", "--extended", *x)[1]["result"]
+        for x in ((), ("--x", "0..102"))
+    ]
+    assert rows[0] == rows[1]
+    assert rows[0]["instances"][3]["instance"] == "gaps:k=3 window scan to 102"
+
+
 def test_verify_all_gives_each_claim_the_parameters_it_reads(capsys, monkeypatch):
     seen = {}
 

@@ -27,6 +27,7 @@ from _oracles import (
     minmax_single,
     minmax_subset_sums,
     sweep_row,
+    sweep_rows_reference,
 )
 
 # gcd-1 generator lists, k = 2..4, each below 30
@@ -194,6 +195,48 @@ def test_sweep_rows_match_full_mask(gens):
     eng = infinity._get_engine(s, top)
     for x in range(top + 1):
         assert sweep_row(s, gaps, x) == full_mask_deltas(eng, x), x
+
+
+@st.composite
+def sweep_inputs(draw):
+    """Arguments of `infinity._sweep_rows`: generators, tables of random
+    values with INF entries and the one trailing INF, and a column layout
+    of ascending blocks (add, div, shift + j) whose order, overlap and
+    clipping are all random; half the layouts put the blocks in the order
+    of `_windows`, bottom first and then by falling div."""
+    gens = tuple(sorted(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True))))
+    total = sum(gens)
+    lo = draw(st.integers(0, 150))
+    hi = draw(st.integers(lo + 1, lo + 40))
+    stop = draw(st.integers(hi, hi + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tables = []
+    for _ in gens:
+        t = rng.integers(0, draw(st.integers(1, 40)), stop + 1)
+        t[rng.random(stop + 1) < draw(st.floats(0, 1))] = arith.INF
+        t[-1] = arith.INF
+        tables.append(t)
+    blocks = draw(
+        st.lists(
+            st.tuples(st.sampled_from((total,) + gens), st.booleans(), st.integers(-40, 40), st.integers(1, 12)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    if draw(st.booleans()):
+        blocks.sort(key=lambda b: (-b[0], b[2]))
+    cols = [(div - 1 if up else 0, div, shift + j) for div, up, shift, n in blocks for j in range(n)]
+    return gens, tables, np.array(cols, dtype=np.int64).T, lo, hi
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(args=sweep_inputs())
+def test_sweep_rows_match_reference(args):
+    # the kernel alone, against its contract, on layouts and tables that no
+    # semigroup gives: rows out of order, overlapping and clipped windows,
+    # and reads at y < 0
+    got = infinity._sweep_rows(*args)
+    assert [tuple(np.flatnonzero(g).tolist()) for g in got] == sweep_rows_reference(*args)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
