@@ -365,10 +365,6 @@ def gaps_expected_trades(s: NumericalSemigroup, k: int) -> set[frozenset]:
 
 
 def _run_gaps_family(params) -> list[tuple]:
-    x_range = params.get("x_range")
-    if x_range and x_range[0]:
-        # the window scan runs from 0 and reads only the upper end
-        raise ValueError(f"gaps-family reads only the upper end of x_range (--x), not the lower end {x_range[0]}")
     lo, hi = params.get("k_range") or ((3, 5) if params.get("quick") else (3, 10))
     out = []
     for k in range(lo, hi + 1):
@@ -497,21 +493,31 @@ def _unread(spec: ClaimSpec, params) -> list[str]:
     return [k for k, v in params.items() if k in OPTIONAL and k not in reads and v is not None and v is not False]
 
 
+def _refuse(spec: ClaimSpec, params) -> None:
+    """ValueError when the claim ignores a set optional parameter, or part
+    of one: the gaps-family window scan runs from 0, so it reads only the
+    upper end of x_range."""
+    if unread := _unread(spec, params):
+        when = " without extended (--extended)" if unread[0] in spec.reads else ""
+        raise ValueError(f"{spec.id} does not read {unread[0]} ({OPTIONAL[unread[0]]}){when}")
+    x_range = params.get("x_range")
+    if spec.id == "gaps-family" and x_range and x_range[0]:
+        raise ValueError(f"gaps-family reads only the upper end of x_range (--x), not the lower end {x_range[0]}")
+
+
 def run_claim(claim_id: str, **params) -> list[Instance]:
     """The rows of one claim; a set optional parameter it ignores is a ValueError."""
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim id {claim_id!r}")
     spec = CLAIMS[claim_id]
-    if unread := _unread(spec, params):
-        when = " without extended (--extended)" if unread[0] in spec.reads else ""
-        raise ValueError(f"{claim_id} does not read {unread[0]} ({OPTIONAL[unread[0]]}){when}")
+    _refuse(spec, params)
     return [Instance(claim_id, *row) for row in spec.runner(params)]
 
 
 def run_all(quick: bool = False, **params) -> list[Instance]:
-    """`run_claim` over every claim, each given the optional parameters it reads."""
-    out = []
-    for cid, spec in CLAIMS.items():
-        unread = _unread(spec, params)
-        out += run_claim(cid, quick=quick, **{k: v for k, v in params.items() if k not in unread})
-    return out
+    """`run_claim` over every claim, each given the optional parameters it
+    reads; a refusal by any claim comes before the first one runs."""
+    calls = {cid: {k: v for k, v in params.items() if k not in _unread(spec, params)} for cid, spec in CLAIMS.items()}
+    for cid, read in calls.items():
+        _refuse(CLAIMS[cid], read)
+    return [row for cid, read in calls.items() for row in run_claim(cid, quick=quick, **read)]

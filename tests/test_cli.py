@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -205,6 +206,12 @@ def test_gaps_family_refuses_a_lower_end_of_x(capsys, monkeypatch):
         "message": "gaps-family reads only the upper end of x_range (--x), not the lower end 100",
     }
     assert built == []
+    # verify all refuses it before the first claim runs
+    first = next(iter(verification.CLAIMS))
+    recording = dataclasses.replace(verification.CLAIMS[first], runner=lambda params: built.append(params) or [])
+    monkeypatch.setitem(verification.CLAIMS, first, recording)
+    code, doc = run_json(capsys, "verify", "all", "--extended", "--x", "100..200")
+    assert (code, doc["error"]["code"], built) == (1, "invalid-argument", [])
     monkeypatch.undo()
     # a lower end of 0 and the default scan the same range: 6 * 17 for k = 3
     rows = [

@@ -1,6 +1,7 @@
 """Property tests: the per-norm engines and the presentation representatives
 against enumeration, the semigroup-level delta route against the engine of
-each norm, and the round-robin residue tables against a heap Dijkstra."""
+each norm, the round-robin residue tables against a heap Dijkstra, and the
+max-norm sweep kernel against its plain-Python reference."""
 
 import math
 from itertools import combinations
