@@ -23,9 +23,9 @@ from pathlib import Path
 from . import __version__
 from .budget import Budget
 from .errors import BudgetExceeded, SemigroupError
-from .factorization import P0, P1, PINF, delta_of_sorted_set, delta_set_of_semigroup, length_set
+from .factorization import P0, P1, PINF, delta_of_sorted_set, delta_set_of_semigroup, factored_value, length_set
 from .families import construct_family, parse_family, predicted_delta
-from .presentation import betti_elements, minimal_presentation, trade_value
+from .presentation import betti_elements, minimal_presentation
 from .semigroup import apery_set, contains, frobenius, make_semigroup
 from .zero import delta0_semigroup, delta0_stability_bound
 
@@ -173,7 +173,7 @@ def _cmd_compute(args) -> tuple[dict, int]:
         pres = minimal_presentation(s)
         result["betti"] = list(pres.betti)
         result["trades"] = [
-            {"element": trade_value(s, t), "left": list(t.left), "right": list(t.right)}
+            {"element": factored_value(s, t.left), "left": list(t.left), "right": list(t.right)}
             for t in pres.trades
         ]
     elif what in ("lengths", "delta"):
@@ -315,7 +315,7 @@ def _csv_lines(command: str, envelope: dict) -> list[str]:
         lines = ["p,predicted,computed,match"]
         for p, entry in sorted(res["checks"].items()):
             lines.append(
-                f"{p},{entry.get('predicted', '')},"
+                f"{p},{entry['predicted'].replace(',', ';')},"
                 f"{';'.join(map(str, entry.get('computed', [])))},{entry.get('match', '')}"
             )
         return lines

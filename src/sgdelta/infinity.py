@@ -198,16 +198,13 @@ class _Engine:
     def dominant_values(self, x: int, i: int) -> np.ndarray:
         return np.flatnonzero(self._dominant_mask(x, i))
 
-    def length_mask(self, x: int) -> np.ndarray:
+    def lengths(self, x: int) -> np.ndarray:
         # fresh buffer per call: engines are shared by concurrent readers
         buf = np.zeros(x // self.gens[0] + 1, dtype=bool)
         for i in range(1, len(self.gens) + 1):
             m = self._dominant_mask(x, i)
             np.logical_or(buf[: len(m)], m, out=buf[: len(m)])
-        return buf
-
-    def lengths(self, x: int) -> np.ndarray:
-        return np.flatnonzero(self.length_mask(x))
+        return np.flatnonzero(buf)
 
 
 def _get_engine(s: NumericalSemigroup, horizon: int) -> _Engine:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .factorization import DeltaSet, factored_value, support
+from .families import verify_gluing
 from .semigroup import (
     NumericalSemigroup,
     cached,
@@ -48,10 +49,6 @@ def make_trade(s: NumericalSemigroup, z1, z2) -> Trade:
     if set(support(z1)) & set(support(z2)):
         raise ValueError("trade sides must have disjoint supports")
     return Trade(*sorted((z1, z2)))
-
-
-def trade_value(s: NumericalSemigroup, t: Trade) -> int:
-    return factored_value(s, t.left)
 
 
 @dataclass(frozen=True)
@@ -151,22 +148,15 @@ def singleton_support_presentation_exists(s: NumericalSemigroup) -> bool:
 
 
 def gluing_expressions_3gen(s: NumericalSemigroup) -> list[GluingExpression]:
-    """All decompositions of a 3-generated semigroup as pivot + scaled pair.
-
-    Pivot a_i glues iff verify_gluing holds for g_i * S' + <a_i>, g_i the gcd
-    of the other two generators and S' their scaled-down span. Read off the
-    instance's table of those two, that is: g_i > 1 and g_i * a_i lies in
-    their span. The other conditions hold for every minimal gcd-1 S: g_i is
-    coprime to a_i, and a_i is no generator of S' (else g_i * a_i, a multiple
-    of a_i, would be another generator of S).
-    """
+    """All decompositions of a 3-generated semigroup as pivot + scaled pair:
+    pivot a_i glues iff verify_gluing holds for g_i * S' + <a_i>, g_i the gcd
+    of the other two generators and S' their scaled-down span."""
     if s.embedding_dim != 3:
         raise ValueError("gluing expressions are computed for 3 generators only")
     out = []
     for i in range(1, 4):
         q = quotient_data(s, i)
-        others = tuple(j for j in range(1, 4) if j != i)
-        if q.complement_gcd > 1 and span(s, others).contains(q.complement_gcd * s.generators[i - 1]):
+        if verify_gluing(q.complement_gcd, q.quotient_generators, s.generators[i - 1]):
             out.append(GluingExpression(i, q.complement_gcd, make_semigroup(q.quotient_generators)))
     return out
 

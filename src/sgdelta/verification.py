@@ -133,7 +133,12 @@ def _run_suite(check, params) -> list[tuple]:
 
 
 def _members(s, lo, hi):
-    return [x for x in range(lo, hi + 1) if contains(s, x)]
+    """The members of s in [lo, hi]; a range with none is an error, never a
+    pass that checked nothing."""
+    xs = [x for x in range(lo, hi + 1) if contains(s, x)]
+    if not xs:
+        raise ValueError(f"no member of {s} in [{lo},{hi}]")
+    return xs
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +195,7 @@ def _gap_regions(s, params) -> list[tuple]:
     # cannot turn it into a budget row
     if s.embedding_dim < 3:
         raise ValueError("interval decomposition references the third generator")
-    delta, cert = delta_inf_semigroup(s, budget=params.get("budget"))
+    cert = delta_inf_semigroup(s, budget=params.get("budget"))[1]
     stride = max(1, cert.period // (8 if params.get("quick") else 40))
     xs = [x for x in range(cert.start, cert.start + cert.period + 1, stride) if contains(s, x)]
     bad = [x for x in xs if not verify_interval_decomposition(s, x)]
@@ -307,16 +312,11 @@ def _three_gen_case(budget, gens):
     return gens, delta0_3gen(s).values, delta0_semigroup(s, budget).values
 
 
-def three_generated_semigroups(max_gen: int):
-    """All canonical 3-generated semigroups with largest generator <= max_gen."""
-    return list(candidates(3, max_gen, min_dim=3))
-
-
 def _run_three_gen_gluing(params) -> list[tuple]:
     max_gen = params.get("max_gen")
     if max_gen is None:
         max_gen = 24 if params.get("quick") else 40
-    cases = three_generated_semigroups(max_gen)
+    cases = list(candidates(3, max_gen, min_dim=3))
     if not cases:
         raise ValueError(f"no 3-generated semigroup has a_3 <= {max_gen}")
     label = f"all 3-generated with a_3 <= {max_gen} ({len(cases)} semigroups)"
@@ -345,7 +345,7 @@ def _chain_row(spec: FamilySpec) -> tuple[str, str, str]:
     return _inst(f"{spec.text()} chain of {len(steps)} gluings", ok)
 
 
-def gaps_expected_trades(s: NumericalSemigroup, k: int) -> set[frozenset]:
+def gaps_expected_trades(k: int) -> set[frozenset]:
     """The k forced trades of the gaps construction, as orientation-free
     side pairs over the sorted generators."""
 
@@ -381,7 +381,7 @@ def _gaps_rows(k: int, scan: bool, params) -> list[tuple]:
     s = construct_family(spec)
     out = [_inst(f"gaps:k={k} element deltas at 2x and 3x top generator", *_gaps_element_check(s, k))]
     got = {t.sides() for t in minimal_presentation(s).trades}
-    expected = gaps_expected_trades(s, k)
+    expected = gaps_expected_trades(k)
     ok_tr = expected <= got and len(got) == k
     out.append(
         _inst(f"gaps:k={k} forced trades present ({len(got)} total)", ok_tr, "" if ok_tr else f"missing {expected - got}")

@@ -29,7 +29,8 @@ from sgdelta import (
 )
 from sgdelta import factorization, verification
 from sgdelta.infinity import _get_engine
-from sgdelta.verification import SUITE_GENS, _gaps_membership_half, gaps_expected_trades, three_generated_semigroups
+from sgdelta.search import candidates
+from sgdelta.verification import SUITE_GENS, _gaps_membership_half, gaps_expected_trades
 
 from _oracles import full_mask_deltas, grid_factorizations
 
@@ -84,7 +85,7 @@ def test_criterion_4_delta0_families():
 
 
 def test_criterion_5_three_generated_cross_validation():
-    cases = three_generated_semigroups(40)
+    cases = list(candidates(3, 40, min_dim=3))
     bad = []
     for gens in cases:
         s = make_semigroup(gens)
@@ -125,7 +126,7 @@ def test_criterion_7_gaps_family():
         if delta_set_of_element(s, 2 * top, P0).values != (k - 1,):
             bad.append((k, "double"))
         got = {t.sides() for t in minimal_presentation(s).trades}
-        if not gaps_expected_trades(s, k) <= got or len(got) != k:
+        if not gaps_expected_trades(k) <= got or len(got) != k:
             bad.append((k, "trades"))
     # the proof-scale members: the two forced elements of k = 16
     if _gaps_membership_half(16)[1] != "pass":

@@ -114,6 +114,63 @@ def test_compute_apery_and_membership(capsys):
     assert doc["result"]["member"] is False
 
 
+def test_compute_betti_and_removed_generators(capsys):
+    code, doc = run_json(capsys, "compute", "--gens", "4,6,9", "betti")
+    assert code == 0
+    assert doc["result"] == {"betti": [12, 18], "generators": [4, 6, 9]}
+    # a redundant input generator is dropped and named
+    code, doc = run_json(capsys, "compute", "--gens", "4,6,9,12", "frobenius")
+    assert code == 0
+    assert doc["result"] == {"frobenius": 11, "generators": [4, 6, 9], "removed": [12]}
+
+
+@pytest.mark.parametrize("what, message", [("lengths", "lengths needs --x"), ("apery", "apery needs --m")])
+def test_compute_needs_its_argument(capsys, what, message):
+    code, doc = run_json(capsys, "compute", "--gens", "4,6,9", what)
+    assert code == 1
+    assert doc["error"] == {"code": "invalid-argument", "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (
+            ("compute", "--gens", "3,10,11", "apery", "--m", "3"),
+            ["x,invariant,value", ",modulus,3", ",entries,0;10;11"],
+        ),
+        (
+            ("compute", "--gens", "3,10,11", "delta", "--x", "21"),
+            ["x,invariant,value", "21,lengths,1;7", "21,delta,6"],
+        ),
+        (
+            # <2,3> is decided, every other pair overruns the budget
+            ("search", "--target", "1,2,3", "--p", "inf", "--max-gen", "5", "--max-dim", "2", "--budget-elements", "400"),
+            ["generators,status", "2;3,hit", "2;5,budget", "3;4,budget", "3;5,budget", "4;5,budget"],
+        ),
+        (
+            # commas inside a prediction become ';', as in the verify rows
+            ("family", "geometric:a=2,b=3,k=3"),
+            ["p,predicted,computed,match", "0,= [1],1,True", "inf,= [1; 2; 3],1;2;3,True"],
+        ),
+        (
+            ("family", "gaps:k=4"),
+            [
+                "p,predicted,computed,match",
+                "0,contains [3; 4] and meets [4; 4] in exactly that set,1;2;3;4,True",
+                "inf,unspecified,1;2;3,",
+            ],
+        ),
+    ],
+    ids=["compute-apery", "compute-delta", "search", "family-geometric", "family-gaps"],
+)
+def test_csv_output(capsys, argv, lines):
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == lines
+    # every line has as many fields as its header
+    assert {len(line.split(",")) for line in lines} == {len(lines[0].split(","))}
+
+
 def test_compute_presentation(capsys):
     code, doc = run_json(capsys, "compute", "--gens", "2,3", "presentation")
     assert code == 0
@@ -165,6 +222,17 @@ def test_verify_with_range(capsys):
     assert not any("m=5" in l for l in labels)
 
 
+def test_verify_with_a_one_value_range(capsys):
+    # --m 4 reads as 4..4
+    code, doc = run_json(capsys, "verify", "three-gap-family", "--m", "4")
+    assert code == 0
+    assert [(r["instance"], r["status"]) for r in doc["result"]["instances"]] == [
+        ("three_gap:m=4 p=inf", "pass"),
+        ("three_gap:m=4 p=0", "pass"),
+        ("three_gap:m=4 max embedding dim", "pass"),
+    ]
+
+
 def test_verify_minmax_bounds_labels_its_range(capsys):
     # a range from 0 keeps the x<=hi label that verify all --quick pins
     for x, label in (("100..200", "x in [100,200]"), ("0..200", "x<=200")):
@@ -173,6 +241,14 @@ def test_verify_minmax_bounds_labels_its_range(capsys):
         assert [(r["instance"], r["status"]) for r in doc["result"]["instances"]] == [
             (f"NumericalSemigroup(4, 6, 9) {label}", "pass")
         ]
+
+
+@pytest.mark.parametrize("claim", ["minmax-bounds", "aap-containment"])
+def test_verify_x_range_without_a_member_is_an_error(capsys, claim):
+    # no member of <4,6,9> lies in [1,3], so a pass row would check nothing
+    code, doc = run_json(capsys, "verify", claim, "--gens", "4,6,9", "--x", "1..3")
+    assert code == 1
+    assert doc["error"] == {"code": "invalid-argument", "message": "no member of NumericalSemigroup(4, 6, 9) in [1,3]"}
 
 
 def test_verify_rejects_parameters_its_claim_does_not_read(capsys):

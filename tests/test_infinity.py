@@ -295,6 +295,22 @@ def test_full_aap_range_reaches_certificate_horizon():
     assert [(r.status, r.label) for r in rows] == [("pass", f"{s} x in [0,2908]")]
 
 
+@pytest.mark.parametrize(
+    "gens, start",
+    [
+        # a_1 a_2 (3 g_1 + margin_1) / (a_2 - a_1) + 1 = 56 * 11 + 1
+        ((7, 8, 9), 617),
+        # a_2 a_3 (2 g_1 g_2 + margin_2) / (a_3 - a_2) + 1 = 110 * 9 + 1
+        ((8, 10, 11), 991),
+    ],
+)
+def test_theorem_start_set_by_a_gap_region_term(gens, start):
+    # the step identities ask for less here, so a gap-region term alone
+    # decides the start
+    _, cert = delta_inf_semigroup(make_semigroup(gens))
+    assert (cert.start, cert.mode) == (start, "theorem-backed")
+
+
 def _count_builds(monkeypatch):
     """The horizon of every engine built, in order."""
     horizons = []

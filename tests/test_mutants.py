@@ -1,0 +1,21 @@
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _mutants():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.MUTANTS
+
+
+def test_every_mutant_applies_to_exactly_one_place():
+    # tools/mutants.py runs outside this suite; an edit that moves or
+    # duplicates a mutant's old text must fail here, not go unseen there
+    mutants = _mutants()
+    assert len({m.name for m in mutants}) == len(mutants)
+    for m in mutants:
+        assert (ROOT / m.path).read_text().count(m.old) == 1, m.name
+        assert m.tests and all((ROOT / t.split("::")[0]).is_file() for t in m.tests), m.name

@@ -21,7 +21,8 @@ from sgdelta import (
     verify_gluing,
 )
 from sgdelta import factorization
-from sgdelta.presentation import trade_value
+from sgdelta.factorization import factored_value
+from sgdelta.search import candidates
 from sgdelta.verification import SUITE_GENS
 
 from _oracles import apply_trades_components, component_least_factorizations, factorization_graph_components
@@ -78,7 +79,7 @@ def test_minimal_presentation_gaps_trade():
 def test_trade_validation(med3):
     t = make_trade(med3, (7, 0, 0), (0, 1, 1))
     assert t.left == (0, 1, 1)  # lexicographically smaller side first
-    assert trade_value(med3, t) == 21
+    assert factored_value(med3, t.left) == 21
     with pytest.raises(ValueError):
         make_trade(med3, (7, 0, 0), (7, 0, 0))
     with pytest.raises(ValueError):
@@ -121,7 +122,7 @@ def test_presentation_needs_no_enumeration(monkeypatch):
         assert list(pres.trades) == star, gens
         joined = {}
         for t in pres.trades:
-            b = trade_value(s, t)
+            b = factored_value(s, t.left)
             comps = index_graph_components(s, b)
             # a factorization lies in the component of any index in its support
             sides = {next(n for n, c in enumerate(comps) if support(z)[0] in c) for z in (t.left, t.right)}
@@ -161,11 +162,9 @@ def test_gluing_expressions(geo, med3):
 
 
 def test_gluing_expressions_match_fresh_gluing_checks():
-    # the table read of gluing_expressions_3gen against verify_gluing, which
-    # builds a fresh table of each pivot's scaled-down complement
-    from sgdelta.verification import three_generated_semigroups
-
-    for gens in three_generated_semigroups(40):
+    # gluing_expressions_3gen, which reads each pivot's quotient data,
+    # against verify_gluing on the complement scaled down here
+    for gens in candidates(3, 40, min_dim=3):
         want = []
         for i, a in enumerate(gens, start=1):
             others = [b for b in gens if b != a]
@@ -185,8 +184,6 @@ def test_delta0_3gen(geo, med3):
 
 def test_delta0_3gen_matches_exact_engine_sample():
     # the full a_3 <= 40 sweep runs in the acceptance suite
-    from sgdelta.verification import three_generated_semigroups
-
-    for gens in three_generated_semigroups(25):
+    for gens in candidates(3, 25, min_dim=3):
         s = make_semigroup(gens)
         assert delta0_3gen(s) == delta0_semigroup(s), gens

@@ -1,0 +1,164 @@
+"""Mutation check: do the tests catch a broken fast path?
+
+Each entry of MUTANTS is one exact text replacement in one file under src/
+and the tests that must fail once it is made. For each mutant the script
+copies src/, tests/, perfbench/ (which tests/test_bench_names.py reads) and
+pyproject.toml into a fresh temporary directory, applies the mutant there
+and runs only its tests against the copy. The repository itself is never
+changed.
+
+A mutant is killed only when pytest ran every collected test and reports at
+least one failure. A collection error, a usage error or a run that collects
+nothing kills nothing: an import that breaks in the copy must not read as a
+caught mutant. Before any mutant, the named tests must pass on an unmutated
+copy.
+
+    python tools/mutants.py
+
+Exits 0 when every mutant is killed, 1 when one survives or cannot be
+applied, 2 when the unmutated copy fails the named tests. Needs only the
+standard library and pytest.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+import xml.etree.ElementTree as ET
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest ids, at least one of which must fail
+
+
+MUTANTS = (
+    Mutant(
+        "gluing-drops-containment",
+        "src/sgdelta/families.py",
+        "return cone.gcd == 1 and new not in cone.gens and cone.contains(new)",
+        "return cone.gcd == 1 and new not in cone.gens",
+        ("tests/test_families.py::test_gluing_verifier_rejects",),
+    ),
+    Mutant(
+        "sweep-gap-ignores-runs",
+        "src/sgdelta/infinity.py",
+        "real = (row[1:] == row[:-1]) & (run[1:] == run[:-1])",
+        "real = row[1:] == row[:-1]",
+        ("tests/test_properties.py::test_sweep_rows_match_reference",),
+    ),
+    Mutant(
+        "minmax-fold-off-by-one",
+        "src/sgdelta/infinity.py",
+        "return self.tables[i][y - q * self.steps[i]] + q",
+        "return self.tables[i][y - q * self.steps[i]] + q + (q > 1)",
+        ("tests/test_properties.py::test_folded_minmax_reads_match_references",),
+    ),
+    Mutant(
+        "zero-threshold-drops-support-sum",
+        "src/sgdelta/zero.py",
+        "thr = cone.gcd * (cone.frobenius_reduced() + 1) + total",
+        "thr = cone.gcd * (cone.frobenius_reduced() + 1)",
+        ("tests/test_zero.py",),
+    ),
+    Mutant(
+        "round-robin-keeps-its-own-path",
+        "src/sgdelta/arith.py",
+        "            else:\n                n = old\n",
+        "",
+        ("tests/test_properties.py::test_residue_tables_match_the_heap_oracle",),
+    ),
+    Mutant(
+        "start-region-1-term",
+        "src/sgdelta/infinity.py",
+        "a[0] * a[1] * (3 * g1 + b1)",
+        "a[0] * a[1] * (2 * g1 + b1)",
+        ("tests/test_infinity.py::test_theorem_start_set_by_a_gap_region_term",),
+    ),
+    Mutant(
+        "start-region-2-term",
+        "src/sgdelta/infinity.py",
+        "a[1] * a[2] * (2 * g1 * g2 + b2)",
+        "a[1] * a[2] * (g1 * g2 + b2)",
+        ("tests/test_infinity.py::test_theorem_start_set_by_a_gap_region_term",),
+    ),
+)
+
+
+def _copy(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", "*.pyc", ".pytest_cache", ".hypothesis")
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=skip)
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def _run(tree: Path, tests: tuple[str, ...]) -> tuple[str, float]:
+    """"pass", "fail" or "error" for the tests in `tree`, and the seconds taken."""
+    report = tree / "report.xml"
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", f"--junitxml={report}", *tests],
+        cwd=tree,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    seconds = time.monotonic() - started
+    if proc.returncode not in (0, 1) or not report.exists():
+        return "error", seconds
+    suite = ET.parse(report).getroot()
+    suite = suite if suite.tag == "testsuite" else suite.find("testsuite")
+    errors, failures, ran = (int(suite.get(k, 0)) for k in ("errors", "failures", "tests"))
+    if errors or not ran:
+        return "error", seconds
+    return ("fail" if failures else "pass"), seconds
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        _copy(clean)
+        tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        outcome, seconds = _run(clean, tests)
+        print(f"unmutated: {outcome} ({seconds:.1f} s)")
+        if outcome != "pass":
+            return 2
+        survived = []
+        for n, m in enumerate(MUTANTS):
+            tree = Path(tmp) / f"m{n}"
+            _copy(tree)
+            target = tree / m.path
+            text = target.read_text()
+            if text.count(m.old) != 1:
+                print(f"{m.name}: old text occurs {text.count(m.old)} times in {m.path}")
+                survived.append(m.name)
+                continue
+            target.write_text(text.replace(m.old, m.new))
+            outcome, seconds = _run(tree, m.tests)
+            verdict = {"fail": "killed", "pass": "SURVIVED", "error": "NOT KILLED (tests errored)"}[outcome]
+            print(f"{m.name}: {verdict} ({seconds:.1f} s)")
+            if outcome != "fail":
+                survived.append(m.name)
+            shutil.rmtree(tree)
+    print(f"{len(MUTANTS) - len(survived)} of {len(MUTANTS)} mutants killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
