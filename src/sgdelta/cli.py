@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import hashlib
 import io
 import json
 import os
@@ -83,13 +82,16 @@ def _cache_dir(args) -> Path | None:
     return Path(env) if env else None
 
 
-# Part of every cache key: raise it when a change alters what a command returns.
-RESULT_SCHEMA = 2
+def _cache_key(args) -> str:
+    """Hashes the arguments that can change a result together with the
+    package source, so an entry written by other code is a miss."""
+    import hashlib
 
-
-def _cache_key(payload: dict) -> str:
-    blob = json.dumps({"version": __version__, "schema": RESULT_SCHEMA, **payload}, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    read = {k: v for k, v in vars(args).items() if k not in ("func", "format", "threads", "cache_dir")}
+    digest = hashlib.sha256(json.dumps(read, sort_keys=True).encode())
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def _cache_get(cdir: Path | None, key: str):
@@ -138,16 +140,7 @@ def _cmd_compute(args) -> tuple[dict, int]:
         raise ValueError("apery needs --m")
 
     cdir = _cache_dir(args)
-    key_payload = {
-        "command": "compute",
-        "gens": gens,
-        "what": what,
-        "x": args.x,
-        "m": args.m,
-        "p": args.p,
-        "budget": _budget_echo(budget),
-    }
-    key = _cache_key(key_payload)
+    key = _cache_key(args) if cdir else None
     cached = _cache_get(cdir, key)
     if cached is not None:
         return {**cached, "cached": True}, EXIT_OK

@@ -3,7 +3,8 @@ delta sets, the max-embedding-dimension test, and a general gluing verifier.
 
 Canonical text form, used by the CLI: ``variant:key=value,key=value`` where a
 bare token continues the previous value list, e.g. ``supersymmetric:p=5,3,2``
-or ``interval:k=3,seeds=5,7``.
+or ``interval:k=3,seeds=5,7``. Only ``p``, ``gens`` and ``seeds`` take a
+list; a second value of any other key, or a key given twice, is an error.
 """
 
 from __future__ import annotations
@@ -68,12 +69,17 @@ def parse_family(text: str) -> FamilySpec:
     for tok in [t for t in rest.split(",") if t]:
         if "=" in tok:
             current, v = tok.split("=", 1)
+            if current in raw:
+                raise ValueError(f"{variant} parameter {current!r} given twice")
             raw[current] = [int(v)]
         elif current is not None:
             raw[current].append(int(tok))
         else:
             raise ValueError(f"cannot parse family parameter {tok!r}")
-    kw = {k: (v[0] if len(v) == 1 and k not in ("p", "gens", "seeds") else tuple(v)) for k, v in raw.items()}
+    for k, v in raw.items():
+        if len(v) > 1 and k not in ("p", "gens", "seeds"):
+            raise ValueError(f"{variant} parameter {k!r} takes one value, got {len(v)}")
+    kw = {k: (tuple(v) if k in ("p", "gens", "seeds") else v[0]) for k, v in raw.items()}
     return family(variant, **kw)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -396,6 +397,9 @@ def test_family_bad_parameters(capsys):
         ("geometric:a=2,b=3", "geometric needs parameter 'k'"),
         ("interval:k=3,seeds=5", "interval needs exactly 2 seeds, got 1"),
         ("interval:k=2,seeds=5,7,11", "interval needs exactly 2 seeds, got 3"),
+        ("geometric:a=2,3,b=3,k=3", "geometric parameter 'a' takes one value, got 2"),
+        ("three_gap:m=4,5", "three_gap parameter 'm' takes one value, got 2"),
+        ("geometric:a=2,b=5,k=3,a=3", "geometric parameter 'a' given twice"),
     ]:
         code, doc = run_json(capsys, "family", spec)
         assert code == 1
@@ -565,6 +569,34 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SGDELTA_CACHE_DIR", str(tmp_path))
     run_json(capsys, "compute", "--gens", "2,3", "frobenius")
     assert list(tmp_path.glob("*.json"))
+
+
+def test_cache_entry_written_by_other_code_is_a_miss(tmp_path):
+    # the key holds the package source, so after any edit, a comment line
+    # included, an entry written before it is a miss
+    pkg = tmp_path / "src" / "sgdelta"
+    shutil.copytree(Path(sgdelta.__file__).parent, pkg, ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONPATH": str(pkg.parent), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = ["compute", "--gens", "4,6,9", "delta-semigroup", "--p", "inf", "--cache-dir", str(tmp_path / "cache")]
+
+    def cached() -> bool:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgdelta.cli", *argv], capture_output=True, text=True, env=env, timeout=60, check=True
+        )
+        return json.loads(proc.stdout)["timing"]["cached"]
+
+    assert [cached(), cached()] == [False, True]
+    with (pkg / "infinity.py").open("a") as f:
+        f.write("# one more comment line\n")
+    assert cached() is False
+
+
+def test_cache_entry_is_not_served_under_another_budget(tmp_path, capsys):
+    argv = ["compute", "--gens", "4,6,9", "delta-semigroup", "--p", "inf", "--cache-dir", str(tmp_path)]
+    code, _ = run_json(capsys, *argv)
+    assert code == 0 and list(tmp_path.glob("*.json"))
+    code, doc = run_json(capsys, *argv, "--budget-elements", "2000")
+    assert code == 3 and doc["error"]["code"] == "budget-exceeded"
 
 
 def test_json_keys_sorted(capsys):

@@ -65,6 +65,21 @@ def test_parse_and_text_roundtrip():
         assert parse_family(spec.text()) == spec
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("geometric:a=2,3,b=3,k=3", "geometric parameter 'a' takes one value, got 2"),
+        ("three_gap:m=4,5", "three_gap parameter 'm' takes one value, got 2"),
+        ("geometric:a=2,b=5,k=3,a=3", "geometric parameter 'a' given twice"),
+        ("supersymmetric:p=5,3,p=2", "supersymmetric parameter 'p' given twice"),
+    ],
+)
+def test_parse_rejects_a_repeated_or_multi_valued_parameter(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_family(text)
+    assert str(exc.value) == message
+
+
 def test_family_chains_are_gluings():
     for spec in (family("interval", k=4), family("interval", k=5), family("gaps", k=6)):
         for step in family_chain(spec):

@@ -5,8 +5,9 @@ test dependencies bring no linter, so this walks each module's syntax tree,
 imports inside functions included. The package `__init__` is left out: it
 resolves its names on first use from one table, which is checked here
 against the modules. Each CLI command runs in a fresh interpreter, which
-shows the modules it loads: numpy, the max-norm engine and the claim
-registry only where the command needs them, and enumeration loads no numpy.
+shows the modules it loads: numpy, the max-norm engine, the claim registry
+and hashlib only where the command needs them, and enumeration loads no
+numpy.
 """
 
 import ast
@@ -137,7 +138,7 @@ def loaded_after(*argv: str, script: str = LOADED_AFTER) -> set[str]:
     return set(json.loads(proc.stdout))
 
 
-HEAVY = {"numpy", "sgdelta.infinity", "sgdelta.verification", "concurrent.futures"}
+HEAVY = {"numpy", "sgdelta.infinity", "sgdelta.verification", "concurrent.futures", "hashlib", "_hashlib"}
 
 
 @pytest.mark.parametrize(
@@ -161,6 +162,12 @@ def test_max_norm_command_loads_numpy():
     # the probe sees numpy where a command needs it
     loaded = loaded_after("compute", "--gens", "7,11,13,17", "delta-semigroup", "--p", "inf")
     assert {"numpy", "sgdelta.infinity"} <= loaded
+
+
+def test_cached_command_loads_hashlib(tmp_path):
+    # the probe sees hashlib where a command needs it: only the cache key hashes
+    loaded = loaded_after("compute", "--gens", "6,9,20", "apery", "--m", "7", "--cache-dir", str(tmp_path))
+    assert {"hashlib", "_hashlib"} <= loaded
 
 
 def test_enumeration_loads_no_numpy():

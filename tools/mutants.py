@@ -94,6 +94,34 @@ MUTANTS = (
         "a[1] * a[2] * (g1 * g2 + b2)",
         ("tests/test_infinity.py::test_theorem_start_set_by_a_gap_region_term",),
     ),
+    Mutant(
+        "span-walk-keeps-every-generator",
+        "src/sgdelta/arith.py",
+        "if not table.contains(a):",
+        "if True:",
+        ("tests/test_search.py::test_candidates_match_the_minimality_oracle",),
+    ),
+    Mutant(
+        "span-walk-skips-gcd-multiples",
+        "src/sgdelta/arith.py",
+        "if not table.contains(a):",
+        "if a % table.gcd:",
+        ("tests/test_search.py::test_candidates_match_the_minimality_oracle",),
+    ),
+    Mutant(
+        "zero-support-span-stops-a-doubling-short",
+        "src/sgdelta/zero.py",
+        "while step <= room:",
+        "while 2 * step <= room:",
+        ("tests/test_properties.py::test_zero_union_matches_oracles",),
+    ),
+    Mutant(
+        "cache-key-ignores-the-source",
+        "src/sgdelta/cli.py",
+        "        digest.update(path.read_bytes())\n",
+        "        pass\n",
+        ("tests/test_cli.py::test_cache_entry_written_by_other_code_is_a_miss",),
+    ),
 )
 
 
