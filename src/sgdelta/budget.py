@@ -9,10 +9,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import BudgetExceeded
+
 
 @dataclass(frozen=True)
 class Budget:
     max_element: int
+
+
+def check_element(x: int, budget: Budget | None) -> None:
+    """BudgetExceeded when x exceeds an explicit element budget; with none,
+    each engine keeps its own default."""
+    if budget is not None and x > budget.max_element:
+        raise BudgetExceeded(f"x={x} exceeds element budget {budget.max_element}")
 
 
 # The max-norm engine walks every element up to its certificate horizon, so

@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .budget import Budget
+from .budget import Budget, check_element
 from .errors import BudgetExceeded, SemigroupError
 from .factorization import P0, P1, PINF, delta_of_sorted_set, delta_set_of_semigroup, factored_value, length_set
 from .families import construct_family, parse_family, predicted_delta
@@ -134,8 +134,10 @@ def _cmd_compute(args) -> tuple[dict, int]:
     if what in ("membership", "lengths", "delta"):
         if args.x is None:
             raise ValueError(f"{what} needs --x")
-        if budget is not None and args.x > budget.max_element:
-            raise BudgetExceeded(f"x={args.x} exceeds element budget {budget.max_element}")
+        check_element(args.x, budget)
+    elif budget is not None and what in ("apery", "frobenius", "betti", "presentation"):
+        # as in verify, a flag the computation does not read is refused
+        raise ValueError(f"{what} does not read budget (--budget-elements)")
     if what == "apery" and args.m is None:
         raise ValueError("apery needs --m")
 

@@ -6,14 +6,25 @@ sweeps merge identically at any worker count.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 
-def pmap(fn, items, workers: int = 1):
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
+
+@contextmanager
+def parallel(workers: int = 1):
+    """Yields `map_in_order(fn, items)`, the list of `fn` over `items` in
+    submission order. One worker maps in this process; more share one
+    process pool that lives as long as the block, so a caller that maps
+    batch after batch starts its workers once."""
+    if workers <= 1:
+        yield lambda fn, items: [fn(it) for it in items]
+        return
     # imported here, so a serial run never loads the process pool machinery
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+
+        def map_in_order(fn, items):
+            items = list(items)
+            return list(pool.map(fn, items, chunksize=max(1, len(items) // (workers * 8))))
+
+        yield map_in_order

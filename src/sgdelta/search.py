@@ -20,7 +20,7 @@ from .arith import cone_table
 from .budget import Budget
 from .errors import BudgetExceeded, SemigroupError
 from .factorization import P0, PINF, DeltaSet, delta_set_of_semigroup
-from .parallel import pmap
+from .parallel import parallel
 from .semigroup import make_semigroup
 
 
@@ -92,21 +92,21 @@ def search_delta(
     tested = 0
     exhausted = True
     chunk = 64
-    while batch := list(islice(cands, chunk)):
-        if deadline is not None and time.monotonic() > deadline:
-            exhausted = False
-            break
-        results = pmap(_probe, [(gens, p, target.values, budget) for gens in batch], workers)
-        for gens, status, detail in results:
-            tested += 1
-            if status == "budget":
-                skipped.append((gens, detail))
+    with parallel(workers) as map_in_order:
+        while batch := list(islice(cands, chunk)):
+            if deadline is not None and time.monotonic() > deadline:
                 exhausted = False
-            elif status == "hit":
-                # re-verify on a fresh instance before emission
-                if delta_set_of_semigroup(make_semigroup(gens), p, budget).values != target.values:
-                    raise SemigroupError(f"re-verification failed for {gens}")
-                hits.append(gens)
+                break
+            for gens, status, detail in map_in_order(_probe, [(gens, p, target.values, budget) for gens in batch]):
+                tested += 1
+                if status == "budget":
+                    skipped.append((gens, detail))
+                    exhausted = False
+                elif status == "hit":
+                    # re-verify on a fresh instance before emission
+                    if delta_set_of_semigroup(make_semigroup(gens), p, budget).values != target.values:
+                        raise SemigroupError(f"re-verification failed for {gens}")
+                    hits.append(gens)
     return SearchReport(
         target.values, p, max_dim, max_gen, tuple(hits), tuple(skipped), tested, exhausted
     )

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cache, partial
 
+from .budget import check_element
 from .errors import BudgetExceeded
 from .factorization import (
     P0,
@@ -58,7 +59,7 @@ from .infinity import (
     verify_linf_bounds,
     verify_shift,
 )
-from .parallel import pmap
+from .parallel import parallel
 from .presentation import delta0_3gen, minimal_presentation, singleton_support_presentation_exists
 from .search import candidates
 from .semigroup import NumericalSemigroup, contains, make_semigroup
@@ -132,12 +133,13 @@ def _run_suite(check, params) -> list[tuple]:
     return [r for s in _suite(params) for r in _guard(str(s), lambda: check(s, params))]
 
 
-def _members(s, lo, hi):
+def _members(s, lo, hi, budget):
     """The members of s in [lo, hi]; a range with none is an error, never a
-    pass that checked nothing."""
+    pass that checked nothing, and one past an explicit budget overruns."""
     xs = [x for x in range(lo, hi + 1) if contains(s, x)]
     if not xs:
         raise ValueError(f"no member of {s} in [{lo},{hi}]")
+    check_element(xs[-1], budget)
     return xs
 
 
@@ -147,7 +149,7 @@ def _members(s, lo, hi):
 
 def _minmax_bounds(s, params) -> list[tuple]:
     lo, hi = params.get("x_range") or (0, 10 * s.gen_sum)
-    bad = [x for x in _members(s, lo, hi) if not verify_linf_bounds(s, x)]
+    bad = [x for x in _members(s, lo, hi, params.get("budget")) if not verify_linf_bounds(s, x)]
     return [_violations(f"{s} x in [{lo},{hi}]" if lo else f"{s} x<={hi}", bad)]
 
 
@@ -164,7 +166,7 @@ def _aap(s, params) -> list[tuple]:
         lo, hi = 0, cert.start + (cert.window_periods + 1) * cert.period
     bad = [
         (x, i)
-        for x in _members(s, lo, hi)
+        for x in _members(s, lo, hi, params.get("budget"))
         for i in range(1, s.embedding_dim + 1)
         if not verify_aap(s, x, i)
     ]
@@ -184,6 +186,7 @@ def _step_shift(s, params) -> list[tuple]:
             x = base + off
             while not contains(s, x):
                 x += 1
+            check_element(x, params.get("budget"))
             if not verify_shift(s, x, i, bound, sum_bound):
                 bad.append(x)
         out.append(_violations(f"{s} i={i} bound={bound}", bad))
@@ -231,7 +234,7 @@ def _residue_deltas(s, params) -> list[tuple]:
 def _l0_tail(s, params) -> list[tuple]:
     x0 = delta0_stability_bound(s)
     hi = x0 + 3 * s.generators[-1]
-    bad = [x for x in _members(s, x0 + 1, hi) if not check_l0_interval(s, x)]
+    bad = [x for x in _members(s, x0 + 1, hi, params.get("budget")) if not check_l0_interval(s, x)]
     return [_violations(f"{s} window ({x0}, {hi}]", bad, "holes at ")]
 
 
@@ -322,7 +325,8 @@ def _run_three_gen_gluing(params) -> list[tuple]:
     label = f"all 3-generated with a_3 <= {max_gen} ({len(cases)} semigroups)"
 
     def row():
-        results = pmap(partial(_three_gen_case, params.get("budget")), cases, params.get("workers", 1))
+        with parallel(params.get("workers", 1)) as map_in_order:
+            results = map_in_order(partial(_three_gen_case, params.get("budget")), cases)
         bad = [(g, a, b) for g, a, b in results if a != b]
         return [_inst(label, not bad, f"disagreements: {bad[:3]}" if bad else "")]
 
@@ -366,19 +370,21 @@ def gaps_expected_trades(k: int) -> set[frozenset]:
 
 def _run_gaps_family(params) -> list[tuple]:
     lo, hi = params.get("k_range") or ((3, 5) if params.get("quick") else (3, 10))
+    budget = params.get("budget")
     out = []
     for k in range(lo, hi + 1):
-        out += _guard(f"gaps:k={k}", lambda: _gaps_rows(k, params.get("extended") and k == hi, params))
+        out += _guard(f"gaps:k={k}", lambda: _gaps_rows(k, params.get("extended") and k == hi, budget))
     if params.get("extended"):
-        out += _guard("gaps:k=16", lambda: [_gaps_membership_half(16)])
+        out += _guard("gaps:k=16", lambda: [_gaps_membership_half(16, budget)])
     return out
 
 
-def _gaps_rows(k: int, scan: bool, params) -> list[tuple]:
+def _gaps_rows(k: int, scan: bool, budget) -> list[tuple]:
     """Element deltas, forced trades and gluing chain of gaps:k, plus the
     window scan when `scan`."""
     spec = family("gaps", k=k)
     s = construct_family(spec)
+    check_element((6 if scan else 3) * s.generators[-1], budget)
     out = [_inst(f"gaps:k={k} element deltas at 2x and 3x top generator", *_gaps_element_check(s, k))]
     got = {t.sides() for t in minimal_presentation(s).trades}
     expected = gaps_expected_trades(k)
@@ -388,7 +394,7 @@ def _gaps_rows(k: int, scan: bool, params) -> list[tuple]:
     )
     out.append(_chain_row(spec))
     if scan:
-        out.append(_gaps_window_scan(s, k, params))
+        out.append(_gaps_window_scan(s, k))
     return out
 
 
@@ -406,18 +412,18 @@ def _gaps_element_check(s: NumericalSemigroup, k: int) -> tuple[bool, str]:
     return ok, "" if ok else f"got {list(d2.values)} / {list(d3.values)}"
 
 
-def _gaps_membership_half(k: int) -> tuple[str, str, str]:
+def _gaps_membership_half(k: int, budget=None) -> tuple[str, str, str]:
     """Element-level facts at proof scale: the two forced elements pin the
     top of the window, i.e. {k-1, k} is contained in the 0-delta set."""
     s = construct_family(family("gaps", k=k))
+    check_element(3 * s.generators[-1], budget)
     return _inst(f"gaps:k={k} membership half {{k-1, k}}", *_gaps_element_check(s, k))
 
 
-def _gaps_window_scan(s, k, params) -> tuple[str, str, str]:
+def _gaps_window_scan(s, k) -> tuple[str, str, str]:
     """Sampled scan of the 0-delta window [ceil(7k/8), k]: exhaustive over
-    [0, horizon], the horizon being the upper end of x_range, instead of the
-    full stability range."""
-    horizon = (params.get("x_range") or (0, 6 * s.generators[-1]))[1]
+    [0, 6 * a_top] instead of the full stability range."""
+    horizon = 6 * s.generators[-1]
     observed = delta0_union_brute(s, horizon)
     window = {v for v in observed.values if math.ceil(7 * k / 8) <= v <= k}
     return (
@@ -435,14 +441,21 @@ def _run_geometric_proof_z(params) -> list[tuple]:
     for a, b, k in [(2, 3, 3), (2, 5, 3)]:
         s = construct_family(family("geometric", a=a, b=b, k=k))
         a2 = s.generators[1]
-        for c in range(a + 1, b + 1):
-            z = enumerate_factorizations(s, c * a2)
-            expect = {
-                tuple([b, c - a] + [0] * (k - 2)),
-                tuple([0, c] + [0] * (k - 2)),
-            }
-            holds = "holds" if z == expect else f"fails: {sorted(z)}"
-            out.append((f"{s} x={c * a2}", "report", f"two-factorization claim {holds}"))
+
+        def rows():
+            check_element(b * a2, params.get("budget"))
+            found = []
+            for c in range(a + 1, b + 1):
+                z = enumerate_factorizations(s, c * a2)
+                expect = {
+                    tuple([b, c - a] + [0] * (k - 2)),
+                    tuple([0, c] + [0] * (k - 2)),
+                }
+                holds = "holds" if z == expect else f"fails: {sorted(z)}"
+                found.append((f"{s} x={c * a2}", "report", f"two-factorization claim {holds}"))
+            return found
+
+        out += _guard(str(s), rows)
     return out
 
 
@@ -480,7 +493,7 @@ CLAIMS: dict[str, ClaimSpec] = {
         ClaimSpec("three-gen-gluing", "3-generated: gluing count decides the 0-delta set", "verified", _run_three_gen_gluing, reads=("max_gen",)),
         ClaimSpec("interval-family", "interval construction realizes {1..k-1}", "verified", _run_interval_family),
         ClaimSpec("gaps-family", "gaps construction: window {k-1,k} plus forced trades", "verified", _run_gaps_family,
-                  reads=("x_range", "k_range", "extended")),
+                  reads=("k_range", "extended")),
         ClaimSpec("geometric-proof-z", "instance-level two-factorization observation", "report-only", _run_geometric_proof_z),
     ]
 }
@@ -488,21 +501,8 @@ CLAIMS: dict[str, ClaimSpec] = {
 
 def _unread(spec: ClaimSpec, params) -> list[str]:
     """The parameters of OPTIONAL set in params (not None, not False) that the
-    claim ignores; gaps-family reads x_range only for the extended scan."""
-    reads = [k for k in spec.reads if k != "x_range" or spec.id != "gaps-family" or params.get("extended")]
-    return [k for k, v in params.items() if k in OPTIONAL and k not in reads and v is not None and v is not False]
-
-
-def _refuse(spec: ClaimSpec, params) -> None:
-    """ValueError when the claim ignores a set optional parameter, or part
-    of one: the gaps-family window scan runs from 0, so it reads only the
-    upper end of x_range."""
-    if unread := _unread(spec, params):
-        when = " without extended (--extended)" if unread[0] in spec.reads else ""
-        raise ValueError(f"{spec.id} does not read {unread[0]} ({OPTIONAL[unread[0]]}){when}")
-    x_range = params.get("x_range")
-    if spec.id == "gaps-family" and x_range and x_range[0]:
-        raise ValueError(f"gaps-family reads only the upper end of x_range (--x), not the lower end {x_range[0]}")
+    claim ignores."""
+    return [k for k, v in params.items() if k in OPTIONAL and k not in spec.reads and v is not None and v is not False]
 
 
 def run_claim(claim_id: str, **params) -> list[Instance]:
@@ -510,14 +510,15 @@ def run_claim(claim_id: str, **params) -> list[Instance]:
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim id {claim_id!r}")
     spec = CLAIMS[claim_id]
-    _refuse(spec, params)
+    if unread := _unread(spec, params):
+        raise ValueError(f"{claim_id} does not read {unread[0]} ({OPTIONAL[unread[0]]})")
     return [Instance(claim_id, *row) for row in spec.runner(params)]
 
 
 def run_all(quick: bool = False, **params) -> list[Instance]:
-    """`run_claim` over every claim, each given the optional parameters it
-    reads; a refusal by any claim comes before the first one runs."""
-    calls = {cid: {k: v for k, v in params.items() if k not in _unread(spec, params)} for cid, spec in CLAIMS.items()}
-    for cid, read in calls.items():
-        _refuse(CLAIMS[cid], read)
-    return [row for cid, read in calls.items() for row in run_claim(cid, quick=quick, **read)]
+    """`run_claim` over every claim, each given the optional parameters it reads."""
+    out = []
+    for cid, spec in CLAIMS.items():
+        unread = _unread(spec, params)
+        out += run_claim(cid, quick=quick, **{k: v for k, v in params.items() if k not in unread})
+    return out

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import shutil
@@ -11,6 +10,8 @@ import pytest
 import sgdelta
 from sgdelta import verification
 from sgdelta.cli import main
+from sgdelta.factorization import DeltaSet
+from sgdelta.families import DeltaPrediction, family_chain, parse_family, verify_gluing
 
 
 def run_cli(capsys, *argv):
@@ -201,6 +202,61 @@ def test_verify_budget_overruns_are_rows(capsys):
     assert doc["result"]["summary"] == {"pass": 34, "fail": 0, "report": 4, "budget": 5}
 
 
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        pytest.param(
+            ("minmax-bounds", "--gens", "4,6,9", "--budget-elements", "100"),
+            [("NumericalSemigroup(4, 6, 9)", "x=190 exceeds element budget 100")],
+            id="minmax-bounds",
+        ),
+        pytest.param(
+            ("aap-containment", "--quick", "--budget-elements", "500"),
+            [("NumericalSemigroup(4, 6, 9)", "x=884 exceeds element budget 500")],
+            id="aap-containment",
+        ),
+        pytest.param(
+            ("l0-interval-tail", "--quick", "--budget-elements", "1"),
+            [("NumericalSemigroup(4, 6, 9)", "x=64 exceeds element budget 1")],
+            id="l0-interval-tail",
+        ),
+        pytest.param(
+            ("step-shift", "--gens", "4,6,9", "--budget-elements", "1"),
+            [("NumericalSemigroup(4, 6, 9)", "x=856 exceeds element budget 1")],
+            id="step-shift",
+        ),
+        pytest.param(
+            ("gaps-family", "--k", "3..3", "--budget-elements", "1"),
+            [("gaps:k=3", "x=51 exceeds element budget 1")],
+            id="gaps-family",
+        ),
+        pytest.param(
+            ("geometric-proof-z", "--budget-elements", "1"),
+            [
+                ("NumericalSemigroup(4, 6, 9)", "x=18 exceeds element budget 1"),
+                ("NumericalSemigroup(4, 10, 25)", "x=50 exceeds element budget 1"),
+            ],
+            id="geometric-proof-z",
+        ),
+    ],
+)
+def test_verify_claims_hold_an_explicit_element_budget(capsys, argv, rows):
+    # an element past the budget overruns the row that checks it, in every
+    # claim; the detail names the first such element
+    code, doc = run_json(capsys, "verify", *argv)
+    assert code == 0
+    assert [(r["instance"], r["detail"]) for r in doc["result"]["instances"]] == rows
+    assert doc["result"]["summary"]["budget"] == len(rows)
+
+
+@pytest.mark.parametrize("what", ["apery", "frobenius", "betti", "presentation"])
+def test_compute_refuses_a_budget_it_does_not_read(capsys, what):
+    m = ("--m", "4") if what == "apery" else ()
+    code, doc = run_json(capsys, "compute", "--gens", "4,6,9", what, *m, "--budget-elements", "1")
+    assert code == 1
+    assert doc["error"] == {"code": "invalid-argument", "message": f"{what} does not read budget (--budget-elements)"}
+
+
 def test_verify_zero_norm_claims_honour_budget(capsys):
     # the stability bounds (111 for <3,10,11>) exceed the budget, as in
     # compute delta-semigroup --p 0, so those rows are budget rows
@@ -260,11 +316,9 @@ def test_verify_rejects_parameters_its_claim_does_not_read(capsys):
         (("step-shift", "--m", "3..4"), "step-shift does not read m_range (--m)"),
         (("geometric-family", "--max-gen", "0"), "geometric-family does not read max_gen (--max-gen)"),
         (("interval-family", "--extended"), "interval-family does not read extended (--extended)"),
-        # the window scan that --extended adds is all that reads --x
-        (
-            ("gaps-family", "--k", "3..3", "--x", "0..200"),
-            "gaps-family does not read x_range (--x) without extended (--extended)",
-        ),
+        (("gaps-family", "--k", "3..3", "--x", "0..200"), "gaps-family does not read x_range (--x)"),
+        # a read parameter set beside it does not hide the unread one
+        (("gaps-family", "--extended", "--x", "0..102"), "gaps-family does not read x_range (--x)"),
     ):
         code, doc = run_json(capsys, "verify", *argv)
         assert code == 1, argv
@@ -272,31 +326,20 @@ def test_verify_rejects_parameters_its_claim_does_not_read(capsys):
 
 
 def test_gaps_family_refuses_a_lower_end_of_x(capsys, monkeypatch):
-    # the window scan runs from 0 and reads only the upper end of --x, so a
-    # lower end is refused before any row, the scan among them, is built
+    # the window scan always runs over [0, 6 * a_top], so --x, with a lower
+    # end or without, is refused before any row, the scan among them, is built
     built = []
     monkeypatch.setattr(verification, "_gaps_rows", lambda *args: built.append(args) or [])
-    code, doc = run_json(capsys, "verify", "gaps-family", "--k", "10..10", "--extended", "--x", "100..131502")
-    assert code == 1
-    assert doc["error"] == {
-        "code": "invalid-argument",
-        "message": "gaps-family reads only the upper end of x_range (--x), not the lower end 100",
-    }
+    for x in ("100..131502", "0..131502"):
+        code, doc = run_json(capsys, "verify", "gaps-family", "--k", "10..10", "--extended", "--x", x)
+        assert code == 1
+        assert doc["error"] == {"code": "invalid-argument", "message": "gaps-family does not read x_range (--x)"}
     assert built == []
-    # verify all refuses it before the first claim runs
-    first = next(iter(verification.CLAIMS))
-    recording = dataclasses.replace(verification.CLAIMS[first], runner=lambda params: built.append(params) or [])
-    monkeypatch.setitem(verification.CLAIMS, first, recording)
-    code, doc = run_json(capsys, "verify", "all", "--extended", "--x", "100..200")
-    assert (code, doc["error"]["code"], built) == (1, "invalid-argument", [])
     monkeypatch.undo()
-    # a lower end of 0 and the default scan the same range: 6 * 17 for k = 3
-    rows = [
-        run_json(capsys, "verify", "gaps-family", "--k", "3..3", "--extended", *x)[1]["result"]
-        for x in ((), ("--x", "0..102"))
-    ]
-    assert rows[0] == rows[1]
-    assert rows[0]["instances"][3]["instance"] == "gaps:k=3 window scan to 102"
+    # 6 * 17 for k = 3
+    code, doc = run_json(capsys, "verify", "gaps-family", "--k", "3..3", "--extended")
+    assert code == 0
+    assert doc["result"]["instances"][3]["instance"] == "gaps:k=3 window scan to 102"
 
 
 def test_verify_all_gives_each_claim_the_parameters_it_reads(capsys, monkeypatch):
@@ -311,7 +354,7 @@ def test_verify_all_gives_each_claim_the_parameters_it_reads(capsys, monkeypatch
 
     specs = [
         claim("minmax-bounds", ("gens", "x_range")),
-        claim("gaps-family", ("x_range", "k_range", "extended")),
+        claim("gaps-family", ("k_range", "extended")),
         claim("med-delta0", ()),
     ]
     monkeypatch.setattr(verification, "CLAIMS", {c.id: c for c in specs})
@@ -320,7 +363,7 @@ def test_verify_all_gives_each_claim_the_parameters_it_reads(capsys, monkeypatch
     assert seen == {"minmax-bounds": ["gens", "x_range"], "gaps-family": ["k_range"], "med-delta0": []}
     code, doc = run_json(capsys, "verify", "all", "--quick", "--x", "0..200", "--extended")
     assert code == 0
-    assert seen == {"minmax-bounds": ["x_range"], "gaps-family": ["extended", "x_range"], "med-delta0": []}
+    assert seen == {"minmax-bounds": ["x_range"], "gaps-family": ["extended"], "med-delta0": []}
 
 
 def test_verify_gap_regions_rejects_two_generators_at_any_budget(capsys):
@@ -404,6 +447,24 @@ def test_family_bad_parameters(capsys):
         code, doc = run_json(capsys, "family", spec)
         assert code == 1
         assert doc["error"] == {"code": "invalid-argument", "message": message}, spec
+
+
+def test_family_with_explicit_interval_seeds(capsys):
+    # seeds are read in either order, and the default is the least two primes above k
+    for spec, gens in (("interval:k=3,seeds=7,5", [12, 65, 91]), ("interval:k=3,seeds=11,13", [24, 319, 377])):
+        code, doc = run_json(capsys, "family", spec, "--p", "0")
+        assert code == 0
+        assert doc["result"]["generators"] == gens, spec
+        assert doc["result"]["checks"] == {"0": {"predicted": "= [1, 2]", "computed": [1, 2], "match": True}}, spec
+    steps = family_chain(parse_family("interval:k=3,seeds=11,13"))
+    assert steps and all(verify_gluing(st.scale, st.base_gens, st.new_gen) for st in steps)
+
+
+def test_family_mismatch_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr("sgdelta.cli.predicted_delta", lambda spec, p: DeltaPrediction(exact=DeltaSet((5,))))
+    code, doc = run_json(capsys, "family", "geometric:a=2,b=3,k=3", "--p", "0")
+    assert code == 4
+    assert doc["result"]["checks"] == {"0": {"predicted": "= [5]", "computed": [1], "match": False}}
 
 
 def test_family_interval_seeds_checked_at_every_k(capsys):

@@ -51,6 +51,23 @@ def test_search_deterministic_across_worker_counts():
     assert serial.tested == pooled.tested
 
 
+def test_a_pooled_search_starts_one_pool(monkeypatch):
+    # 91 candidates make two batches, and both run on the same workers
+    import concurrent.futures
+
+    pools = []
+
+    class Counting(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+    report = search_delta([1, 2], P0, max_dim=3, max_gen=12, workers=2)
+    assert report.tested == 91 and len(pools) == 1
+    assert report.hits == search_delta([1, 2], P0, max_dim=3, max_gen=12).hits
+
+
 def test_max_norm_search_deterministic_across_worker_counts():
     # tuples cross the pool and each worker builds its own instances; the
     # low budget skips some pairs, so hits, misses and skips all occur

@@ -122,6 +122,20 @@ MUTANTS = (
         "        pass\n",
         ("tests/test_cli.py::test_cache_entry_written_by_other_code_is_a_miss",),
     ),
+    Mutant(
+        "verify-refuses-what-a-claim-reads",
+        "src/sgdelta/verification.py",
+        "k in OPTIONAL and k not in spec.reads and",
+        "k in OPTIONAL and",
+        ("tests/test_cli.py::test_verify_rejects_parameters_its_claim_does_not_read",),
+    ),
+    Mutant(
+        "members-ignore-the-element-budget",
+        "src/sgdelta/verification.py",
+        "    check_element(xs[-1], budget)\n",
+        "",
+        ("tests/test_cli.py::test_verify_claims_hold_an_explicit_element_budget[minmax-bounds]",),
+    ),
 )
 
 
