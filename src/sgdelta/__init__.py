@@ -7,7 +7,7 @@ a claim registry that re-verifies their structural statements on concrete
 instances.
 
 Each public name below is imported from its module on first use (PEP 562),
-so numpy loads only with the 1-norm table or the max-norm engine.
+so numpy loads only with the max-norm sweep of a semigroup-level query.
 """
 
 import importlib

@@ -39,6 +39,38 @@ def ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def mark_lengths(mask: bytearray, table, y0: int, step: int, x: int, a: int, lo: int = 0) -> None:
+    """Set mask[l] for every l in [lo, x // a] with f(x - l * a) <= l, where
+    f(y) = table[y] below y0 and f(y + step) = f(y) + 1 from y0 on, so
+    f(y) = table[y0 + (y - y0) % step] + (y - y0) // step there. table holds
+    f up to y0 + step - 1, or every y <= x - lo * a it is read at; INF marks
+    an unreachable y, and a table that is cut short may hold INF wherever f
+    exceeds every l it is compared with.
+
+    The fold region, l <= (x - y0) // a, takes no read per l: there
+    u = x - y0 - l * a has a residue mod step of period P = step / gcd(a, step)
+    in l, and u // step falls by e = a / gcd(a, step) per period. So along
+    l = c + j * P the test reads table[y0 + r] + q - j * e <= c + j * P, with
+    q, r = divmod(u at c, step), and it holds exactly from
+    j = ceil((table[y0 + r] + q - c) / (P + e)) on. Past that region each l is
+    one plain read."""
+    hi = x // a
+    last = min(hi, (x - y0) // a)  # the fold region is [lo, last]
+    g = math.gcd(a, step)
+    period, span = step // g, (step + a) // g
+    u = x - y0 - lo * a
+    for c in range(lo, min(last + 1, lo + period)):
+        q, r = divmod(u, step)
+        u -= a
+        need = table[y0 + r] + q - c
+        first = c - period * (-need // span) if need > 0 else c
+        if first <= last:
+            mask[first : last + 1 : period] = b"\x01" * ((last - first) // period + 1)
+    for l in range(max(lo, last + 1), hi + 1):
+        if table[x - l * a] <= l:
+            mask[l] = 1
+
+
 def modinv(a: int, m: int) -> int:
     """Inverse of a modulo m in [0, m-1]; m >= 1 and gcd(a, m) = 1."""
     return pow(a, -1, m)

@@ -23,10 +23,7 @@ from . import __version__
 from .budget import Budget, check_element
 from .errors import BudgetExceeded, SemigroupError
 from .factorization import P0, P1, PINF, delta_of_sorted_set, delta_set_of_semigroup, factored_value, length_set
-from .families import construct_family, parse_family, predicted_delta
-from .presentation import betti_elements, minimal_presentation
 from .semigroup import apery_set, contains, frobenius, make_semigroup
-from .zero import delta0_semigroup, delta0_stability_bound
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -163,8 +160,12 @@ def _cmd_compute(args) -> tuple[dict, int]:
     elif what == "frobenius":
         result["frobenius"] = frobenius(s)
     elif what == "betti":
+        from .presentation import betti_elements
+
         result["betti"] = betti_elements(s)
     elif what == "presentation":
+        from .presentation import minimal_presentation
+
         pres = minimal_presentation(s)
         result["betti"] = list(pres.betti)
         result["trades"] = [
@@ -183,6 +184,8 @@ def _cmd_compute(args) -> tuple[dict, int]:
         p = _parse_p(args.p)
         result["p"] = _p_name(p)
         if p == P0:
+            from .zero import delta0_semigroup, delta0_stability_bound
+
             d = delta0_semigroup(s, budget=budget)
             result["delta"] = list(d.values)
             result["stability_bound"] = delta0_stability_bound(s)
@@ -259,6 +262,8 @@ def _cmd_search(args) -> tuple[dict, int]:
 
 
 def _cmd_family(args) -> tuple[dict, int]:
+    from .families import construct_family, parse_family, predicted_delta
+
     spec = parse_family(args.spec)
     s = construct_family(spec)
     ps = [P0, PINF] if args.p == "both" else [_parse_p(args.p)]

@@ -6,18 +6,19 @@ to the generator order. Enumeration recurses from the largest generator down
 outside the shared span table of the remaining prefix of generators. It
 serves callers that need the tuples and is the oracle for the length sets,
 which come from one exact engine per norm: the support cones (p = 0), a
-least-part-count table (p = 1) and the min-max tables (p = inf). numpy and
-the max-norm engine load only where a query needs them, so neither a 0-norm
-query nor an enumeration loads them.
+least-part-count table (p = 1) and the min-max tables (p = inf). The
+max-norm engine loads only for p = inf, and none of these loads numpy: only
+the max-norm sweep of a semigroup-level query does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator
 
-from .arith import INF, cone_table
+from .arith import INF, ceil_div, cone_table, mark_lengths
 from .budget import MAX_ENGINE_HORIZON, MAX_FACTORIZATIONS, Budget
 from .errors import BudgetExceeded, NotAMember
 from .semigroup import NumericalSemigroup, contains
@@ -160,32 +161,59 @@ def delta_of_sorted_set(values) -> DeltaSet:
     return DeltaSet.from_iterable(b - a for a, b in zip(vals, vals[1:]))
 
 
+def _one_norm_shift_point(parts: tuple[int, ...]) -> int:
+    """A y0 from which m(y + b) = m(y) + 1, where m(y) is the least number of
+    the ascending parts summing to y (INF if none) and b is the largest part.
+
+    Put d = {b - p : p a smaller part}, with gcd g, least element d_min and F
+    the Frobenius number of <d / g>, and h = g / gcd(g, b). Let
+    n*(y) = min{n >= ceil(y / b) : n * b - y in <d>}.
+      - m(y) >= n*(y) always: n parts summing to y give n * b - y as a sum of
+        the d's, and n >= y / b.
+      - m(y) = n*(y) for y >= y0 = ceil(b * (g * (F + 1) + h * b) / d_min).
+        The n with g | n * b - y form one class mod h. Take n = n*(y) and
+        e = n * b - y. Either n is the least n >= ceil(y / b) of its class,
+        so (n - h) * b < y and e < h * b, or e - h * b >= 0 is a multiple of
+        g outside <d>, so e - h * b <= g * F. Either way
+        e < g(F + 1) + h * b. Any representation w of e by d then has
+        sum(w) <= e / d_min < y0 / b <= n, so w plus n - sum(w) copies of b
+        gives y with n parts.
+    Since n*(y + b) = n*(y) + 1 for every y, m(y + b) = m(y) + 1 for y >= y0,
+    and an unreachable y stays so. A single part (k = 2) gives y0 = 0.
+    """
+    b = parts[-1]
+    if len(parts) == 1:
+        return 0
+    d = cone_table(tuple(b - p for p in reversed(parts[:-1])))
+    h = d.gcd // math.gcd(d.gcd, b)
+    return ceil_div(b * (d.gcd * (d.frobenius_reduced() + 1) + h * b), d.gens[0])
+
+
 def _one_norm_lengths(s: NumericalSemigroup, x: int) -> list[int]:
     """1-lengths of a member x, the 1-norm analogue of the min-max tables.
 
     A length-l factorization puts l - (z_2 + ... + z_k) copies on a_1, so l is
     a length iff m[x - l * a_1] <= l, where m[y] is the least number of parts
-    a_i - a_1 (i >= 2) summing to y. Part b relaxes m[y] to m[y - b] + 1: a
-    running minimum of m[y] - j down each residue class r mod b, y = j*b + r.
+    a_i - a_1 (i >= 2) summing to y. Part b relaxes m[y] to m[y - b] + 1, in
+    ascending y. The table stops at y0 + b_max, `_one_norm_shift_point`'s
+    fold, and is read once per residue class past y0 (`mark_lengths`).
     """
-    import numpy as np
-
     if x > MAX_ENGINE_HORIZON:
         raise BudgetExceeded(f"1-norm length table to {x} exceeds the engine budget")
     gens = s.generators
     a1 = gens[0]
-    lo = -(-x // gens[-1])
-    n = x - lo * a1
-    m = np.full(n + 1, INF, dtype=np.int64)
-    m[0] = 0
-    for b in (a - a1 for a in gens[1:]):
-        rows = n // b + 1
-        grid = np.full(rows * b, INF, dtype=np.int64)
-        grid[: n + 1] = m
-        j = np.arange(rows, dtype=np.int64)[:, None]
-        m = (np.minimum.accumulate(grid.reshape(rows, b) - j, axis=0) + j).ravel()[: n + 1]
-    ls = np.arange(lo, x // a1 + 1, dtype=np.int64)
-    return ls[m[x - ls * a1] <= ls].tolist()
+    parts = tuple(a - a1 for a in gens[1:])
+    y0 = _one_norm_shift_point(parts)
+    lo = ceil_div(x, gens[-1])
+    top = min(x - lo * a1, y0 + parts[-1])
+    m = [0] + [INF] * top
+    for b in parts:
+        for y in range(b, top + 1):
+            if m[y - b] + 1 < m[y]:
+                m[y] = m[y - b] + 1
+    mask = bytearray(x // a1 + 1)
+    mark_lengths(mask, m, y0, parts[-1], x, a1, lo)
+    return list(compress(range(len(mask)), mask))
 
 
 def length_set(s: NumericalSemigroup, x: int, p) -> LengthSet:

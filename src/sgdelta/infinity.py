@@ -58,7 +58,9 @@ max(x // a_1 - ceil(x / A) + 1) over its x, is narrower than the wide
 layout keeps that whole range instead (the narrow layout: columns
 ceil(x / A) + j below that width), drops nothing and needs no sort; a batch
 has at most 2^13 cells, or one row.
-Element queries read the full mask.
+Element queries read every length of x from the stored tables, with one read
+per residue class of l past y0_i (`arith.mark_lengths`), in plain Python;
+only the sweep, and so only a semigroup-level query, loads numpy.
 
 Each instance caches one engine and one sweep. The engine grows by doubling
 until every table reaches its top, and is never rebuilt after that. The
@@ -80,12 +82,12 @@ last mismatch, so the next window starts just past it.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import count
+from itertools import compress
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .arith import INF, ceil_div
+from .arith import INF, ceil_div, mark_lengths
 from .budget import DEFAULT_INF_BUDGET, MAX_ENGINE_HORIZON, Budget
 from .errors import BudgetExceeded, NotAMember, ThresholdNotMet, VerificationError
 from .factorization import PINF, DeltaSet, LengthSet
@@ -99,6 +101,9 @@ from .semigroup import (
     quotient_data,
     span,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -136,36 +141,46 @@ def structure_constants(s: NumericalSemigroup) -> StructureConstants:
 # min-max exponent tables
 
 
-def _minmax_bfs(gens: tuple[int, ...], horizon: int, levels: float = math.inf) -> np.ndarray:
-    """t over y = 0..horizon for the generators gens, by level search: going
-    from exponent bound l to l + 1 adds at most one copy of each generator,
-    so OR-ing in the shift by each generator in turn reaches every
-    subset-sum shift. Entries above `levels` stay INF."""
-    reach = np.zeros(horizon + 1, dtype=bool)
-    reach[0] = True
-    t = np.full(horizon + 1, INF, dtype=np.int64)
+def _minmax_bfs(gens: tuple[int, ...], horizon: int, levels: float = math.inf) -> array:
+    """t over y = 0..horizon for the generators gens, by level search on a
+    bitset of the reached y: going from exponent bound l to l + 1 adds at
+    most one copy of each generator, so OR-ing in the shift by each
+    generator in turn reaches every subset-sum shift. The newly set bits of
+    a level get that level, one run of set bits at a time. Entries above
+    `levels` stay INF."""
+    t = array("q", [INF]) * (horizon + 1)
     t[0] = 0
-    for level in count(1):
-        if level > levels:
-            return t
-        new = reach.copy()
+    mask = (1 << (horizon + 1)) - 1
+    reach, level = 1, 0
+    while level < levels:
+        level += 1
+        new = reach
         for v in gens:
-            # numpy reads overlapping operands as if copied first, so each
-            # OR adds at most one copy of v
-            np.logical_or(new[v:], new[:-v], out=new[v:])
-        newly = new & ~reach
-        if not newly.any():
-            return t
-        t[newly] = level
+            # the shift reads `new` before the OR, so each OR adds at most
+            # one copy of v
+            new |= (new << v) & mask
+        newly = new ^ reach
+        if not newly:
+            break
+        bits = bin(newly)  # bits[j] is bit top - j
+        top = len(bits) - 1
+        at = bits.find("1")
+        while at >= 0:
+            end = bits.find("0", at)
+            end = top + 1 if end < 0 else end
+            t[top + 1 - end : top + 1 - at] = array("q", [level]) * (end - at)
+            at = bits.find("1", end)
         reach = new
+    return t
 
 
 class _Engine:
     """Max-norm length oracle for one generator tuple, valid for all
     x <= horizon. Table i stops at top_i = y0_i + B_i, and reads past it use
     t_i(y + B_i) = t_i(y) + 1; once every table reaches its top the horizon
-    is infinite. Holding the generators, not the semigroup, keeps the
-    instance that caches it free of reference cycles."""
+    is infinite. Element reads fold with `arith.mark_lengths`, which reads a
+    table once per residue class past y0_i. Holding the generators, not the
+    semigroup, keeps the instance that caches it free of reference cycles."""
 
     def __init__(self, gens: tuple[int, ...], y0: tuple[int, ...], horizon: int):
         self.gens = gens
@@ -181,30 +196,25 @@ class _Engine:
         ]
         self.horizon = horizon if horizon < max(tops) else math.inf
 
-    def minmax(self, i: int, y: np.ndarray) -> np.ndarray:
-        """t_i at the nonnegative int64 array y, for the 0-based index i;
-        INF or more where y is unreachable, and, below table i's top, also
-        where t_i exceeds horizon // a_i."""
-        q = np.maximum(y - self.y0[i], 0) // self.steps[i]
-        return self.tables[i][y - q * self.steps[i]] + q
+    def _mark(self, mask: bytearray, x: int, i: int) -> None:
+        """Set mask[l] for every dominant length l of x at the 0-based
+        index i."""
+        mark_lengths(mask, self.tables[i], self.y0[i], self.steps[i], x, self.gens[i])
 
-    def _dominant_mask(self, x: int, i: int) -> np.ndarray:
-        """Boolean over l = 0..x//a_i: l is a dominant length of x at i.
-        Entry j corresponds to l = j."""
-        a = self.gens[i - 1]
-        ls = np.arange(x // a + 1, dtype=np.int64)
-        return self.minmax(i - 1, x - ls * a) <= ls
+    def dominant_values(self, x: int, i: int) -> list[int]:
+        """The dominant lengths of x at the 1-based index i, ascending."""
+        mask = bytearray(x // self.gens[i - 1] + 1)
+        self._mark(mask, x, i - 1)
+        return list(compress(range(len(mask)), mask))
 
-    def dominant_values(self, x: int, i: int) -> np.ndarray:
-        return np.flatnonzero(self._dominant_mask(x, i))
-
-    def lengths(self, x: int) -> np.ndarray:
+    def lengths(self, x: int) -> list[int]:
+        """The max-norm lengths of x, ascending: the union over i of its
+        dominant lengths."""
         # fresh buffer per call: engines are shared by concurrent readers
-        buf = np.zeros(x // self.gens[0] + 1, dtype=bool)
-        for i in range(1, len(self.gens) + 1):
-            m = self._dominant_mask(x, i)
-            np.logical_or(buf[: len(m)], m, out=buf[: len(m)])
-        return np.flatnonzero(buf)
+        mask = bytearray(x // self.gens[0] + 1)
+        for i in range(len(self.gens)):
+            self._mark(mask, x, i)
+        return list(compress(range(len(mask)), mask))
 
 
 def _get_engine(s: NumericalSemigroup, horizon: int) -> _Engine:
@@ -248,6 +258,7 @@ def _windows(s: NumericalSemigroup) -> np.ndarray:
     and the windows follow in the order of their positions, so once they
     separate a row needs no sort. Index 1's top window ends at x//a_1,
     since every column above it clips to x//a_1."""
+    import numpy as np
 
     def build():
         consts = structure_constants(s)
@@ -269,6 +280,8 @@ def _batches(s: NumericalSemigroup, lo: int, stop: int):
     than W tests that range whole: its columns are ceil(x/A) + j for j below
     that width, and no position is dropped. Other batches use the W columns
     of `_windows`."""
+    import numpy as np
+
     a1, total = s.generators[0], s.gen_sum
     win = _windows(s)
     wide = win.shape[1]
@@ -291,6 +304,8 @@ def _sweep_rows(gens: tuple[int, ...], tables: list[np.ndarray], win: np.ndarray
     """Gap flags, shape (hi - lo, D) with column d set iff d is in the delta
     set, for the elements x in [lo, hi). tables[i] holds t_i unfolded to at
     least hi - 1, then one INF."""
+    import numpy as np
+
     total = sum(gens)
     add, div, shift = win
     xs = np.arange(lo, hi, dtype=np.int64)[:, None]
@@ -321,13 +336,23 @@ def _sweep_rows(gens: tuple[int, ...], tables: list[np.ndarray], win: np.ndarray
 
 def _sweep_parts(s: NumericalSemigroup, lo: int, stop: int) -> list[np.ndarray]:
     """The `_sweep_rows` output of each batch of x in [lo, stop), in order."""
+    import numpy as np
+
     eng = _get_engine(s, stop - 1)
-    # transient plain tables, a gather being cheaper than a fold per cell;
-    # the engine reaches only stop - 1, so the last read is a placeholder
-    # that the trailing INF overwrites
+    # transient plain tables, a gather being cheaper than a fold per cell,
+    # one call per table so that its temporaries are freed before the next
+    # is built (held across tables, they raised the peak RSS); the engine
+    # reaches only stop - 1, so the last read is a placeholder that the
+    # trailing INF overwrites
     ys = np.arange(stop + 1, dtype=np.int64)
     ys[-1] = 0
-    tables = [eng.minmax(i, ys) for i in range(s.embedding_dim)]
+
+    def unfold(table: array, y0: int, step: int) -> np.ndarray:
+        """t_i at every y of ys: t_i[y - q * B_i] + q, q = max(0, y - y0_i) // B_i."""
+        q = np.maximum(ys - y0, 0) // step
+        return np.frombuffer(table, dtype=np.int64)[ys - q * step] + q
+
+    tables = [unfold(*table) for table in zip(eng.tables, eng.y0, eng.steps)]
     for t in tables:
         t[-1] = INF
     return [_sweep_rows(s.generators, tables, win, a, b) for a, b, win in _batches(s, lo, stop)]
@@ -338,6 +363,8 @@ def _deltas(s: NumericalSemigroup, upto: int) -> np.ndarray:
     the delta set of x. Each x is swept once per instance: a longer request
     extends the cached sweep into a new array that replaces it, and the old
     one is never mutated, so concurrent readers stay safe."""
+    import numpy as np
+
     done = s._cache.get("inf-deltas")
     have = 0 if done is None else len(done)
     if have > upto:
@@ -359,7 +386,7 @@ def _deltas(s: NumericalSemigroup, upto: int) -> np.ndarray:
 
 def infinity_length_set(s: NumericalSemigroup, x: int) -> LengthSet:
     eng = _member_engine(s, x)
-    return LengthSet(PINF, tuple(eng.lengths(x).tolist()))
+    return LengthSet(PINF, tuple(eng.lengths(x)))
 
 
 def dominant_length_set(s: NumericalSemigroup, x: int, i: int) -> LengthSet:
@@ -368,7 +395,7 @@ def dominant_length_set(s: NumericalSemigroup, x: int, i: int) -> LengthSet:
     if not 1 <= i <= s.embedding_dim:
         raise ValueError(f"index must be in 1..{s.embedding_dim}")
     eng = _member_engine(s, x)
-    return LengthSet(PINF, tuple(eng.dominant_values(x, i).tolist()))
+    return LengthSet(PINF, tuple(eng.dominant_values(x, i)))
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +456,8 @@ def delta_inf_semigroup(
     past the Frobenius number to begin, and gives up once a window would
     reach past the element budget.
     """
+    import numpy as np
+
     budget = budget or DEFAULT_INF_BUDGET
     w = window_periods
     if w < 1:
@@ -468,15 +497,14 @@ def verify_linf_bounds(s: NumericalSemigroup, x: int) -> bool:
     a = s.generators
     k = len(a)
     total = s.gen_sum
-    ach = eng.lengths(x)
-    lmin = int(ach[0])
+    lmin = eng.lengths(x)[0]
     if lmin * total < x or (lmin - a[-1]) * total > x:
         return False
     for i in range(1, k + 1):
         dom = eng.dominant_values(x, i)
-        if dom.size == 0:
+        if not dom:
             continue
-        top = int(dom[-1])
+        top = dom[-1]
         if top * a[i - 1] > x or x > a[i - 1] * (top + k * a[-1]):
             return False
     return True
@@ -490,7 +518,7 @@ def verify_aap(s: NumericalSemigroup, x: int, i: int) -> bool:
     rec = consts.records[i - 1]
     a_i = s.generators[i - 1]
     g = rec.complement_gcd
-    dom = set(eng.dominant_values(x, i).tolist())
+    dom = set(eng.dominant_values(x, i))
     res = (rec.inverse * x) % g
     if any(l % g != res for l in dom):
         return False
@@ -517,14 +545,14 @@ def verify_shift(s: NumericalSemigroup, x: int, i: int, bound: int, sum_bound: i
     total = s.gen_sum
 
     cut = ceil_div(x, a_i) - bound
-    before = {l for l in eng.dominant_values(x, i).tolist() if l >= cut}
-    after = {l for l in eng.dominant_values(x + a_i, i).tolist() if l >= cut + 1}
+    before = {l for l in eng.dominant_values(x, i) if l >= cut}
+    after = {l for l in eng.dominant_values(x + a_i, i) if l >= cut + 1}
     if after != {l + 1 for l in before}:
         return False
 
     cap = x // total + sum_bound
-    low_before = {l for l in eng.lengths(x).tolist() if l <= cap}
-    low_after = {l for l in eng.lengths(x + total).tolist() if l <= cap + 1}
+    low_before = {l for l in eng.lengths(x) if l <= cap}
+    low_after = {l for l in eng.lengths(x + total) if l <= cap + 1}
     return low_after == {l + 1 for l in low_before}
 
 
@@ -543,7 +571,7 @@ def verify_interval_decomposition(s: NumericalSemigroup, x: int) -> bool:
     g2 = consts.records[1].complement_gcd
     b1 = consts.records[0].margin
     b2 = consts.records[1].margin
-    ach = eng.lengths(x).tolist()
+    ach = eng.lengths(x)
     gaps = {b - a2 for a2, b in zip(ach, ach[1:])}
     base = set(range(1, min(g1, g2) + 1)) | {g1}
     if not base <= gaps:

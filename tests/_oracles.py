@@ -16,6 +16,10 @@ former passes, which read library tables in a different way:
 oracle for the presentation representatives picked from span tables.
 `apery_table` is the library's former residue-table builder, a heap
 Dijkstra over the residue graph, the oracle for the round-robin tables.
+`minmax_level_search` and `one_norm_table` are the library's former numpy
+builders of the min-max tables and of the 1-norm table, with no fold,
+oracles for the plain-Python bitset level search and the folded 1-norm
+table; `one_norm_lengths` reads the latter as the library once did.
 `sweep_rows_reference` is the sweep kernel's contract in plain Python, for
 any column layout and any tables."""
 
@@ -132,6 +136,58 @@ def minmax_subset_sums(gens, horizon, levels=math.inf):
     return t
 
 
+def minmax_level_search(gens, horizon, levels=math.inf):
+    """t over y = 0..horizon for gens by level search on a numpy bool array:
+    going from exponent bound l to l + 1 adds at most one copy of each
+    generator, so OR-ing in the shift by each generator in turn reaches every
+    subset-sum shift. Entries above `levels` stay INF."""
+    reach = np.zeros(horizon + 1, dtype=bool)
+    reach[0] = True
+    t = np.full(horizon + 1, INF, dtype=np.int64)
+    t[0] = 0
+    level = 0
+    while level < levels:
+        level += 1
+        new = reach.copy()
+        for v in gens:
+            # numpy reads overlapping operands as if copied first, so each
+            # OR adds at most one copy of v
+            np.logical_or(new[v:], new[:-v], out=new[v:])
+        newly = new & ~reach
+        if not newly.any():
+            break
+        t[newly] = level
+        reach = new
+    return t
+
+
+def one_norm_table(parts, n):
+    """m[y] for y = 0..n, the least number of the parts summing to y (INF if
+    none), over the whole range with no fold. Part b relaxes m[y] to
+    m[y - b] + 1: a running minimum of m[y] - j down each residue class mod
+    b, y = j * b + r."""
+    m = np.full(n + 1, INF, dtype=np.int64)
+    m[0] = 0
+    for b in parts:
+        rows = n // b + 1
+        grid = np.full(rows * b, INF, dtype=np.int64)
+        grid[: n + 1] = m
+        j = np.arange(rows, dtype=np.int64)[:, None]
+        m = (np.minimum.accumulate(grid.reshape(rows, b) - j, axis=0) + j).ravel()[: n + 1]
+    return m
+
+
+def one_norm_lengths(gens, x):
+    """1-lengths of x over the ascending gens: l is one iff
+    m[x - l * a_1] <= l, m the `one_norm_table` of the parts a_i - a_1 to
+    x - ceil(x / a_k) * a_1."""
+    a1 = gens[0]
+    lo = -(-x // gens[-1])
+    m = one_norm_table([a - a1 for a in gens[1:]], x - lo * a1)
+    ls = np.arange(lo, x // a1 + 1, dtype=np.int64)
+    return ls[m[x - ls * a1] <= ls].tolist()
+
+
 def minmax_single(a, horizon):
     """Min-max table of one generator over y = 0..horizon: y / a on the
     multiples of a."""
@@ -169,9 +225,9 @@ def full_mask_deltas(eng, x):
     """Max-norm delta tuple of x from the engine's full length mask over
     [0, x // a_1], with no window or batch; None for a non-member."""
     ach = eng.lengths(x)
-    if ach.size == 0:
+    if not ach:
         return None
-    return tuple(np.unique(np.diff(ach)).tolist())
+    return tuple(sorted({b - a for a, b in zip(ach, ach[1:])}))
 
 
 def doubling_empirical_start(s, p, w, budget):

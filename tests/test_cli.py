@@ -461,7 +461,7 @@ def test_family_with_explicit_interval_seeds(capsys):
 
 
 def test_family_mismatch_exits_4(capsys, monkeypatch):
-    monkeypatch.setattr("sgdelta.cli.predicted_delta", lambda spec, p: DeltaPrediction(exact=DeltaSet((5,))))
+    monkeypatch.setattr("sgdelta.families.predicted_delta", lambda spec, p: DeltaPrediction(exact=DeltaSet((5,))))
     code, doc = run_json(capsys, "family", "geometric:a=2,b=3,k=3", "--p", "0")
     assert code == 4
     assert doc["result"]["checks"] == {"0": {"predicted": "= [5]", "computed": [1], "match": False}}

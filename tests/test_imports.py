@@ -5,9 +5,10 @@ test dependencies bring no linter, so this walks each module's syntax tree,
 imports inside functions included. The package `__init__` is left out: it
 resolves its names on first use from one table, which is checked here
 against the modules. Each CLI command runs in a fresh interpreter, which
-shows the modules it loads: numpy, the max-norm engine, the claim registry
-and hashlib only where the command needs them, and enumeration loads no
-numpy.
+shows the modules it loads: numpy, the max-norm engine, the claim registry,
+hashlib and the family, presentation and 0-norm modules only where the
+command needs them. Enumeration and the element queries at every p load no
+numpy: only a max-norm certificate's sweep does.
 """
 
 import ast
@@ -156,6 +157,27 @@ HEAVY = {"numpy", "sgdelta.infinity", "sgdelta.verification", "concurrent.future
 )
 def test_p0_commands_load_no_heavy_module(argv):
     assert sorted(loaded_after(*argv) & HEAVY) == []
+
+
+@pytest.mark.parametrize("p", ["1", "inf"])
+def test_element_queries_load_no_numpy(p):
+    # the 1-norm table and the min-max tables are plain Python; only the
+    # max-norm sweep of a semigroup-level query needs numpy
+    loaded = loaded_after("compute", "--gens", "7,11,13,17", "delta", "--x", "3000", "--p", p)
+    assert "numpy" not in loaded
+    assert ("sgdelta.infinity" in loaded) == (p == "inf")
+
+
+LATE = {"sgdelta.families", "sgdelta.presentation", "sgdelta.zero"}
+
+
+def test_version_loads_no_family_presentation_or_zero_module():
+    assert sorted(loaded_after("--version") & LATE) == []
+
+
+def test_max_norm_certificate_loads_no_family_presentation_or_zero_module():
+    loaded = loaded_after("compute", "--gens", "7,11,13,17", "delta-semigroup", "--p", "inf")
+    assert sorted(loaded & LATE) == []
 
 
 def test_max_norm_command_loads_numpy():

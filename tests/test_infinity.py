@@ -32,7 +32,14 @@ from sgdelta.infinity import _minmax_bfs, shift_threshold_index, shift_threshold
 
 from sgdelta.search import candidates
 
-from _oracles import doubling_empirical_start, full_mask_deltas, minmax_brute, minmax_pair, sweep_row
+from _oracles import (
+    doubling_empirical_start,
+    full_mask_deltas,
+    minmax_brute,
+    minmax_level_search,
+    minmax_pair,
+    sweep_row,
+)
 
 
 def enumerated_max_lengths(s, x):
@@ -69,8 +76,8 @@ def test_engine_below_its_top_keeps_every_read_comparison(gens, horizon):
     eng = infinity._Engine(gens, y0, horizon)
     truncated = 0
     for i, a in enumerate(gens):
-        full = _minmax_bfs(gens[:i] + gens[i + 1 :], len(eng.tables[i]) - 1)
-        got = eng.tables[i]
+        full = minmax_level_search(gens[:i] + gens[i + 1 :], len(eng.tables[i]) - 1)
+        got = np.asarray(eng.tables[i])
         if len(got) - 1 < y0[i] + s.gen_sum - a:
             cap = horizon // a
             assert got[got < INF].max() <= cap, i

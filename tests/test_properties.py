@@ -1,7 +1,8 @@
 """Property tests: the per-norm engines and the presentation representatives
 against enumeration, the semigroup-level delta route against the engine of
-each norm, the round-robin residue tables against a heap Dijkstra, and the
-max-norm sweep kernel against its plain-Python reference."""
+each norm, the round-robin residue tables against a heap Dijkstra, the
+plain-Python min-max and 1-norm tables against the former numpy builders,
+and the max-norm sweep kernel against its plain-Python reference."""
 
 import math
 from itertools import combinations
@@ -13,7 +14,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
 import sgdelta as sg
-from sgdelta import arith, infinity, presentation, zero
+from sgdelta import arith, factorization, infinity, presentation, zero
+from sgdelta.arith import INF
 
 from _oracles import (
     MINMAX_INF,
@@ -24,9 +26,12 @@ from _oracles import (
     grid_factorizations,
     minimal_generators_brute,
     minmax_brute,
+    minmax_level_search,
     minmax_pair,
     minmax_single,
     minmax_subset_sums,
+    one_norm_lengths,
+    one_norm_table,
     sweep_row,
     sweep_rows_reference,
 )
@@ -269,8 +274,9 @@ def test_empirical_starts_lie_past_the_frobenius_number(gens, cap):
 @example(gens=[4, 5, 11])  # a_3 > B_3: t_3 exceeds top_3 // a_3 below top_3
 @example(gens=[8, 9])
 def test_folded_minmax_reads_match_references(gens):
-    # an engine at its cap reads every y; check it to three times each top,
-    # and to 60 at least
+    # an engine at its cap stores each table to its top and folds every read
+    # past it; the dominant lengths of a_i + 1 consecutive x near three times
+    # each top (60 at least) read every y up to there, in every class mod a_i
     s = sg.make_semigroup(gens)
     a = s.generators
     y0 = tuple(r.y0 for r in sg.structure_constants(s).records)
@@ -278,21 +284,22 @@ def test_folded_minmax_reads_match_references(gens):
     eng = infinity._Engine(a, y0, max(tops))
     assert eng.horizon == math.inf
     for i, top in enumerate(tops):
-        assert len(eng.tables[i]) == top + 1
         others = a[:i] + a[i + 1 :]
         hi = max(3 * top, 60)
-        got = eng.minmax(i, np.arange(hi + 1, dtype=np.int64))
         if len(others) == 1:
             want = minmax_single(others[0], hi)
         elif len(others) == 2:
             want = minmax_pair(*others, hi)
         else:
             want = minmax_subset_sums(others, hi)
-        # unreachable y read INF or more, and the references give INF
-        assert (np.minimum(got, MINMAX_INF) == want).all(), i
-        for y in range(61):
+        # unreachable y hold INF, and the references give INF
+        assert list(eng.tables[i]) == want[: top + 1].tolist(), i
+        for y in range(min(top, 60) + 1):
             m = minmax_brute(others, y)
-            assert (got[y] >= MINMAX_INF) if m is None else got[y] == m, (i, y)
+            assert eng.tables[i][y] == (MINMAX_INF if m is None else m), (i, y)
+        for x in range(hi - a[i], hi + 1):
+            ls = np.arange(x // a[i] + 1)
+            assert eng.dominant_values(x, i + 1) == ls[want[x - ls * a[i]] <= ls].tolist(), (i, x)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -306,7 +313,55 @@ def test_folded_minmax_reads_match_references(gens):
 def test_minmax_level_step_matches_subset_sums(gens, horizon, levels):
     # one shift per generator against one shift per subset sum
     got = infinity._minmax_bfs(tuple(gens), horizon, levels)
-    assert (got == minmax_subset_sums(gens, horizon, levels)).all()
+    assert (np.asarray(got) == minmax_subset_sums(gens, horizon, levels)).all()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    gens=st.lists(st.integers(1, 80), min_size=0, max_size=5, unique=True),
+    horizon=st.integers(0, 3000),
+    levels=st.one_of(st.just(math.inf), st.integers(0, 60)),
+)
+@example(gens=[260, 262], horizon=70_000, levels=math.inf)  # every run of set bits has length one
+@example(gens=[4267, 23845, 33383], horizon=100_000, levels=408)
+@example(gens=[], horizon=5, levels=math.inf)
+def test_bitset_level_search_matches_the_numpy_builder(gens, horizon, levels):
+    # exact equality with the former numpy builder, INF entries and the
+    # entries above a level cap included
+    got = infinity._minmax_bfs(tuple(gens), horizon, levels)
+    assert list(got) == minmax_level_search(gens, horizon, levels).tolist()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    gens=st.lists(st.integers(2, 60), min_size=2, max_size=5, unique=True).filter(lambda g: math.gcd(*g) == 1),
+    x=st.integers(0, 20_000),
+)
+@example(gens=[5, 13, 16], x=19_999)  # b_max = 11 is no multiple of gcd{3} = 3
+@example(gens=[3, 260, 262], x=3 * 67_340 + 262)  # x past the fold of a table with y0 = 67,081
+@example(gens=[7, 11, 13, 17], x=1_000_000)
+@example(gens=[2, 3], x=10_001)
+def test_one_norm_lengths_match_the_numpy_builder(gens, x):
+    # the folded plain-Python table against the whole numpy one
+    s = sg.make_semigroup(gens)
+    assume(sg.contains(s, x))
+    assert factorization._one_norm_lengths(s, x) == one_norm_lengths(s.generators, x)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(parts=st.lists(st.integers(1, 60), min_size=1, max_size=5, unique=True))
+@example(parts=[8, 11])  # <5,13,16>: b_max = 11 against d = {3}
+@example(parts=[257, 259])  # <3,260,262>: y0 = 67,081
+@example(parts=[4, 6, 10])  # <7,11,13,17>
+def test_one_norm_table_shifts_from_its_bound(parts):
+    # m(y + b_max) = m(y) + 1 at every y in [y0, y0 + 3 b_max], INF staying
+    # INF, read from a whole table with no fold
+    parts = tuple(sorted(parts))
+    b = parts[-1]
+    y0 = factorization._one_norm_shift_point(parts)
+    m = one_norm_table(parts, y0 + 4 * b)
+    shifted = np.where(m[y0 : y0 + 3 * b + 1] < INF, m[y0 : y0 + 3 * b + 1] + 1, INF)
+    assert (m[y0 + b : y0 + 4 * b + 1] == shifted).all()
 
 
 GAPS5 = sg.construct_family(sg.parse_family("gaps:k=5")).generators

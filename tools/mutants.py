@@ -61,10 +61,38 @@ MUTANTS = (
     ),
     Mutant(
         "minmax-fold-off-by-one",
-        "src/sgdelta/infinity.py",
-        "return self.tables[i][y - q * self.steps[i]] + q",
-        "return self.tables[i][y - q * self.steps[i]] + q + (q > 1)",
+        "src/sgdelta/arith.py",
+        "need = table[y0 + r] + q - c",
+        "need = table[y0 + r] + q + (q > 1) - c",
         ("tests/test_properties.py::test_folded_minmax_reads_match_references",),
+    ),
+    Mutant(
+        "sweep-unfold-off-by-one",
+        "src/sgdelta/infinity.py",
+        "return np.frombuffer(table, dtype=np.int64)[ys - q * step] + q",
+        "return np.frombuffer(table, dtype=np.int64)[ys - q * step] + q + (q > 1)",
+        ("tests/test_properties.py::test_sweep_rows_match_full_mask",),
+    ),
+    Mutant(
+        "level-search-writes-the-next-level",
+        "src/sgdelta/infinity.py",
+        'array("q", [level]) * (end - at)',
+        'array("q", [level + 1]) * (end - at)',
+        ("tests/test_properties.py::test_bitset_level_search_matches_the_numpy_builder",),
+    ),
+    Mutant(
+        "one-norm-relaxation-adds-no-part",
+        "src/sgdelta/factorization.py",
+        "m[y] = m[y - b] + 1",
+        "m[y] = m[y - b]",
+        ("tests/test_properties.py::test_one_norm_lengths_match_the_numpy_builder",),
+    ),
+    Mutant(
+        "one-norm-fold-drops-the-class-term",
+        "src/sgdelta/factorization.py",
+        "(d.gcd * (d.frobenius_reduced() + 1) + h * b)",
+        "(d.gcd * (d.frobenius_reduced() + 1))",
+        ("tests/test_properties.py::test_one_norm_table_shifts_from_its_bound",),
     ),
     Mutant(
         "zero-threshold-drops-support-sum",
