@@ -17,9 +17,13 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable
 
 from .budget import MAX_APERY_MODULUS
 from .errors import BudgetExceeded
+
+if TYPE_CHECKING:
+    from array import array
 
 # Sentinel for "no element in this residue class" in residue tables.
 # Small enough that sentinel + generator never overflows int64.
@@ -69,6 +73,61 @@ def mark_lengths(mask: bytearray, table, y0: int, step: int, x: int, a: int, lo:
     for l in range(max(lo, last + 1), hi + 1):
         if table[x - l * a] <= l:
             mask[l] = 1
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_INF_TOP_BYTES = bytes.maketrans(b"01", b"\x00" + INF.to_bytes(8, "little")[-1:])
+
+
+def _spread(bits: int, size: int, chars: bytes = _BIT_BYTES) -> bytes:
+    """One byte per bit y < size of bits, mapped by chars from b"0"/b"1"."""
+    return f"{bits:0{size}b}"[::-1].encode().translate(chars)
+
+
+def level_table(reaches: Iterable[int], size: int) -> array:
+    """t[y] for y < size: the index of the first set in `reaches` that holds
+    y, INF if none does. The sets are int bitsets over y < size, each one
+    holding the one before it.
+
+    No entry is written per level. The bits of t are kept as one bitset per
+    bit j: the y whose level has bit j set. Bit j of the level is set on
+    runs of consecutive levels, and the y first reached in a run from level s
+    to level e are reach_e ^ reach_(s - 1), so each run takes one XOR. Going
+    to level l, bit v turns on, v the trailing zeros of l, and the bits
+    below it turn off, which ends their runs: two bitset operations per
+    level on average, whatever the number of entries each level reaches.
+    At the end the bitsets are spread to one byte per y and written into
+    the bytes of t, eight bits of the level at a time, and the top byte of
+    an unreached y gets INF's."""
+    # a shared library: imported here, so the 0-norm commands never load it
+    from array import array
+
+    slices: list[int] = []
+    opened: list[int] = []  # opened[j]: the set before the open run of bit j
+    level, prev = 0, 0
+    for level, reach in enumerate(reaches):
+        if level:
+            on = (level & -level).bit_length() - 1  # bits below it turn off
+            for j in range(on):
+                slices[j] |= prev ^ opened[j]
+            if on == len(slices):
+                slices.append(0)
+                opened.append(prev)
+            else:
+                opened[on] = prev
+        prev = reach
+    for j in range(len(slices)):
+        if level >> j & 1:
+            slices[j] |= prev ^ opened[j]
+    t = array("q", bytes(8 * size))
+    view = memoryview(t).cast("B")
+    for byte in range(0, len(slices), 8):
+        value = 0
+        for j, bits in enumerate(slices[byte : byte + 8]):
+            value |= int.from_bytes(_spread(bits, size), "little") << j
+        view[byte // 8 :: 8] = value.to_bytes(size, "little")
+    view[7::8] = _spread(prev ^ ((1 << size) - 1), size, _INF_TOP_BYTES)
+    return t
 
 
 def modinv(a: int, m: int) -> int:

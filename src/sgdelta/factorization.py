@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator
 
-from .arith import INF, ceil_div, cone_table, mark_lengths
+from .arith import ceil_div, cone_table, level_table, mark_lengths
 from .budget import MAX_ENGINE_HORIZON, MAX_FACTORIZATIONS, Budget
 from .errors import BudgetExceeded, NotAMember
 from .semigroup import NumericalSemigroup, contains
@@ -194,9 +194,12 @@ def _one_norm_lengths(s: NumericalSemigroup, x: int) -> list[int]:
 
     A length-l factorization puts l - (z_2 + ... + z_k) copies on a_1, so l is
     a length iff m[x - l * a_1] <= l, where m[y] is the least number of parts
-    a_i - a_1 (i >= 2) summing to y. Part b relaxes m[y] to m[y - b] + 1, in
-    ascending y. The table stops at y0 + b_max, `_one_norm_shift_point`'s
-    fold, and is read once per residue class past y0 (`mark_lengths`).
+    a_i - a_1 (i >= 2) summing to y. A level search on a bitset of the y
+    summing from at most n parts adds one part per level, and
+    `arith.level_table` turns the levels into m; no level above x // a_1,
+    the largest length, is needed. The table stops at y0 + b_max,
+    `_one_norm_shift_point`'s fold, and is read once per residue class past
+    y0 (`mark_lengths`).
     """
     if x > MAX_ENGINE_HORIZON:
         raise BudgetExceeded(f"1-norm length table to {x} exceeds the engine budget")
@@ -206,14 +209,24 @@ def _one_norm_lengths(s: NumericalSemigroup, x: int) -> list[int]:
     y0 = _one_norm_shift_point(parts)
     lo = ceil_div(x, gens[-1])
     top = min(x - lo * a1, y0 + parts[-1])
-    m = [0] + [INF] * top
-    for b in parts:
-        for y in range(b, top + 1):
-            if m[y - b] + 1 < m[y]:
-                m[y] = m[y - b] + 1
-    mask = bytearray(x // a1 + 1)
-    mark_lengths(mask, m, y0, parts[-1], x, a1, lo)
-    return list(compress(range(len(mask)), mask))
+
+    def reaches():
+        mask = (1 << (top + 1)) - 1
+        reach = 1
+        yield reach
+        for _ in range(x // a1):
+            new = reach
+            for b in parts:
+                new |= reach << b  # each shift reads the last level: one more part
+            new &= mask
+            if new == reach:
+                return
+            yield new
+            reach = new
+
+    marks = bytearray(x // a1 + 1)
+    mark_lengths(marks, level_table(reaches(), top + 1), y0, parts[-1], x, a1, lo)
+    return list(compress(range(len(marks)), marks))
 
 
 def length_set(s: NumericalSemigroup, x: int, p) -> LengthSet:

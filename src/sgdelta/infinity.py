@@ -82,12 +82,11 @@ last mismatch, so the next window starts just past it.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from itertools import compress
 from typing import TYPE_CHECKING
 
-from .arith import INF, ceil_div, mark_lengths
+from .arith import INF, ceil_div, level_table, mark_lengths
 from .budget import DEFAULT_INF_BUDGET, MAX_ENGINE_HORIZON, Budget
 from .errors import BudgetExceeded, NotAMember, ThresholdNotMet, VerificationError
 from .factorization import PINF, DeltaSet, LengthSet
@@ -103,6 +102,8 @@ from .semigroup import (
 )
 
 if TYPE_CHECKING:
+    from array import array
+
     import numpy as np
 
 
@@ -145,33 +146,26 @@ def _minmax_bfs(gens: tuple[int, ...], horizon: int, levels: float = math.inf) -
     """t over y = 0..horizon for the generators gens, by level search on a
     bitset of the reached y: going from exponent bound l to l + 1 adds at
     most one copy of each generator, so OR-ing in the shift by each
-    generator in turn reaches every subset-sum shift. The newly set bits of
-    a level get that level, one run of set bits at a time. Entries above
-    `levels` stay INF."""
-    t = array("q", [INF]) * (horizon + 1)
-    t[0] = 0
-    mask = (1 << (horizon + 1)) - 1
-    reach, level = 1, 0
-    while level < levels:
-        level += 1
-        new = reach
-        for v in gens:
-            # the shift reads `new` before the OR, so each OR adds at most
-            # one copy of v
-            new |= (new << v) & mask
-        newly = new ^ reach
-        if not newly:
-            break
-        bits = bin(newly)  # bits[j] is bit top - j
-        top = len(bits) - 1
-        at = bits.find("1")
-        while at >= 0:
-            end = bits.find("0", at)
-            end = top + 1 if end < 0 else end
-            t[top + 1 - end : top + 1 - at] = array("q", [level]) * (end - at)
-            at = bits.find("1", end)
-        reach = new
-    return t
+    generator in turn reaches every subset-sum shift. `arith.level_table`
+    turns the levels into t. Entries above `levels` stay INF."""
+
+    def reaches():
+        mask = (1 << (horizon + 1)) - 1
+        reach, level = 1, 0
+        yield reach
+        while level < levels:
+            level += 1
+            new = reach
+            for v in gens:
+                # the shift reads `new` before the OR, so each OR adds at
+                # most one copy of v
+                new |= (new << v) & mask
+            if new == reach:
+                return
+            yield new
+            reach = new
+
+    return level_table(reaches(), horizon + 1)
 
 
 class _Engine:

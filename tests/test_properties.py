@@ -274,9 +274,11 @@ def test_empirical_starts_lie_past_the_frobenius_number(gens, cap):
 @example(gens=[4, 5, 11])  # a_3 > B_3: t_3 exceeds top_3 // a_3 below top_3
 @example(gens=[8, 9])
 def test_folded_minmax_reads_match_references(gens):
-    # an engine at its cap stores each table to its top and folds every read
-    # past it; the dominant lengths of a_i + 1 consecutive x near three times
-    # each top (60 at least) read every y up to there, in every class mod a_i
+    # an engine at its cap stores each table to its top; folded by
+    # t_i(y) = t_i(y - q * B_i) + q, q = max(0, y - y0_i) // B_i, it must give
+    # every y to three times each top, and to 60 at least. The dominant
+    # lengths of the a_i + 1 consecutive x up to there, which fold their
+    # reads per residue class, must match the same references.
     s = sg.make_semigroup(gens)
     a = s.generators
     y0 = tuple(r.y0 for r in sg.structure_constants(s).records)
@@ -284,36 +286,26 @@ def test_folded_minmax_reads_match_references(gens):
     eng = infinity._Engine(a, y0, max(tops))
     assert eng.horizon == math.inf
     for i, top in enumerate(tops):
+        assert len(eng.tables[i]) == top + 1
         others = a[:i] + a[i + 1 :]
         hi = max(3 * top, 60)
+        ys = np.arange(hi + 1, dtype=np.int64)
+        q = np.maximum(ys - eng.y0[i], 0) // eng.steps[i]
+        got = np.asarray(eng.tables[i])[ys - q * eng.steps[i]] + q
         if len(others) == 1:
             want = minmax_single(others[0], hi)
         elif len(others) == 2:
             want = minmax_pair(*others, hi)
         else:
             want = minmax_subset_sums(others, hi)
-        # unreachable y hold INF, and the references give INF
-        assert list(eng.tables[i]) == want[: top + 1].tolist(), i
-        for y in range(min(top, 60) + 1):
+        # unreachable y read INF or more, and the references give INF
+        assert (np.minimum(got, MINMAX_INF) == want).all(), i
+        for y in range(61):
             m = minmax_brute(others, y)
-            assert eng.tables[i][y] == (MINMAX_INF if m is None else m), (i, y)
+            assert (got[y] >= MINMAX_INF) if m is None else got[y] == m, (i, y)
         for x in range(hi - a[i], hi + 1):
             ls = np.arange(x // a[i] + 1)
             assert eng.dominant_values(x, i + 1) == ls[want[x - ls * a[i]] <= ls].tolist(), (i, x)
-
-
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(
-    gens=st.lists(st.integers(1, 59), min_size=1, max_size=4, unique=True),
-    horizon=st.integers(0, 400),
-    levels=st.one_of(st.just(math.inf), st.integers(0, 40)),
-)
-@example(gens=[9, 11, 13], horizon=260, levels=math.inf)
-@example(gens=[4, 6, 9, 20], horizon=400, levels=3)
-def test_minmax_level_step_matches_subset_sums(gens, horizon, levels):
-    # one shift per generator against one shift per subset sum
-    got = infinity._minmax_bfs(tuple(gens), horizon, levels)
-    assert (np.asarray(got) == minmax_subset_sums(gens, horizon, levels)).all()
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -322,14 +314,18 @@ def test_minmax_level_step_matches_subset_sums(gens, horizon, levels):
     horizon=st.integers(0, 3000),
     levels=st.one_of(st.just(math.inf), st.integers(0, 60)),
 )
-@example(gens=[260, 262], horizon=70_000, levels=math.inf)  # every run of set bits has length one
+@example(gens=[9, 11, 13], horizon=260, levels=math.inf)
+@example(gens=[4, 6, 9, 20], horizon=400, levels=3)
+@example(gens=[260, 262], horizon=70_000, levels=math.inf)  # 270 levels: bits 0 to 8
 @example(gens=[4267, 23845, 33383], horizon=100_000, levels=408)
 @example(gens=[], horizon=5, levels=math.inf)
-def test_bitset_level_search_matches_the_numpy_builder(gens, horizon, levels):
-    # exact equality with the former numpy builder, INF entries and the
-    # entries above a level cap included
-    got = infinity._minmax_bfs(tuple(gens), horizon, levels)
-    assert list(got) == minmax_level_search(gens, horizon, levels).tolist()
+def test_minmax_level_step_matches_subset_sums(gens, horizon, levels):
+    # one shift per generator against one shift per subset sum, and exact
+    # equality with the former numpy builder, INF entries and the entries
+    # above a level cap included
+    got = list(infinity._minmax_bfs(tuple(gens), horizon, levels))
+    assert got == minmax_subset_sums(gens, horizon, levels).tolist()
+    assert got == minmax_level_search(gens, horizon, levels).tolist()
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

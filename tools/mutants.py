@@ -74,17 +74,24 @@ MUTANTS = (
         ("tests/test_properties.py::test_sweep_rows_match_full_mask",),
     ),
     Mutant(
-        "level-search-writes-the-next-level",
+        "level-search-adds-one-generator-per-level",
         "src/sgdelta/infinity.py",
-        'array("q", [level]) * (end - at)',
-        'array("q", [level + 1]) * (end - at)',
-        ("tests/test_properties.py::test_bitset_level_search_matches_the_numpy_builder",),
+        "new |= (new << v) & mask",
+        "new |= (reach << v) & mask",
+        ("tests/test_properties.py::test_minmax_level_step_matches_subset_sums",),
     ),
     Mutant(
-        "one-norm-relaxation-adds-no-part",
+        "level-table-leaves-the-last-runs-open",
+        "src/sgdelta/arith.py",
+        "        if level >> j & 1:\n",
+        "        if False:\n",
+        ("tests/test_properties.py::test_minmax_level_step_matches_subset_sums",),
+    ),
+    Mutant(
+        "one-norm-level-chains-parts",
         "src/sgdelta/factorization.py",
-        "m[y] = m[y - b] + 1",
-        "m[y] = m[y - b]",
+        "new |= reach << b",
+        "new |= new << b",
         ("tests/test_properties.py::test_one_norm_lengths_match_the_numpy_builder",),
     ),
     Mutant(
