@@ -7,7 +7,7 @@ a claim registry that re-verifies their structural statements on concrete
 instances.
 
 Each public name below is imported from its module on first use (PEP 562),
-so numpy loads only with the max-norm sweep of a semigroup-level query.
+so a command loads only the modules it calls.
 """
 
 import importlib

@@ -7,8 +7,7 @@ outside the shared span table of the remaining prefix of generators. It
 serves callers that need the tuples and is the oracle for the length sets,
 which come from one exact engine per norm: the support cones (p = 0), a
 least-part-count table (p = 1) and the min-max tables (p = inf). The
-max-norm engine loads only for p = inf, and none of these loads numpy: only
-the max-norm sweep of a semigroup-level query does.
+max-norm engine loads only for p = inf.
 """
 
 from __future__ import annotations

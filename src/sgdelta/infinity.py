@@ -28,55 +28,43 @@ Since l*(y + B) = l*(y) + 1 for every y, t_i(y + B) = t_i(y) + 1 for
 y >= y0, and unreachable y (those off the multiples of g) stay so. A read
 at y takes q = max(0, y - y0) // B and returns t_i[y - q * B] + q.
 
-The per-element delta sets of a certificate are swept in windows. Premise:
-every max-norm length l of x satisfies ceil(x / A) <= l <= x // a_1 (A the
-generator sum), and by the AAP containment (claim `aap-containment`) the
-dominant lengths at i are exactly the class inverse_i * x mod g_i on
-[ceil(x / A) + a_k, x // a_i - margin_i]. So between the points where that
-picture changes (ceil(x / A) + a_k, and x // a_i - margin_i and x // a_i
-per index) the length mask repeats with period G = lcm(g_1, ..., g_k). The
-sweep keeps the bottom window [ceil(x / A), ceil(x / A) + a_k + keep) and,
-per index, [x // a_i - margin_i - keep, x // a_i + keep], with
-keep = 2G + 1, clipped to [ceil(x / A), x // a_1] and merged; index 1's
-window ends at x // a_1, where every column above it clips. A dropped
-stretch then has at least keep kept positions of its own period on each
-side, which already show every gap that occurs in or across it, and it lies
-where the class of index 1 fills, so no gap spans it. These are the columns
-of the wide layout: the bottom window, then the top windows from a_k down
-to a_1, each ascending. Once the windows separate, every row is therefore
-already sorted, and a batch is sorted only when some row is out of order
-(small x, where windows overlap). The sweep runs the exact test only at
-kept positions; each unfolded table ends in one INF, where every read at
-y < 0 is pointed, so the test is one gather per index. It counts a gap only
-between consecutive lengths of a row with no dropped position between them:
-with rank the number of distinct positions up to a column, pos - rank is
-equal at two lengths iff none was dropped between them, so the gaps come
-from the compacted list of lengths alone. It keeps only gap flags, so the
-row of a non-member is empty, like that of a member with one length. The
-sweep runs in batches of consecutive x. A batch whose widest length range,
-max(x // a_1 - ceil(x / A) + 1) over its x, is narrower than the wide
-layout keeps that whole range instead (the narrow layout: columns
-ceil(x / A) + j below that width), drops nothing and needs no sort; a batch
-has at most 2^13 cells, or one row.
 Element queries read every length of x from the stored tables, with one read
-per residue class of l past y0_i (`arith.mark_lengths`), in plain Python;
-only the sweep, and so only a semigroup-level query, loads numpy.
+per residue class of l past y0_i (`arith.mark_lengths`).
+
+The per-element delta sets of a certificate come from one sweep over the
+levels l in ascending order, with x as the bit axis of Python-int bitsets
+(the shift-or style of Baeza-Yates & Gonnet, CACM 35, 1992). x has length
+l at index i iff x - l * a_i lies in reach_i(l) = {y : t_i(y) <= l}, the
+level-l set of the level search that builds t_i (`_level_sets`), so the x
+of length l are N_l = OR_i (reach_i(l) << l * a_i). For a frame of x up to
+hi, the search of index i masks level l to y <= hi - l * a_i; once a level
+adds nothing under its mask the set is saturated, about level hi / A, and
+later levels only mask it. A counter, bit-sliced over x, holds l minus the
+last length of x, so at each x of N_l that had a length before it reads a
+gap d, and x joins the bitset G[d]. Every length of x is at most x // a_1,
+so the state ints keep their origin at l * a_1 and each level cuts off the
+x below it. The row of a non-member is empty, like that of a member with
+one length. A sweep to hi takes hi // a_1 + 1 levels, each a few dozen
+operations on bitsets as wide as the live band of x, at most
+hi - l * a_1 bits: O(live band / 64) word operations per level.
 
 Each instance caches one engine and one sweep. The engine grows by doubling
-until every table reaches its top, and is never rebuilt after that. The
-sweep is a row of gap flags per x, so every x is swept at most once per
-instance.
+until every table reaches its top, and is never rebuilt after that; the
+sweep reads no table. Rows do not depend on each other, so the sweep runs on
+a frame [lo, hi] of x, and a longer request sweeps only the x not yet swept:
+every x is swept at most once per instance.
 
 The semigroup-level delta set is the union of per-element delta sets up to
 start + W * period, where start either comes from the explicit shift-identity
 validity bounds (theorem-backed) or from the first observed window of exact
 periodicity (empirical), which begins at F + 1. One loop serves both: it
 sweeps to start + (W + 1) * period and compares the rows of the window
-[start, start + W * period) with those one period later. Every such x lies
-past the Frobenius number F, so it is a member and its gap row is its delta
-set. A match is recorded in the certificate. A mismatch falsifies a
-theorem-backed start; in empirical mode it rules out every start up to the
-last mismatch, so the next window starts just past it.
+[start, start + W * period) with those one period later, by XOR-ing each
+G[d] with itself shifted down by one period. Every such x lies past the
+Frobenius number F, so it is a member and its gap row is its delta set. A
+match is recorded in the certificate. A mismatch falsifies a theorem-backed
+start; in empirical mode it rules out every start up to the last mismatch,
+so the next window starts just past it.
 """
 
 from __future__ import annotations
@@ -86,7 +74,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import TYPE_CHECKING
 
-from .arith import INF, ceil_div, level_table, mark_lengths
+from .arith import ceil_div, level_table, mark_lengths
 from .budget import DEFAULT_INF_BUDGET, MAX_ENGINE_HORIZON, Budget
 from .errors import BudgetExceeded, NotAMember, ThresholdNotMet, VerificationError
 from .factorization import PINF, DeltaSet, LengthSet
@@ -103,8 +91,6 @@ from .semigroup import (
 
 if TYPE_CHECKING:
     from array import array
-
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -125,7 +111,6 @@ class PeriodicityCertificate:
     window_periods: int
     mode: str  # "theorem-backed" | "empirical"
     union_horizon: int
-    columns: int  # positions per element of the sweep's wide layout, its widest
 
 
 def structure_constants(s: NumericalSemigroup) -> StructureConstants:
@@ -142,30 +127,36 @@ def structure_constants(s: NumericalSemigroup) -> StructureConstants:
 # min-max exponent tables
 
 
+def _level_sets(gens: tuple[int, ...], size: int, shrink: int = 0, levels: float = math.inf):
+    """The sets of the min-max level search over gens, as int bitsets: the
+    set of level l holds every y < size - l * shrink with t(y) <= l. Going
+    from level l to l + 1 adds at most one copy of each generator, so OR-ing
+    in the shift by each generator in turn reaches every subset-sum shift.
+    Stops after `levels`, or after the first level that adds nothing under
+    its mask: a shift only moves bits up, so every later set is the last
+    one, masked."""
+    mask = (1 << size) - 1
+    reach, level = 1, 0
+    yield reach
+    while level < levels:
+        level += 1
+        mask >>= shrink
+        new = reach = reach & mask
+        for v in gens:
+            # the shift reads `new` before the OR, so each OR adds at
+            # most one copy of v
+            new |= (new << v) & mask
+        if new == reach:
+            return
+        yield new
+        reach = new
+
+
 def _minmax_bfs(gens: tuple[int, ...], horizon: int, levels: float = math.inf) -> array:
-    """t over y = 0..horizon for the generators gens, by level search on a
-    bitset of the reached y: going from exponent bound l to l + 1 adds at
-    most one copy of each generator, so OR-ing in the shift by each
-    generator in turn reaches every subset-sum shift. `arith.level_table`
-    turns the levels into t. Entries above `levels` stay INF."""
-
-    def reaches():
-        mask = (1 << (horizon + 1)) - 1
-        reach, level = 1, 0
-        yield reach
-        while level < levels:
-            level += 1
-            new = reach
-            for v in gens:
-                # the shift reads `new` before the OR, so each OR adds at
-                # most one copy of v
-                new |= (new << v) & mask
-            if new == reach:
-                return
-            yield new
-            reach = new
-
-    return level_table(reaches(), horizon + 1)
+    """t over y = 0..horizon for the generators gens, from the level sets of
+    `_level_sets`, which `arith.level_table` turns into t. Entries above
+    `levels` stay INF."""
+    return level_table(_level_sets(gens, horizon + 1, levels=levels), horizon + 1)
 
 
 class _Engine:
@@ -237,140 +228,78 @@ def _member_engine(s: NumericalSemigroup, x: int, ahead: int = 0) -> _Engine:
     return _get_engine(s, x + ahead)
 
 
-# positions tested per batch of the sweep; larger batches only raise peak
-# memory, not speed
-_SWEEP_CELLS = 1 << 13
-
-
-def _windows(s: NumericalSemigroup) -> np.ndarray:
-    """Column layout of the sweep, shape (3, W): column j of the row of x is
-    the position (x + add[j]) // div[j] + shift[j] for the rows add, div and
-    shift, before clipping to the length range. The columns hold the bottom
-    window [ceil(x/A), ceil(x/A) + a_k + keep), then, for i from k down to
-    1, the top window [x//a_i - margin_i - keep, x//a_i + keep], with
-    keep = 2G + 1 and G the lcm of the complement gcds. Each window ascends
-    and the windows follow in the order of their positions, so once they
-    separate a row needs no sort. Index 1's top window ends at x//a_1,
-    since every column above it clips to x//a_1."""
-    import numpy as np
-
-    def build():
-        consts = structure_constants(s)
-        total = consts.gen_sum
-        keep = 2 * math.lcm(*(r.complement_gcd for r in consts.records)) + 1
-        cols = [(total - 1, total, j) for j in range(s.generators[-1] + keep)]
-        for i in reversed(range(s.embedding_dim)):
-            a_i, rec = s.generators[i], consts.records[i]
-            cols += [(0, a_i, j) for j in range(-rec.margin - keep, (keep if i else 0) + 1)]
-        return np.array(cols, dtype=np.int64).T
-
-    return cached(s, "inf-windows", build)
-
-
-def _batches(s: NumericalSemigroup, lo: int, stop: int):
-    """The sweep's batches of consecutive x in [lo, stop), as (lo, hi,
-    layout) with (hi - lo) * columns <= max(_SWEEP_CELLS, W). A batch whose
-    widest length range, max(x//a_1 - ceil(x/A) + 1) over its x, is narrower
-    than W tests that range whole: its columns are ceil(x/A) + j for j below
-    that width, and no position is dropped. Other batches use the W columns
-    of `_windows`."""
-    import numpy as np
-
-    a1, total = s.generators[0], s.gen_sum
-    win = _windows(s)
-    wide = win.shape[1]
-    narrow = np.array([(total - 1, total, j) for j in range(wide)], dtype=np.int64).T
-    while lo < stop:
-        first = lo // a1 - ceil_div(lo, total) + 1
-        if first >= wide:
-            hi = min(stop, lo + max(1, _SWEEP_CELLS // wide))
-            yield lo, hi, win
-        else:
-            xs = np.arange(lo, min(stop, lo + max(1, _SWEEP_CELLS // max(first, 1))), dtype=np.int64)
-            width = np.maximum.accumulate(xs // a1 - (xs + total - 1) // total + 1)
-            fits = (width < wide) & (width * np.arange(1, len(xs) + 1) <= _SWEEP_CELLS)
-            hi = lo + max(1, int(np.count_nonzero(fits)))
-            yield lo, hi, narrow[:, : max(1, int(width[hi - lo - 1]))]
-        lo = hi
-
-
-def _sweep_rows(gens: tuple[int, ...], tables: list[np.ndarray], win: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Gap flags, shape (hi - lo, D) with column d set iff d is in the delta
-    set, for the elements x in [lo, hi). tables[i] holds t_i unfolded to at
-    least hi - 1, then one INF."""
-    import numpy as np
-
+def _sweep(gens: tuple[int, ...], lo: int, hi: int) -> dict[int, int]:
+    """The gap bitsets of the frame of elements x in [lo, hi]: bit x - lo of
+    gaps[d] is set iff d is the difference of two consecutive max-norm
+    lengths of x. The levels run in ascending order, x is the bit axis, and
+    bit b of every state int stands for x = max(lo, l * a_1) + b at level l
+    (the module docstring has the argument)."""
+    a1 = gens[0]
     total = sum(gens)
-    add, div, shift = win
-    xs = np.arange(lo, hi, dtype=np.int64)[:, None]
-    pos = (xs + add) // div + shift
-    np.clip(pos, (xs + total - 1) // total, xs // gens[0], out=pos)
-    if (pos[:, 1:] < pos[:, :-1]).any():  # windows that overlap
-        pos.sort(axis=1)
-    hit = np.zeros(pos.shape, dtype=bool)
-    for a_i, table in zip(gens, tables):
-        y = xs - pos * a_i
-        np.maximum(y, -1, out=y)  # y < 0 reads the trailing INF
-        hit |= table[y] <= pos
-    kept = np.ones(pos.shape, dtype=bool)  # first of each run of equal positions
-    np.not_equal(pos[:, 1:], pos[:, :-1], out=kept[:, 1:])
-    hit &= kept
-    # the kept lengths in row order; pos minus the rank among distinct
-    # positions is equal at two of them iff no position between was dropped
-    cell = np.flatnonzero(hit)
-    row = cell // pos.shape[1]
-    at = pos.ravel()[cell]
-    run = at - np.cumsum(kept, axis=1).ravel()[cell]
-    real = (row[1:] == row[:-1]) & (run[1:] == run[:-1])
-    step = np.diff(at)[real]
-    gaps = np.zeros((hi - lo, int(step.max(initial=0)) + 1), dtype=bool)
-    gaps[row[1:][real], step] = True
+    searches = [_level_sets(gens[:i] + gens[i + 1 :], hi + 1, a) for i, a in enumerate(gens)]
+    reach = [0] * len(gens)
+    counter: list[int] = []  # counter[j]: the x whose counter has bit j set
+    seen = 0  # the x with a length below the current level
+    gaps: dict[int, int] = {}
+    origin = lo
+    for level in range(hi // a1 + 1):
+        for i, search in enumerate(searches):
+            r = next(search, None)
+            if r is None:  # saturated: only the mask shrinks
+                reach[i] &= (1 << max(0, hi + 1 - level * gens[i])) - 1
+            else:
+                reach[i] = r
+        if level * total < lo:  # every length-l element lies below the frame
+            continue
+        cut = max(lo, level * a1) - origin
+        origin += cut
+        new = 0
+        for a, r in zip(gens, reach):
+            up = level * a - origin
+            new |= r << up if up >= 0 else r >> -up
+        seen >>= cut
+        carry = seen
+        for j, bits in enumerate(counter):  # counter += 1 on every seen x
+            bits >>= cut
+            counter[j] = bits ^ carry
+            carry &= bits
+        if carry:
+            counter.append(carry)
+        hit = new & seen
+        if hit:
+            _split(hit, counter, len(counter) - 1, 0, gaps, origin - lo)
+        seen |= new
     return gaps
 
 
-def _sweep_parts(s: NumericalSemigroup, lo: int, stop: int) -> list[np.ndarray]:
-    """The `_sweep_rows` output of each batch of x in [lo, stop), in order."""
-    import numpy as np
-
-    eng = _get_engine(s, stop - 1)
-    # transient plain tables, a gather being cheaper than a fold per cell,
-    # one call per table so that its temporaries are freed before the next
-    # is built (held across tables, they raised the peak RSS); the engine
-    # reaches only stop - 1, so the last read is a placeholder that the
-    # trailing INF overwrites
-    ys = np.arange(stop + 1, dtype=np.int64)
-    ys[-1] = 0
-
-    def unfold(table: array, y0: int, step: int) -> np.ndarray:
-        """t_i at every y of ys: t_i[y - q * B_i] + q, q = max(0, y - y0_i) // B_i."""
-        q = np.maximum(ys - y0, 0) // step
-        return np.frombuffer(table, dtype=np.int64)[ys - q * step] + q
-
-    tables = [unfold(*table) for table in zip(eng.tables, eng.y0, eng.steps)]
-    for t in tables:
-        t[-1] = INF
-    return [_sweep_rows(s.generators, tables, win, a, b) for a, b, win in _batches(s, lo, stop)]
+def _split(xs: int, counter: list[int], j: int, value: int, gaps: dict[int, int], shift: int) -> None:
+    """OR into gaps[d] the x of xs whose counter reads d, and reset their
+    counters to 0, by splitting xs on the counter bits from bit j down;
+    value holds the bits above j."""
+    while j >= 0:
+        one = xs & counter[j]
+        if one:
+            if one != xs:
+                _split(xs ^ one, counter, j - 1, value, gaps, shift)
+            xs, value = one, value | 1 << j
+            counter[j] ^= xs
+        j -= 1
+    gaps[value] = gaps.get(value, 0) | xs << shift
 
 
-def _deltas(s: NumericalSemigroup, upto: int) -> np.ndarray:
-    """The gap flags of x = 0..upto at least: gaps[x, d] is set iff d is in
-    the delta set of x. Each x is swept once per instance: a longer request
-    extends the cached sweep into a new array that replaces it, and the old
-    one is never mutated, so concurrent readers stay safe."""
-    import numpy as np
-
-    done = s._cache.get("inf-deltas")
-    have = 0 if done is None else len(done)
+def _deltas(s: NumericalSemigroup, upto: int) -> dict[int, int]:
+    """The gap bitsets of x = 0..upto at least: bit x of gaps[d] is set iff
+    d is in the delta set of x. Each x is swept once per instance: a longer
+    request sweeps only the new x into a new dict that replaces the cached
+    one, which is never mutated, so concurrent readers stay safe."""
+    if upto > MAX_ENGINE_HORIZON:
+        raise BudgetExceeded(f"a sweep to {upto} exceeds the engine budget")
+    have, done = s._cache.get("inf-deltas", (0, {}))
     if have > upto:
         return done
-    parts = [] if done is None else [done]
-    parts += _sweep_parts(s, have, upto + 1)
-    gaps = np.zeros((upto + 1, max(g.shape[1] for g in parts)), dtype=bool)
-    row = 0
-    for g in parts:
-        gaps[row : row + len(g), : g.shape[1]] = g
-        row += len(g)
-    s._cache["inf-deltas"] = gaps
+    new = _sweep(s.generators, have, upto)
+    gaps = {d: done.get(d, 0) | new.get(d, 0) << have for d in done.keys() | new.keys()}
+    s._cache["inf-deltas"] = upto + 1, gaps
     return gaps
 
 
@@ -450,8 +379,6 @@ def delta_inf_semigroup(
     past the Frobenius number to begin, and gives up once a window would
     reach past the element budget.
     """
-    import numpy as np
-
     budget = budget or DEFAULT_INF_BUDGET
     w = window_periods
     if w < 1:
@@ -465,18 +392,22 @@ def delta_inf_semigroup(
     fits = mode == "theorem-backed" or start + (w + 2) * p <= cap
     while fits and start + (w + 1) * p <= cap:
         gaps = _deltas(s, start + (w + 1) * p)
-        bad = np.flatnonzero((gaps[start : start + w * p] != gaps[start + p : start + (w + 1) * p]).any(axis=1))
-        if not bad.size:
+        # bit x of bad: the row of x differs from the row of x + p
+        window = ((1 << (w * p)) - 1) << start
+        bad = 0
+        for bits in gaps.values():
+            bad |= (bits ^ bits >> p) & window
+        if not bad:
             union_to = start + w * p
-            union = np.flatnonzero(gaps[: union_to + 1].any(axis=0))
-            cert = PeriodicityCertificate(start, p, w, mode, union_to, _windows(s).shape[1])
-            return DeltaSet.from_iterable(union.tolist()), cert
+            below = (1 << (union_to + 1)) - 1
+            union = DeltaSet.from_iterable(d for d, bits in gaps.items() if bits & below)
+            return union, PeriodicityCertificate(start, p, w, mode, union_to)
         if mode == "theorem-backed":
             raise VerificationError(
-                f"periodicity falsified at x={start + int(bad[0])} (period {p}) on {s}; "
+                f"periodicity falsified at x={(bad & -bad).bit_length() - 1} (period {p}) on {s}; "
                 "this contradicts the structure analysis"
             )
-        start += int(bad[-1]) + 1
+        start = bad.bit_length()  # past the last mismatch
     raise BudgetExceeded(f"no verified periodicity window within element budget {cap}")
 
 

@@ -20,8 +20,11 @@ Dijkstra over the residue graph, the oracle for the round-robin tables.
 builders of the min-max tables and of the 1-norm table, with no fold,
 oracles for the plain-Python bitset level search and the folded 1-norm
 table; `one_norm_lengths` reads the latter as the library once did.
-`sweep_rows_reference` is the sweep kernel's contract in plain Python, for
-any column layout and any tables."""
+`windowed_rows` is the library's former max-norm sweep, windowed over the
+length axis and batched over x on numpy arrays, the oracle for the
+bit-sliced sweep; `sweep_rows_reference` is its kernel's contract in plain
+Python, for any column layout and any tables. `gap_rows` reads the rows of
+the library's gap bitsets."""
 
 import heapq
 import math
@@ -238,21 +241,19 @@ def doubling_empirical_start(s, p, w, budget):
     cap = budget.max_element
     horizon = floor_start + (w + 2) * p
     while horizon <= cap:
-        gaps = infinity._deltas(s, horizon)
-        same = (gaps[floor_start : horizon - p] == gaps[floor_start + p : horizon]).all(axis=1)
-        # runs of repeating rows start at floor_start and after each mismatch
-        cuts = np.flatnonzero(~same)
-        starts = np.concatenate(([0], cuts + 1))
-        long = np.flatnonzero(np.append(cuts, len(same)) - starts >= w * p)
-        if long.size:
-            return floor_start + int(starts[long[0]])
+        rows = gap_rows(s, infinity._deltas(s, horizon), floor_start, horizon)
+        run = 0  # rows in a row, up to x, that equal the row one period later
+        for x in range(len(rows) - p):
+            run = run + 1 if rows[x] == rows[x + p] else 0
+            if run == w * p:
+                return floor_start + x + 1 - w * p
         horizon = min(cap, horizon * 2) if horizon < cap else cap + 1
     raise BudgetExceeded(f"no verified periodicity window within element budget {cap}")
 
 
 def sweep_rows_reference(gens, tables, win, lo, hi):
-    """The gap rows of `infinity._sweep_rows` for x in [lo, hi), in plain
-    Python: per x, the sorted distinct positions of the columns clipped to
+    """The gap rows of `sweep_rows` for x in [lo, hi), in plain Python: per
+    x, the sorted distinct positions of the columns clipped to
     [ceil(x / A), x // a_1], the lengths among them (y = x - l * a_i < 0 is
     a miss), and a gap between consecutive lengths only when no position
     between the two was dropped. Each row is a tuple of gap sizes."""
@@ -270,12 +271,123 @@ def sweep_rows_reference(gens, tables, win, lo, hi):
     return rows
 
 
-def sweep_row(s, gaps, x):
-    """Row x of a max-norm sweep's gap flags in the form of
-    `full_mask_deltas`, with membership read from the span table."""
-    if not contains(s, x):
-        return None
-    return tuple(np.flatnonzero(gaps[x]).tolist())
+def gap_rows(s, gaps, lo, stop):
+    """Rows x in [lo, stop) of the library's max-norm gap bitsets
+    (`infinity._deltas`) in the form of `full_mask_deltas`, with membership
+    read from the span table."""
+    rows = [set() for _ in range(lo, stop)]
+    for d, bits in gaps.items():
+        text = bin(bits >> lo)[:1:-1]  # bit x - lo at index x - lo
+        x = text.find("1")
+        while 0 <= x < stop - lo:
+            rows[x].add(d)
+            x = text.find("1", x + 1)
+    return [tuple(sorted(row)) if contains(s, x) else None for x, row in zip(range(lo, stop), rows)]
+
+
+# The library's former max-norm sweep, windowed over the length axis and
+# batched over x on numpy arrays. Premise: every max-norm length l of x
+# satisfies ceil(x / A) <= l <= x // a_1 (A the generator sum), and by the
+# AAP containment the dominant lengths at i are exactly one class mod g_i on
+# [ceil(x / A) + a_k, x // a_i - margin_i]. So between the points where that
+# picture changes the length mask repeats with period G = lcm(g_1, ..., g_k),
+# and the sweep keeps only the bottom window [ceil(x / A), ceil(x / A) + a_k
+# + keep) and, per index, [x // a_i - margin_i - keep, x // a_i + keep], with
+# keep = 2G + 1. It counts a gap only between consecutive lengths of a row
+# with no dropped position between them.
+
+SWEEP_CELLS = 1 << 13  # positions tested per batch
+
+
+def sweep_windows(s):
+    """Column layout of the windowed sweep, shape (3, W): column j of the row
+    of x is the position (x + add[j]) // div[j] + shift[j] for the rows add,
+    div and shift, before clipping to the length range. The columns hold the
+    bottom window, then, for i from k down to 1, the top window of i, each
+    ascending. Index 1's top window ends at x // a_1, since every column
+    above it clips to x // a_1."""
+    consts = infinity.structure_constants(s)
+    total = consts.gen_sum
+    keep = 2 * math.lcm(*(r.complement_gcd for r in consts.records)) + 1
+    cols = [(total - 1, total, j) for j in range(s.generators[-1] + keep)]
+    for i in reversed(range(s.embedding_dim)):
+        a_i, rec = s.generators[i], consts.records[i]
+        cols += [(0, a_i, j) for j in range(-rec.margin - keep, (keep if i else 0) + 1)]
+    return np.array(cols, dtype=np.int64).T
+
+
+def sweep_batches(s, lo, stop):
+    """The batches of consecutive x in [lo, stop), as (lo, hi, layout) with
+    (hi - lo) * columns <= max(SWEEP_CELLS, W). A batch whose widest length
+    range, max(x // a_1 - ceil(x / A) + 1) over its x, is narrower than W
+    tests that range whole: its columns are ceil(x / A) + j for j below that
+    width. Other batches use the W columns of `sweep_windows`."""
+    a1, total = s.generators[0], s.gen_sum
+    win = sweep_windows(s)
+    wide = win.shape[1]
+    narrow = np.array([(total - 1, total, j) for j in range(wide)], dtype=np.int64).T
+    while lo < stop:
+        first = lo // a1 - (-(-lo // total)) + 1
+        if first >= wide:
+            hi = min(stop, lo + max(1, SWEEP_CELLS // wide))
+            yield lo, hi, win
+        else:
+            xs = np.arange(lo, min(stop, lo + max(1, SWEEP_CELLS // max(first, 1))), dtype=np.int64)
+            width = np.maximum.accumulate(xs // a1 - (xs + total - 1) // total + 1)
+            fits = (width < wide) & (width * np.arange(1, len(xs) + 1) <= SWEEP_CELLS)
+            hi = lo + max(1, int(np.count_nonzero(fits)))
+            yield lo, hi, narrow[:, : max(1, int(width[hi - lo - 1]))]
+        lo = hi
+
+
+def sweep_rows(gens, tables, win, lo, hi):
+    """Gap flags, shape (hi - lo, D) with column d set iff d is in the delta
+    set, for the elements x in [lo, hi). tables[i] holds t_i unfolded to at
+    least hi - 1, then one INF."""
+    total = sum(gens)
+    add, div, shift = win
+    xs = np.arange(lo, hi, dtype=np.int64)[:, None]
+    pos = (xs + add) // div + shift
+    np.clip(pos, (xs + total - 1) // total, xs // gens[0], out=pos)
+    if (pos[:, 1:] < pos[:, :-1]).any():  # windows that overlap
+        pos.sort(axis=1)
+    hit = np.zeros(pos.shape, dtype=bool)
+    for a_i, table in zip(gens, tables):
+        y = xs - pos * a_i
+        np.maximum(y, -1, out=y)  # y < 0 reads the trailing INF
+        hit |= table[y] <= pos
+    kept = np.ones(pos.shape, dtype=bool)  # first of each run of equal positions
+    np.not_equal(pos[:, 1:], pos[:, :-1], out=kept[:, 1:])
+    hit &= kept
+    # the kept lengths in row order; pos minus the rank among distinct
+    # positions is equal at two of them iff no position between was dropped
+    cell = np.flatnonzero(hit)
+    row = cell // pos.shape[1]
+    at = pos.ravel()[cell]
+    run = at - np.cumsum(kept, axis=1).ravel()[cell]
+    real = (row[1:] == row[:-1]) & (run[1:] == run[:-1])
+    step = np.diff(at)[real]
+    gaps = np.zeros((hi - lo, int(step.max(initial=0)) + 1), dtype=bool)
+    gaps[row[1:][real], step] = True
+    return gaps
+
+
+def windowed_rows(s, lo, stop):
+    """The gap rows of x in [lo, stop) from the windowed sweep, over tables
+    unfolded from the engine's folded ones, in the form of
+    `full_mask_deltas`."""
+    eng = infinity._get_engine(s, stop - 1)
+    ys = np.arange(stop + 1, dtype=np.int64)
+    ys[-1] = 0
+    tables = []
+    for table, y0, step in zip(eng.tables, eng.y0, eng.steps):
+        q = np.maximum(ys - y0, 0) // step
+        t = np.frombuffer(table, dtype=np.int64)[ys - q * step] + q
+        t[-1] = INF
+        tables.append(t)
+    parts = [sweep_rows(s.generators, tables, win, a, b) for a, b, win in sweep_batches(s, lo, stop)]
+    rows = [tuple(np.flatnonzero(g).tolist()) for gaps in parts for g in gaps]
+    return [row if contains(s, x) else None for x, row in zip(range(lo, stop), rows)]
 
 
 def cone_contains_array(cone, y):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sgdelta
-from sgdelta import verification
+from sgdelta import infinity, verification
 from sgdelta.cli import main
 from sgdelta.factorization import DeltaSet
 from sgdelta.families import DeltaPrediction, family_chain, parse_family, verify_gluing
@@ -31,10 +31,7 @@ def test_compute_delta_semigroup(capsys):
     assert doc["result"]["delta"] == [1, 2, 3, 4, 6, 7]
     assert doc["certificate"]["period"] == 120
     assert doc["certificate"]["mode"] == "theorem-backed"
-    # widest layout per element: (a_k + keep) + sum_i (margin_i + 2 keep + 1)
-    # with keep = 2 lcm(complement gcds) + 1 = 3 and margins 30, 2, 2, less
-    # the keep columns above x // a_1
-    assert doc["certificate"]["columns"] == (11 + 3) + (30 + 3 + 1) + (2 + 7) + (2 + 7)
+    assert set(doc["certificate"]) == {"start", "period", "window_periods", "mode", "union_horizon"}
     assert doc["command"] == "compute"
     assert "timing" in doc and "budget" in doc
 
@@ -73,6 +70,20 @@ def test_compute_budget_exit_code(capsys):
     )
     assert code == 3
     assert doc["error"]["code"] == "budget-exceeded"
+
+
+def test_certificate_past_the_engine_horizon_exits_3(capsys, monkeypatch):
+    # the sweep refuses a horizon past MAX_ENGINE_HORIZON as the engine
+    # does; <3,10,11> sweeps to 2017 + 3 * 120 = 2377
+    monkeypatch.delenv("SGDELTA_CACHE_DIR", raising=False)
+    argv = ("compute", "--gens", "3,10,11", "delta-semigroup", "--p", "inf")
+    monkeypatch.setattr(infinity, "MAX_ENGINE_HORIZON", 2376)
+    code, doc = run_json(capsys, *argv)
+    assert code == 3
+    assert doc["error"] == {"code": "budget-exceeded", "message": "a sweep to 2377 exceeds the engine budget"}
+    monkeypatch.setattr(infinity, "MAX_ENGINE_HORIZON", 2377)
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc["certificate"]["start"] == 2017
 
 
 def test_budget_flags(capsys):

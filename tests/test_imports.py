@@ -5,10 +5,10 @@ test dependencies bring no linter, so this walks each module's syntax tree,
 imports inside functions included. The package `__init__` is left out: it
 resolves its names on first use from one table, which is checked here
 against the modules. Each CLI command runs in a fresh interpreter, which
-shows the modules it loads: numpy, the max-norm engine, the claim registry,
+shows the modules it loads: the max-norm engine, the claim registry,
 hashlib and the family, presentation and 0-norm modules only where the
-command needs them. Enumeration and the element queries at every p load no
-numpy: only a max-norm certificate's sweep does.
+command needs them. No command loads numpy: enumeration, the element
+queries at every p and the max-norm certificate's sweep are plain Python.
 """
 
 import ast
@@ -163,8 +163,7 @@ def test_p0_commands_load_no_heavy_module(argv):
 
 @pytest.mark.parametrize("p", ["1", "inf"])
 def test_element_queries_load_no_numpy(p):
-    # the 1-norm table and the min-max tables are plain Python; only the
-    # max-norm sweep of a semigroup-level query needs numpy
+    # the 1-norm table and the min-max tables are plain Python
     loaded = loaded_after("compute", "--gens", "7,11,13,17", "delta", "--x", "3000", "--p", p)
     assert "numpy" not in loaded
     assert ("sgdelta.infinity" in loaded) == (p == "inf")
@@ -182,10 +181,21 @@ def test_max_norm_certificate_loads_no_family_presentation_or_zero_module():
     assert sorted(loaded & LATE) == []
 
 
-def test_max_norm_command_loads_numpy():
-    # the probe sees numpy where a command needs it
-    loaded = loaded_after("compute", "--gens", "7,11,13,17", "delta-semigroup", "--p", "inf")
-    assert {"numpy", "sgdelta.infinity"} <= loaded
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--gens", "7,11,13,17", "delta-semigroup", "--p", "inf"],
+        ["verify", "all", "--quick"],
+        ["search", "--target", "1,2", "--p", "inf", "--max-gen", "7", "--max-dim", "3", "--threads", "1"],
+    ],
+    ids=["delta-semigroup-inf", "verify-all-quick", "search-inf"],
+)
+def test_max_norm_commands_load_no_numpy(argv):
+    # the max-norm sweep is plain Python; the probe still sees the max-norm
+    # engine load, so it sees what a command imports
+    loaded = loaded_after(*argv)
+    assert "numpy" not in loaded
+    assert "sgdelta.infinity" in loaded
 
 
 def test_cached_command_loads_hashlib(tmp_path):

@@ -35,10 +35,11 @@ from sgdelta.search import candidates
 from _oracles import (
     doubling_empirical_start,
     full_mask_deltas,
+    gap_rows,
     minmax_brute,
     minmax_level_search,
     minmax_pair,
-    sweep_row,
+    windowed_rows,
 )
 
 
@@ -150,15 +151,15 @@ def test_certificate_stability_under_wider_window(geo, med3):
 
 
 def _count_swept(monkeypatch):
-    """Every x that `_sweep_rows` is called on, once per call."""
+    """Every x that `_sweep` is called on, once per call."""
     calls = []
-    orig = infinity._sweep_rows
+    orig = infinity._sweep
 
-    def counting(gens, tables, win, lo, hi):
-        calls.extend(range(lo, hi))
-        return orig(gens, tables, win, lo, hi)
+    def counting(gens, lo, hi):
+        calls.extend(range(lo, hi + 1))
+        return orig(gens, lo, hi)
 
-    monkeypatch.setattr(infinity, "_sweep_rows", counting)
+    monkeypatch.setattr(infinity, "_sweep", counting)
     return calls
 
 
@@ -198,7 +199,7 @@ def test_sweep_rows_match_full_mask_on_suite(gens):
     top = cert.start + 4 * cert.period
     gaps = infinity._deltas(s, top)
     eng = infinity._get_engine(s, top)
-    assert [sweep_row(s, gaps, x) for x in range(top + 1)] == [full_mask_deltas(eng, x) for x in range(top + 1)]
+    assert gap_rows(s, gaps, 0, top + 1) == [full_mask_deltas(eng, x) for x in range(top + 1)]
 
 
 def _certificate_start(s, p, w, budget):
@@ -243,54 +244,39 @@ def test_empirical_start_needs_room_for_two_periods_past_its_window():
         )
 
 
-@pytest.mark.parametrize("gens", [(8, 9), (7, 8), (30, 42, 70, 105)])
-def test_sweep_batches_stay_within_their_cells(monkeypatch, gens):
-    # a narrow batch gets no more rows than its columns leave room for; the
-    # sweep runs to the search's budget, 30,000
-    shapes = []
-    orig = infinity._sweep_rows
-
-    def recording(g, tables, win, lo, hi):
-        shapes.append((hi - lo, win.shape[1]))
-        return orig(g, tables, win, lo, hi)
-
-    monkeypatch.setattr(infinity, "_sweep_rows", recording)
+def _sweep_matches_oracle(gens, stop):
     s = make_semigroup(gens)
-    wide = infinity._windows(s).shape[1]
-    infinity._deltas(s, 30_000)
-    assert sum(r for r, _ in shapes) == 30_001
-    assert any(c < wide for _, c in shapes)
-    assert all(r * c <= max(infinity._SWEEP_CELLS, wide) for r, c in shapes), (wide, max(r * c for r, c in shapes))
+    assert gap_rows(s, infinity._deltas(s, stop - 1), 0, stop) == windowed_rows(s, 0, stop)
+
+
+@pytest.mark.parametrize("gens", [(8, 9), (7, 8), (30, 42, 70, 105)])
+def test_sweep_batches_stay_within_their_cells(gens):
+    # every row of the bit-sliced sweep to the search's budget, 30,000,
+    # against the windowed oracle, whose narrow batches hold many rows
+    # here; the windows of <30,42,70,105> are wider than x / 30
+    _sweep_matches_oracle(gens, 30_001)
 
 
 @pytest.mark.parametrize("gens, stop", [((3, 260, 262), 35_001), ((2, 601), 21_001)])
 def test_batches_with_more_columns_than_cells(gens, stop):
-    # W > _SWEEP_CELLS: where the length range is wider than the cell budget
-    # but narrower than W, each batch is one narrow row; past it, one wide row
-    s = make_semigroup(gens)
-    wide = infinity._windows(s).shape[1]
-    cells = infinity._SWEEP_CELLS
-    assert wide > cells
-    batches = list(infinity._batches(s, 0, stop))
-    bounds = [(lo, hi) for lo, hi, _ in batches]
-    assert bounds[0][0] == 0 and bounds[-1][1] == stop
-    assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
-    shapes = [(hi - lo, win.shape[1]) for lo, hi, win in batches]
-    assert all(r * c <= max(cells, wide) for r, c in shapes)
-    assert any(r == 1 and cells < c < wide for r, c in shapes)
-    assert shapes[-1] == (1, wide)
+    # every row of the bit-sliced sweep against the windowed oracle where
+    # its W columns pass its cell budget (W = 11,480 for <3,260,262>): past
+    # x = 24,700 the length range passes the cell budget, and past 34,600 W
+    _sweep_matches_oracle(gens, stop)
 
 
 @pytest.mark.parametrize("gens, lo, stop", [((3, 260, 262), 24_700, 24_800), ((3, 260, 262), 34_600, 34_700)])
 def test_one_row_batches_match_full_mask(gens, lo, stop):
-    # the rows of ⟨3,260,262⟩ (W = 11,480) where the length range passes the
-    # cell budget, and where it passes W
+    # a frame of the sweep alone, where the windowed oracle takes one row
+    # per batch, against the oracle and the full length mask
     s = make_semigroup(gens)
     # every x here lies past the Frobenius number, so each is a member
     assert lo > frobenius(s)
-    rows = [tuple(np.flatnonzero(g).tolist()) for gaps in infinity._sweep_parts(s, lo, stop) for g in gaps]
+    frame = infinity._sweep(s.generators, lo, stop - 1)
+    got = gap_rows(s, {d: bits << lo for d, bits in frame.items()}, lo, stop)
+    assert got == windowed_rows(s, lo, stop)
     eng = infinity._get_engine(s, stop)
-    assert rows == [full_mask_deltas(eng, x) for x in range(lo, stop)]
+    assert got == [full_mask_deltas(eng, x) for x in range(lo, stop)]
 
 
 def test_full_aap_range_reaches_certificate_horizon():
@@ -349,13 +335,12 @@ def test_ascending_scan_builds_few_engines(monkeypatch):
     tables = s._cache["inf-engine"].tables
     records = structure_constants(s).records
     assert all(len(t) <= r.y0 + s.gen_sum - a + 1 for t, r, a in zip(tables, records, s.generators))
-    # w=3 reads past the w=2 horizon through the fold, not a wider engine
+    # a certificate sweeps its own level searches and builds no engine
     horizons.clear()
     s = make_semigroup([5, 13, 16])
     delta_inf_semigroup(s, window_periods=2)
     delta_inf_semigroup(s, window_periods=3)
-    assert len(horizons) == 1, horizons
-    assert max(len(t) for t in s._cache["inf-engine"].tables) <= 497
+    assert horizons == []
 
 
 def test_engine_budget_applies_to_the_request():

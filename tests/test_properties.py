@@ -2,7 +2,9 @@
 against enumeration, the semigroup-level delta route against the engine of
 each norm, the round-robin residue tables against a heap Dijkstra, the
 plain-Python min-max and 1-norm tables against the former numpy builders,
-and the max-norm sweep kernel against its plain-Python reference."""
+the max-norm sweep against the full length mask and its frames against a
+sweep from 0, and the former windowed sweep kernel, now an oracle, against
+its plain-Python reference."""
 
 import math
 from itertools import combinations
@@ -32,7 +34,8 @@ from _oracles import (
     minmax_subset_sums,
     one_norm_lengths,
     one_norm_table,
-    sweep_row,
+    gap_rows,
+    sweep_rows,
     sweep_rows_reference,
 )
 
@@ -197,19 +200,39 @@ def test_sweep_rows_match_full_mask(gens):
         top = cert.start + 4 * cert.period
     except sg.BudgetExceeded:
         top = 6000
-    gaps = infinity._deltas(s, top)
+    rows = gap_rows(s, infinity._deltas(s, top), 0, top + 1)
     eng = infinity._get_engine(s, top)
     for x in range(top + 1):
-        assert sweep_row(s, gaps, x) == full_mask_deltas(eng, x), x
+        assert rows[x] == full_mask_deltas(eng, x), x
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    gens=st.lists(st.integers(2, 40), min_size=2, max_size=5, unique=True).filter(lambda g: math.gcd(*g) == 1),
+    lo=st.integers(0, 3000),
+    width=st.integers(0, 3000),
+)
+@example(gens=[3, 25, 26], lo=0, width=0)  # a frame of x = 0 alone
+@example(gens=[8, 9], lo=1, width=100)  # starts below the Frobenius number
+@example(gens=[30, 42, 70, 105], lo=2999, width=3000)  # starts above l * a_1 for l up to 99
+@example(gens=[2, 3], lo=10, width=10)  # x = lo = 2 * (2 + 3) has length 2, at the frame's first level
+def test_sweep_frames_match_a_sweep_from_zero(gens, lo, width):
+    # rows do not depend on each other: a frame [lo, hi] gives the rows of
+    # a sweep from 0, bit for bit, whatever part of the level walk it skips
+    gens = tuple(sorted(gens))
+    hi = lo + width
+    whole = infinity._sweep(gens, 0, hi)
+    frame = infinity._sweep(gens, lo, hi)
+    assert frame == {d: bits >> lo for d, bits in whole.items() if bits >> lo}
 
 
 @st.composite
 def sweep_inputs(draw):
-    """Arguments of `infinity._sweep_rows`: generators, tables of random
-    values with INF entries and the one trailing INF, and a column layout
-    of ascending blocks (add, div, shift + j) whose order, overlap and
-    clipping are all random; half the layouts put the blocks in the order
-    of `_windows`, bottom first and then by falling div."""
+    """Arguments of the windowed oracle's `sweep_rows`: generators, tables
+    of random values with INF entries and the one trailing INF, and a column
+    layout of ascending blocks (add, div, shift + j) whose order, overlap
+    and clipping are all random; half the layouts put the blocks in the
+    order of `sweep_windows`, bottom first and then by falling div."""
     gens = tuple(sorted(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True))))
     total = sum(gens)
     lo = draw(st.integers(0, 150))
@@ -241,7 +264,7 @@ def test_sweep_rows_match_reference(args):
     # the kernel alone, against its contract, on layouts and tables that no
     # semigroup gives: rows out of order, overlapping and clipped windows,
     # and reads at y < 0
-    got = infinity._sweep_rows(*args)
+    got = sweep_rows(*args)
     assert [tuple(np.flatnonzero(g).tolist()) for g in got] == sweep_rows_reference(*args)
 
 

@@ -10,14 +10,16 @@ changed.
 A mutant is killed only when pytest ran every collected test and reports at
 least one failure. A collection error, a usage error or a run that collects
 nothing kills nothing: an import that breaks in the copy must not read as a
-caught mutant. Before any mutant, the named tests must pass on an unmutated
-copy.
+caught mutant. Each run is stopped after TIMEOUT_S seconds, and a run that
+is stopped is reported as timed out, never as a kill: a mutant that makes a
+loop run forever has not been caught by a failing test. Before any mutant,
+the named tests must pass on an unmutated copy.
 
     python tools/mutants.py
 
-Exits 0 when every mutant is killed, 1 when one survives or cannot be
-applied, 2 when the unmutated copy fails the named tests. Needs only the
-standard library and pytest.
+Exits 0 when every mutant is killed, 1 when one survives, times out or
+cannot be applied, 2 when the unmutated copy fails or times out on the
+named tests. Needs only the standard library and pytest.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+# seconds one pytest run may take; the unmutated run of every named test
+# takes about 18 s on a 2-CPU host
+TIMEOUT_S = 300
 
 
 class Mutant(NamedTuple):
@@ -53,11 +58,14 @@ MUTANTS = (
         ("tests/test_families.py::test_gluing_verifier_rejects",),
     ),
     Mutant(
-        "sweep-gap-ignores-runs",
+        "sweep-counter-not-reset-at-a-new-length",
         "src/sgdelta/infinity.py",
-        "real = (row[1:] == row[:-1]) & (run[1:] == run[:-1])",
-        "real = row[1:] == row[:-1]",
-        ("tests/test_properties.py::test_sweep_rows_match_reference",),
+        "            counter[j] ^= xs\n",
+        "",
+        (
+            "tests/test_properties.py::test_sweep_rows_match_full_mask",
+            "tests/test_infinity.py::test_sweep_rows_match_full_mask_on_suite",
+        ),
     ),
     Mutant(
         "minmax-fold-off-by-one",
@@ -67,11 +75,21 @@ MUTANTS = (
         ("tests/test_properties.py::test_folded_minmax_reads_match_references",),
     ),
     Mutant(
-        "sweep-unfold-off-by-one",
+        "sweep-dead-cut-one-level-early",
         "src/sgdelta/infinity.py",
-        "return np.frombuffer(table, dtype=np.int64)[ys - q * step] + q",
-        "return np.frombuffer(table, dtype=np.int64)[ys - q * step] + q + (q > 1)",
-        ("tests/test_properties.py::test_sweep_rows_match_full_mask",),
+        "cut = max(lo, level * a1) - origin",
+        "cut = max(lo, (level + 1) * a1) - origin",
+        (
+            "tests/test_properties.py::test_sweep_rows_match_full_mask",
+            "tests/test_infinity.py::test_sweep_rows_match_full_mask_on_suite",
+        ),
+    ),
+    Mutant(
+        "sweep-frame-skips-its-first-level",
+        "src/sgdelta/infinity.py",
+        "if level * total < lo:",
+        "if level * total <= lo:",
+        ("tests/test_properties.py::test_sweep_frames_match_a_sweep_from_zero",),
     ),
     Mutant(
         "level-search-adds-one-generator-per-level",
@@ -185,17 +203,22 @@ def _copy(dest: Path) -> None:
 
 
 def _run(tree: Path, tests: tuple[str, ...]) -> tuple[str, float]:
-    """"pass", "fail" or "error" for the tests in `tree`, and the seconds taken."""
+    """"pass", "fail", "error" or "timeout" for the tests in `tree`, and the
+    seconds taken."""
     report = tree / "report.xml"
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     started = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", f"--junitxml={report}", *tests],
-        cwd=tree,
-        env=env,
-        capture_output=True,
-        text=True,
-    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", f"--junitxml={report}", *tests],
+            cwd=tree,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout", time.monotonic() - started
     seconds = time.monotonic() - started
     if proc.returncode not in (0, 1) or not report.exists():
         return "error", seconds
@@ -228,7 +251,12 @@ def main() -> int:
                 continue
             target.write_text(text.replace(m.old, m.new))
             outcome, seconds = _run(tree, m.tests)
-            verdict = {"fail": "killed", "pass": "SURVIVED", "error": "NOT KILLED (tests errored)"}[outcome]
+            verdict = {
+                "fail": "killed",
+                "pass": "SURVIVED",
+                "error": "NOT KILLED (tests errored)",
+                "timeout": f"NOT KILLED (timed out after {TIMEOUT_S} s)",
+            }[outcome]
             print(f"{m.name}: {verdict} ({seconds:.1f} s)")
             if outcome != "fail":
                 survived.append(m.name)
