@@ -75,6 +75,25 @@ def mark_lengths(mask: bytearray, table, y0: int, step: int, x: int, a: int, lo:
             mask[l] = 1
 
 
+def shift_point(rest: ConeTable, step: int) -> int:
+    """y0 = ceil(step * (c + h * step) / d_min), from which f(y + step) =
+    f(y) + 1 for each f with the premises below. rest is the span <D>, with
+    gcd g, least element d_min and conductor c; h = g / gcd(g, step). With
+    n*(y) = min{n >= ceil(y / step) : n * step - y in <D>} (INF if none):
+      - f(y) >= n*(y) for every y;
+      - f(y) <= n if n * step - y has a representation by D with <= n parts.
+    Lemma: n*(y + step) = n*(y) + 1 (n shifts by one), and for y >= y0 each
+    representation of e = n * step - y, n = n*(y), has fewer than n parts.
+    The n with g | n * step - y form one class mod h: either n is the least
+    n >= ceil(y / step) of its class and e < h * step, or e - h * step >= 0
+    is a multiple of g outside <D>, so e - h * step < c. So a representation
+    of e has at most e / d_min < y0 / step <= n parts, f = n* from y0 on,
+    and an INF stays INF."""
+    g = rest.gcd
+    h = g // math.gcd(g, step)
+    return ceil_div(step * (rest.conductor + h * step), rest.gens[0])
+
+
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _INF_TOP_BYTES = bytes.maketrans(b"01", b"\x00" + INF.to_bytes(8, "little")[-1:])
 
@@ -251,16 +270,17 @@ class ConeTable:
         q = y // self.gcd
         return q >= self.least[q % self.modulus]
 
-    def frobenius_reduced(self) -> int:
-        """Largest integer outside the gcd-scaled-down span; -1 when that
-        span is all of the nonnegative integers."""
-        return max(self.least) - self.modulus
+    @property
+    def conductor(self) -> int:
+        """g * (F + 1), F the Frobenius number of the span divided by g (-1
+        if that is N): each multiple of g from here on is in the span."""
+        return self.gcd * (max(self.least) - self.modulus + 1)
 
     def frobenius(self) -> int:
         """Largest integer not in the span itself; requires gcd = 1."""
         if self.gcd != 1:
             raise ValueError("frobenius needs a gcd-1 span")
-        return self.frobenius_reduced()
+        return self.conductor - 1
 
 
 # The memo of `cone_table`, least recently used first.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator
 
-from .arith import ceil_div, cone_table, level_table, mark_lengths
+from .arith import ceil_div, cone_table, level_table, mark_lengths, shift_point
 from .budget import MAX_ENGINE_HORIZON, MAX_FACTORIZATIONS, Budget
 from .errors import BudgetExceeded, NotAMember
 from .semigroup import NumericalSemigroup, contains
@@ -161,31 +161,18 @@ def delta_of_sorted_set(values) -> DeltaSet:
 
 
 def _one_norm_shift_point(parts: tuple[int, ...]) -> int:
-    """A y0 from which m(y + b) = m(y) + 1, where m(y) is the least number of
-    the ascending parts summing to y (INF if none) and b is the largest part.
-
-    Put d = {b - p : p a smaller part}, with gcd g, least element d_min and F
-    the Frobenius number of <d / g>, and h = g / gcd(g, b). Let
-    n*(y) = min{n >= ceil(y / b) : n * b - y in <d>}.
-      - m(y) >= n*(y) always: n parts summing to y give n * b - y as a sum of
-        the d's, and n >= y / b.
-      - m(y) = n*(y) for y >= y0 = ceil(b * (g * (F + 1) + h * b) / d_min).
-        The n with g | n * b - y form one class mod h. Take n = n*(y) and
-        e = n * b - y. Either n is the least n >= ceil(y / b) of its class,
-        so (n - h) * b < y and e < h * b, or e - h * b >= 0 is a multiple of
-        g outside <d>, so e - h * b <= g * F. Either way
-        e < g(F + 1) + h * b. Any representation w of e by d then has
-        sum(w) <= e / d_min < y0 / b <= n, so w plus n - sum(w) copies of b
-        gives y with n parts.
-    Since n*(y + b) = n*(y) + 1 for every y, m(y + b) = m(y) + 1 for y >= y0,
-    and an unreachable y stays so. A single part (k = 2) gives y0 = 0.
-    """
-    b = parts[-1]
+    """y0 from which m(y + b) = m(y) + 1, m(y) the least number of the
+    ascending parts summing to y (INF if none) and b the largest part: the
+    `arith.shift_point` of <d>, d = {b - p : p a smaller part}, at step b; 0
+    for a single part (k = 2). Its premises, with n* as there:
+      - m(y) >= n*(y): n parts summing to y give n * b - y as the sum of
+        their b - p, and n >= y / b;
+      - a representation w of n * b - y with sum(w) <= n gives y in n
+        parts: p for each b - p in w, and n - sum(w) copies of b."""
     if len(parts) == 1:
         return 0
-    d = cone_table(tuple(b - p for p in reversed(parts[:-1])))
-    h = d.gcd // math.gcd(d.gcd, b)
-    return ceil_div(b * (d.gcd * (d.frobenius_reduced() + 1) + h * b), d.gens[0])
+    b = parts[-1]
+    return shift_point(cone_table(tuple(b - p for p in reversed(parts[:-1]))), b)
 
 
 def _one_norm_lengths(s: NumericalSemigroup, x: int) -> list[int]:

@@ -12,21 +12,16 @@ max-norm length set of x is the union over i, and per-element delta sets
 follow by differencing. A level search fills t_i: the set reachable with all
 exponents <= l+1 is the union of subset-sum shifts of the level-l set.
 
-Each table stops at top_i = y0_i + B_i, because t_i is periodic past y0_i.
-Let b be the generators other than a_i, with sum B, gcd g and least element
-b_min, let F be the Frobenius number of <b / g> (-1 when that is all of N),
-and y0 = ceil(B * (g(F + 1) + B) / b_min) (`QuotientData.y0`). Put
-l*(y) = min{l >= ceil(y / B) : l * B - y in <b>}.
-  - t_i(y) >= l*(y) always: if z represents y with max m, then m >= y / B,
-    and m * (1, ..., 1) - z represents m * B - y.
-  - t_i(y) = l*(y) for y >= y0. Take l = l*(y) and d = l * B - y. Either
-    l = ceil(y / B), so d < B, or (l - 1) * B - y >= 0 is a multiple of g
-    outside <b>, so d - B <= g * F. Either way d < g(F + 1) + B. Any
-    representation w of d has every w_j <= d / b_min < y0 / B <= l, so
-    l * (1, ..., 1) - w represents y with max <= l.
-Since l*(y + B) = l*(y) + 1 for every y, t_i(y + B) = t_i(y) + 1 for
-y >= y0, and unreachable y (those off the multiples of g) stay so. A read
-at y takes q = max(0, y - y0) // B and returns t_i[y - q * B] + q.
+Each table stops at top_i = y0_i + B_i, because t_i(y + B_i) = t_i(y) + 1
+from y0_i = `arith.shift_point` of <b> and step B_i on, b the generators
+other than a_i and B_i their sum. The lemma there needs two premises, with
+n*(y) = min{n >= ceil(y / B_i) : n * B_i - y in <b>}:
+  - t_i(y) >= n*(y): if z represents y with max m, then m >= y / B_i, and
+    m * (1, ..., 1) - z represents m * B_i - y;
+  - a representation w of n * B_i - y with sum(w) <= n has every w_j <= n,
+    so n * (1, ..., 1) - w represents y with max <= n.
+A read at y takes q = max(0, y - y0_i) // B_i and returns
+t_i[y - q * B_i] + q.
 
 Element queries read every length of x from the stored tables, with one read
 per residue class of l past y0_i (`arith.mark_lengths`).
@@ -74,7 +69,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import TYPE_CHECKING
 
-from .arith import ceil_div, level_table, mark_lengths
+from .arith import ceil_div, cone_table, level_table, mark_lengths, shift_point
 from .budget import DEFAULT_INF_BUDGET, MAX_ENGINE_HORIZON, Budget
 from .errors import BudgetExceeded, NotAMember, ThresholdNotMet, VerificationError
 from .factorization import PINF, DeltaSet, LengthSet
@@ -167,11 +162,11 @@ class _Engine:
     table once per residue class past y0_i. Holding the generators, not the
     semigroup, keeps the instance that caches it free of reference cycles."""
 
-    def __init__(self, gens: tuple[int, ...], y0: tuple[int, ...], horizon: int):
+    def __init__(self, gens: tuple[int, ...], horizon: int):
         self.gens = gens
-        self.y0 = y0
         self.steps = tuple(sum(gens) - a for a in gens)
-        tops = [y + b for y, b in zip(y0, self.steps)]
+        self.y0 = tuple(shift_point(cone_table(gens[:i] + gens[i + 1 :]), b) for i, b in enumerate(self.steps))
+        tops = [y + b for y, b in zip(self.y0, self.steps)]
         # below its top, table i is only compared with lengths up to
         # horizon // a_i, so higher levels may stay INF; a table that reaches
         # its top serves folded reads and needs every level
@@ -215,8 +210,7 @@ def _get_engine(s: NumericalSemigroup, horizon: int) -> _Engine:
         return eng
     if eng is not None:
         horizon = max(horizon, min(2 * eng.horizon, MAX_ENGINE_HORIZON))
-    y0 = tuple(r.y0 for r in structure_constants(s).records)
-    eng = _Engine(s.generators, y0, horizon)
+    eng = _Engine(s.generators, horizon)
     s._cache["inf-engine"] = eng
     return eng
 
@@ -344,25 +338,32 @@ def shift_threshold_sum(s: NumericalSemigroup, bound: int) -> int:
 
 
 def _theorem_start(s: NumericalSemigroup, consts: StructureConstants) -> int | None:
-    """Explicit start for the periodicity window, k >= 3 only: the step
-    identities behind the period proof plus the two gap-region width
-    conditions. None for k = 2 (the region analysis needs a third
-    generator), where the engine falls back to an empirical start."""
+    """Explicit start for the periodicity window, k >= 3 only: the
+    all-generators step identity behind the period proof plus the two
+    gap-region width conditions. None for k = 2 (the region analysis needs a
+    third generator), where the engine falls back to an empirical start.
+
+    The proof also needs the index identities at i = 1, 2, from
+    T_i = shift_threshold_index(s, i, b_i + g_1), b_i the margins. Both lie
+    below the sum term T > A(A - a_1)(a_k + g_1) / a_1, so they are left
+    out. Schur's bound F(<D>) <= (d_min - 1)(d_max - 1) - 1 (gcd-1 D) gives
+    g_i(F_i + 1) < b_min * b_max over the generators other than a_i, so
+    b_1 < a_2 a_k / a_1 + 1 and b_2 <= a_k. Then, with ceil(n / a) < n / a + 1
+    and a_1 < a_2 < a_k, term by term:
+      T_1 < a_k(a_1 + a_2) + a_1^2 + 2 a_1 g_1 + 3 a_1 + 1 < 3 (a_2 + a_k)(a_k + g_1),
+      T_2 < a_2^2 (a_k + g_1 + 1) / a_1 + a_2^2 + a_2(a_k + g_1) + 1
+          <= (a_1 + a_2 + a_k)(a_2 + a_k)(a_k + g_1) / a_1,
+    and A >= a_1 + a_2 + a_k puts both right sides below A(A - a_1)(a_k + g_1) / a_1.
+    A change that lowers the sum term must re-establish the index identities."""
     if s.embedding_dim < 3:
         return None
     a = s.generators
-    g1 = consts.records[0].complement_gcd
-    g2 = consts.records[1].complement_gcd
-    b1 = consts.records[0].margin
-    b2 = consts.records[1].margin
-    cands = [
-        shift_threshold_index(s, 1, b1 + g1),
-        shift_threshold_index(s, 2, b2 + g1),
+    (g1, b1), (g2, b2) = ((r.complement_gcd, r.margin) for r in consts.records[:2])
+    return max(
         shift_threshold_sum(s, a[-1] + g1),
         a[0] * a[1] * (3 * g1 + b1) // (a[1] - a[0]) + 1,
         a[1] * a[2] * (2 * g1 * g2 + b2) // (a[2] - a[1]) + 1,
-    ]
-    return max(cands)
+    )
 
 
 def delta_inf_semigroup(

@@ -40,17 +40,15 @@ class AperyTable:
 class QuotientData:
     """Per-index residual data: the gcd of all other generators, the minimal
     generators of the scaled-down semigroup they span, the inverse of the
-    chosen generator modulo that gcd (0 when the gcd is 1), the fill
+    chosen generator modulo that gcd (0 when the gcd is 1) and the fill
     margin: how far below x / a_i the dominant max-norm lengths are
-    guaranteed to fill their residue class, and y0, from which the min-max
-    table t_i of the other generators (sum B) has t_i(y + B) = t_i(y) + 1."""
+    guaranteed to fill their residue class."""
 
     index: int
     complement_gcd: int
     quotient_generators: tuple[int, ...]
     inverse: int
     margin: int
-    y0: int
 
 
 @dataclass(frozen=True)
@@ -170,9 +168,7 @@ def quotient_data(s: NumericalSemigroup, i: int) -> QuotientData:
     complement_gcd is the gcd of the other generators; quotient_generators
     minimally generate their scaled-down span (possibly (1,) when k = 2);
     inverse solves a_i * inverse = 1 mod complement_gcd, 0 for gcd 1; the
-    margin is ceil(g * (F + 1) / a_i), F the Frobenius number of that span;
-    y0 is ceil(B * (g * (F + 1) + B) / b_min), B and b_min the sum and the
-    least of the other generators.
+    margin is ceil(g * (F + 1) / a_i), F the Frobenius number of that span.
     """
     k = s.embedding_dim
     if not 1 <= i <= k:
@@ -181,11 +177,6 @@ def quotient_data(s: NumericalSemigroup, i: int) -> QuotientData:
 
 
 def _quotient_data(s: NumericalSemigroup, i: int) -> QuotientData:
-    a_i = s.generators[i - 1]
     cone = span(s, tuple(j for j in range(1, s.embedding_dim + 1) if j != i))
-    g = cone.gcd
-    qgens = tuple(a // g for a in cone.gens)
-    inv = modinv(a_i % g, g)
-    fill = g * (cone.frobenius_reduced() + 1)  # every multiple of g from here on is in the span
-    total = s.gen_sum - a_i
-    return QuotientData(i, g, qgens, inv, ceil_div(fill, a_i), ceil_div(total * (fill + total), cone.gens[0]))
+    g, a_i = cone.gcd, s.generators[i - 1]
+    return QuotientData(i, g, tuple(a // g for a in cone.gens), modinv(a_i % g, g), ceil_div(cone.conductor, a_i))

@@ -50,11 +50,7 @@ def _cones(s: NumericalSemigroup) -> list[tuple[tuple[int, ...], int, ConeTable]
 
 
 def support_profiles(s: NumericalSemigroup) -> list[SupportProfile]:
-    out = []
-    for idx, total, cone in _cones(s):
-        thr = cone.gcd * (cone.frobenius_reduced() + 1) + total
-        out.append(SupportProfile(idx, cone.gcd, thr))
-    return out
+    return [SupportProfile(idx, cone.gcd, cone.conductor + total) for idx, total, cone in _cones(s)]
 
 
 def delta0_stability_bound(s: NumericalSemigroup) -> int:

@@ -7,8 +7,11 @@ literal factorization graph. The min-max exponent tables of one and two
 generators have closed forms, `minmax_single` and `minmax_pair`; the library
 once built those tables with them, and now builds every table by level
 search. `minmax_subset_sums` is that search with its former level step,
-one shift per subset sum of the generators. Three oracles are the engines'
-former passes, which read library tables in a different way:
+one shift per subset sum of the generators. `minmax_shift_points` gives
+each min-max table's shift point from its explicit formula, and
+`five_start_terms` the theorem start's former five validity bounds. Three
+oracles are the engines' former passes, which read library tables in a
+different way:
 `full_mask_deltas` (the per-x max-norm mask),
 `doubling_empirical_start` (the empirical start over doubling horizons) and
 `cone_union_deltas` (one span-table membership pass per 0-norm support).
@@ -32,7 +35,16 @@ from itertools import combinations, product
 
 import numpy as np
 
-from sgdelta import BudgetExceeded, contains, enumerate_factorizations, frobenius, index_graph_components, infinity, support
+from sgdelta import (
+    BudgetExceeded,
+    contains,
+    enumerate_factorizations,
+    frobenius,
+    index_graph_components,
+    infinity,
+    structure_constants,
+    support,
+)
 from sgdelta.arith import INF, ConeTable
 
 
@@ -102,6 +114,40 @@ def apery_table(gens, m):
                 dist[r2] = d + a
                 heapq.heappush(heap, (d + a, r2))
     return dist
+
+
+def minmax_shift_points(gens):
+    """y0_i = ceil(B (g (F + 1) + B) / b_min) for each index i, the shift
+    point of the min-max table of the generators b other than a_i, with sum
+    B, gcd g and least element b_min, from the explicit formula. F, the
+    Frobenius number of <b / g>, is read from the heap oracle's Apery table
+    of its least generator m: max(table) - m."""
+    out = []
+    for i in range(len(gens)):
+        others = gens[:i] + gens[i + 1 :]
+        g = math.gcd(*others)
+        reduced = [b // g for b in others]
+        f = max(apery_table(reduced, reduced[0])) - reduced[0]
+        total = sum(others)
+        out.append(-(-total * (g * (f + 1) + total) // min(others)))
+    return tuple(out)
+
+
+def five_start_terms(s):
+    """The five validity bounds of the theorem start, k >= 3, the two index
+    terms first: the start was their maximum until the index terms were
+    shown to lie below the sum term (`infinity._theorem_start`)."""
+    recs = structure_constants(s).records
+    a = s.generators
+    g1, g2 = recs[0].complement_gcd, recs[1].complement_gcd
+    b1, b2 = recs[0].margin, recs[1].margin
+    return [
+        infinity.shift_threshold_index(s, 1, b1 + g1),
+        infinity.shift_threshold_index(s, 2, b2 + g1),
+        infinity.shift_threshold_sum(s, a[-1] + g1),
+        a[0] * a[1] * (3 * g1 + b1) // (a[1] - a[0]) + 1,
+        a[1] * a[2] * (2 * g1 * g2 + b2) // (a[2] - a[1]) + 1,
+    ]
 
 
 def minmax_brute(gens, y):

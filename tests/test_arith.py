@@ -77,7 +77,7 @@ def test_cone_frobenius():
     assert ConeTable.build((1,)).frobenius() == -1
     assert ConeTable.build((13, 16)).frobenius() == 13 * 16 - 29
     # gcd factored out: reduced span of (6, 9) is the span of (2, 3)
-    assert ConeTable.build((6, 9)).frobenius_reduced() == 1
+    assert ConeTable.build((6, 9)).conductor == 6  # g * (F + 1) = 3 * 2
     with pytest.raises(ValueError):
         ConeTable.build((6, 9)).frobenius()
 

@@ -34,11 +34,13 @@ from sgdelta.search import candidates
 
 from _oracles import (
     doubling_empirical_start,
+    five_start_terms,
     full_mask_deltas,
     gap_rows,
     minmax_brute,
     minmax_level_search,
     minmax_pair,
+    minmax_shift_points,
     windowed_rows,
 )
 
@@ -73,8 +75,9 @@ def test_engine_below_its_top_keeps_every_read_comparison(gens, horizon):
     # a table below its top runs only the levels up to horizon // a_i, and
     # each comparison t_i(y) <= l with l <= horizon // a_i stays as it was
     s = make_semigroup(gens)
-    y0 = tuple(r.y0 for r in structure_constants(s).records)
-    eng = infinity._Engine(gens, y0, horizon)
+    y0 = minmax_shift_points(gens)
+    eng = infinity._Engine(gens, horizon)
+    assert eng.y0 == y0
     truncated = 0
     for i, a in enumerate(gens):
         full = minmax_level_search(gens[:i] + gens[i + 1 :], len(eng.tables[i]) - 1)
@@ -304,14 +307,36 @@ def test_theorem_start_set_by_a_gap_region_term(gens, start):
     assert (cert.start, cert.mode) == (start, "theorem-backed")
 
 
+# the inf-theorem workload of the benchmark
+INF_THEOREM = [
+    (4, 6, 9),
+    (3, 10, 11),
+    (6, 9, 20),
+    (5, 13, 16),
+    *((3, 3 * m + 1, 3 * m + 2) for m in range(4, 9)),
+    (7, 11, 13, 17),
+    (11, 13, 17, 19, 23),
+]
+
+
+@pytest.mark.parametrize("gens", INF_THEOREM)
+def test_theorem_start_equals_the_five_term_start(gens):
+    # the two index terms lie below the sum term, so leaving them out keeps
+    # every start
+    s = make_semigroup(gens)
+    terms = five_start_terms(s)
+    assert max(terms[:2]) < terms[2]
+    assert infinity._theorem_start(s, structure_constants(s)) == max(terms)
+
+
 def _count_builds(monkeypatch):
     """The horizon of every engine built, in order."""
     horizons = []
     orig = infinity._Engine.__init__
 
-    def counting(self, gens, y0, horizon):
+    def counting(self, gens, horizon):
         horizons.append(horizon)
-        orig(self, gens, y0, horizon)
+        orig(self, gens, horizon)
 
     monkeypatch.setattr(infinity._Engine, "__init__", counting)
     return horizons
@@ -333,8 +358,8 @@ def test_ascending_scan_builds_few_engines(monkeypatch):
     infinity_length_set(s, 10**6)
     assert len(horizons) == built, horizons
     tables = s._cache["inf-engine"].tables
-    records = structure_constants(s).records
-    assert all(len(t) <= r.y0 + s.gen_sum - a + 1 for t, r, a in zip(tables, records, s.generators))
+    y0 = minmax_shift_points(s.generators)
+    assert all(len(t) <= y + s.gen_sum - a + 1 for t, y, a in zip(tables, y0, s.generators))
     # a certificate sweeps its own level searches and builds no engine
     horizons.clear()
     s = make_semigroup([5, 13, 16])

@@ -24,12 +24,14 @@ from _oracles import (
     apery_table,
     component_least_factorizations,
     cone_union_deltas,
+    five_start_terms,
     full_mask_deltas,
     grid_factorizations,
     minimal_generators_brute,
     minmax_brute,
     minmax_level_search,
     minmax_pair,
+    minmax_shift_points,
     minmax_single,
     minmax_subset_sums,
     one_norm_lengths,
@@ -140,7 +142,9 @@ def test_span_tables_match_reachability(gens, sums, dups):
         f = _frobenius_scan([b // g for b in others], top)
         assert sg.quotient_data(s, i).margin == -(-g * (f + 1) // a[i - 1]), i
         total = sum(others)
-        assert sg.quotient_data(s, i).y0 == -(-total * (g * (f + 1) + total) // min(others)), i
+        rest = sg.span(s, tuple(j for j in range(1, k + 1) if j != i))
+        assert rest.conductor == g * (f + 1), i
+        assert arith.shift_point(rest, total) == -(-total * (g * (f + 1) + total) // min(others)), i
 
 
 def _assert_matches_heap(table, asked):
@@ -279,6 +283,19 @@ def test_theorem_starts_lie_past_the_frobenius_number(gens):
     assert infinity._theorem_start(s, sg.structure_constants(s)) > sg.frobenius(s)
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(gens=st.lists(st.integers(2, 90), min_size=3, max_size=6, unique=True).filter(lambda g: math.gcd(*g) == 1))
+@example(gens=[3, 260, 262])
+def test_theorem_start_equals_the_five_term_start(gens):
+    # _theorem_start leaves out the two index terms, which its docstring
+    # shows lie below the sum term
+    s = sg.make_semigroup(gens)
+    assume(s.embedding_dim >= 3)
+    terms = five_start_terms(s)
+    assert max(terms[:2]) < terms[2]
+    assert infinity._theorem_start(s, sg.structure_constants(s)) == max(terms)
+
+
 @pytest.mark.parametrize(
     "gens, cap", [((2, 3), None), ((5, 7), None), ((8, 9), None), ((3, 10, 11), 2000), ((3, 25, 26), 20_000)]
 )
@@ -304,17 +321,19 @@ def test_folded_minmax_reads_match_references(gens):
     # reads per residue class, must match the same references.
     s = sg.make_semigroup(gens)
     a = s.generators
-    y0 = tuple(r.y0 for r in sg.structure_constants(s).records)
+    y0 = minmax_shift_points(a)
     tops = [y + s.gen_sum - a_i for y, a_i in zip(y0, a)]
-    eng = infinity._Engine(a, y0, max(tops))
+    eng = infinity._Engine(a, max(tops))
+    assert eng.y0 == y0
     assert eng.horizon == math.inf
     for i, top in enumerate(tops):
         assert len(eng.tables[i]) == top + 1
         others = a[:i] + a[i + 1 :]
         hi = max(3 * top, 60)
         ys = np.arange(hi + 1, dtype=np.int64)
-        q = np.maximum(ys - eng.y0[i], 0) // eng.steps[i]
-        got = np.asarray(eng.tables[i])[ys - q * eng.steps[i]] + q
+        step = s.gen_sum - a[i]
+        q = np.maximum(ys - y0[i], 0) // step
+        got = np.asarray(eng.tables[i])[ys - q * step] + q
         if len(others) == 1:
             want = minmax_single(others[0], hi)
         elif len(others) == 2:

@@ -114,16 +114,19 @@ MUTANTS = (
     ),
     Mutant(
         "one-norm-fold-drops-the-class-term",
-        "src/sgdelta/factorization.py",
-        "(d.gcd * (d.frobenius_reduced() + 1) + h * b)",
-        "(d.gcd * (d.frobenius_reduced() + 1))",
-        ("tests/test_properties.py::test_one_norm_table_shifts_from_its_bound",),
+        "src/sgdelta/arith.py",
+        "(rest.conductor + h * step)",
+        "(rest.conductor)",
+        (
+            "tests/test_properties.py::test_one_norm_table_shifts_from_its_bound",
+            "tests/test_properties.py::test_folded_minmax_reads_match_references",
+        ),
     ),
     Mutant(
         "zero-threshold-drops-support-sum",
         "src/sgdelta/zero.py",
-        "thr = cone.gcd * (cone.frobenius_reduced() + 1) + total",
-        "thr = cone.gcd * (cone.frobenius_reduced() + 1)",
+        "cone.conductor + total",
+        "cone.conductor",
         ("tests/test_zero.py",),
     ),
     Mutant(
@@ -146,6 +149,13 @@ MUTANTS = (
         "a[1] * a[2] * (2 * g1 * g2 + b2)",
         "a[1] * a[2] * (g1 * g2 + b2)",
         ("tests/test_infinity.py::test_theorem_start_set_by_a_gap_region_term",),
+    ),
+    Mutant(
+        "cone-membership-drops-the-gcd-test",
+        "src/sgdelta/arith.py",
+        "if y < 0 or y % self.gcd:",
+        "if y < 0:",
+        ("tests/test_arith.py::test_cone_table_matches_brute",),
     ),
     Mutant(
         "span-walk-keeps-every-generator",
