@@ -7,14 +7,13 @@ BudgetExceeded, which is a distinct outcome from a falsified claim: it means
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BudgetExceeded
 
 
-@dataclass(frozen=True)
-class Budget:
-    max_element: int
+class Budget(namedtuple("Budget", "max_element")):
+    __slots__ = ()
 
 
 def check_element(x: int, budget: Budget | None) -> None:

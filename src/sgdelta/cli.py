@@ -11,19 +11,23 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import io
 import json
 import os
 import sys
 import time
-from pathlib import Path
 
 from . import __version__
 from .budget import Budget, check_element
 from .errors import BudgetExceeded, SemigroupError
 from .factorization import P0, P1, PINF, delta_of_sorted_set, delta_set_of_semigroup, factored_value, length_set
 from .semigroup import apery_set, contains, frobenius, make_semigroup
+
+# every annotation here is a string, so pathlib loads only where a command
+# has a cache directory
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from pathlib import Path
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -73,16 +77,19 @@ def _budget_echo(budget: Budget | None) -> dict:
 
 
 def _cache_dir(args) -> Path | None:
-    if args.cache_dir:
-        return Path(args.cache_dir)
-    env = os.environ.get("SGDELTA_CACHE_DIR")
-    return Path(env) if env else None
+    where = args.cache_dir or os.environ.get("SGDELTA_CACHE_DIR")
+    if not where:
+        return None
+    from pathlib import Path
+
+    return Path(where)
 
 
 def _cache_key(args) -> str:
     """Hashes the arguments that can change a result together with the
     package source, so an entry written by other code is a miss."""
     import hashlib
+    from pathlib import Path
 
     read = {k: v for k, v in vars(args).items() if k not in ("func", "format", "threads", "cache_dir")}
     digest = hashlib.sha256(json.dumps(read, sort_keys=True).encode())
@@ -194,7 +201,7 @@ def _cmd_compute(args) -> tuple[dict, int]:
 
             d, cert = delta_inf_semigroup(s, budget=budget)
             result["delta"] = list(d.values)
-            payload["certificate"] = dataclasses.asdict(cert)
+            payload["certificate"] = cert._asdict()
         else:
             raise ValueError("delta-semigroup supports p = 0 and p = inf")
     else:

@@ -13,14 +13,18 @@ max-norm engine loads only for p = inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
-from typing import Iterator
 
 from .arith import ceil_div, cone_table, level_table, mark_lengths, shift_point
 from .budget import MAX_ENGINE_HORIZON, MAX_FACTORIZATIONS, Budget
 from .errors import BudgetExceeded, NotAMember
 from .semigroup import NumericalSemigroup, contains
+
+# typing is not loaded at run time: every annotation here is a string
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterator
 
 P0 = 0
 P1 = 1
@@ -101,16 +105,21 @@ def enumerate_factorizations(s: NumericalSemigroup, x: int) -> set[tuple[int, ..
     return out
 
 
-@dataclass(frozen=True)
-class LengthSet:
-    """Distinct p-lengths over all factorizations of one element, sorted."""
+class LengthSet(namedtuple("LengthSet", "p values")):
+    """Distinct p-lengths over all factorizations of one element, sorted.
+    Iterating, `len` and truth read `values`, so the tuple helpers
+    `_asdict` and `_replace` do not apply."""
 
-    p: object
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+    def __new__(cls, p, values):
+        if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("length values must be strictly increasing")
+        return tuple.__new__(cls, (p, values))
+
+    def __getnewargs__(self):
+        # the tuple default would iterate, and iteration reads `values`
+        return self.p, self.values
 
     @property
     def min_value(self) -> int:
@@ -123,17 +132,22 @@ class LengthSet:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class DeltaSet:
-    """Successive differences of a sorted length set, deduplicated."""
+class DeltaSet(namedtuple("DeltaSet", "values")):
+    """Successive differences of a sorted length set, deduplicated.
+    Iterating, `in`, `len` and truth read `values`, so the tuple helpers
+    `_asdict` and `_replace` do not apply."""
 
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(v < 1 for v in self.values):
+    def __new__(cls, values):
+        if any(v < 1 for v in values):
             raise ValueError("delta values are positive")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+        if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("delta values must be strictly increasing")
+        return tuple.__new__(cls, (values,))
+
+    def __getnewargs__(self):
+        return (self.values,)
 
     @classmethod
     def from_iterable(cls, vals) -> "DeltaSet":

@@ -10,7 +10,7 @@ list; a second value of any other key, or a key given twice, is an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import INT64_MAX, ConeTable, ceil_div, is_prime, next_prime
 from .errors import InvalidGenerators, PeriodOverflow
@@ -29,10 +29,10 @@ _PARAM_ORDER = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    variant: str
-    params: tuple[tuple[str, object], ...]
+class FamilySpec(namedtuple("FamilySpec", "variant params")):
+    """params: (name, value) pairs in parameter order."""
+
+    __slots__ = ()
 
     def param(self, name: str):
         for k, v in self.params:
@@ -83,14 +83,10 @@ def parse_family(text: str) -> FamilySpec:
     return family(variant, **kw)
 
 
-@dataclass(frozen=True)
-class GluingStep:
+class GluingStep(namedtuple("GluingStep", "scale base_gens new_gen result_gens")):
     """One link of a construction chain: result = scale * span(base) + <new>."""
 
-    scale: int
-    base_gens: tuple[int, ...]
-    new_gen: int
-    result_gens: tuple[int, ...]
+    __slots__ = ()
 
 
 def verify_gluing(scale: int, gens: tuple[int, ...], new: int) -> bool:
@@ -221,15 +217,13 @@ def is_max_embedding_dimension(s: NumericalSemigroup) -> bool:
     return s.multiplicity >= 3 and s.embedding_dim == s.multiplicity
 
 
-@dataclass(frozen=True)
-class DeltaPrediction:
+class DeltaPrediction(
+    namedtuple("DeltaPrediction", "exact required window_low window_high", defaults=(None, (), None, None))
+):
     """Either an exact predicted delta set or a window constraint (the gaps
     family pins the delta set only inside [ceil(7k/8), k])."""
 
-    exact: DeltaSet | None = None
-    required: tuple[int, ...] = ()
-    window_low: int | None = None
-    window_high: int | None = None
+    __slots__ = ()
 
     def matches(self, computed: DeltaSet) -> bool:
         if self.exact is not None:

@@ -65,9 +65,8 @@ so the next window starts just past it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
-from typing import TYPE_CHECKING
 
 from .arith import ceil_div, cone_table, level_table, mark_lengths, shift_point
 from .budget import DEFAULT_INF_BUDGET, MAX_ENGINE_HORIZON, Budget
@@ -75,7 +74,6 @@ from .errors import BudgetExceeded, NotAMember, ThresholdNotMet, VerificationErr
 from .factorization import PINF, DeltaSet, LengthSet
 from .semigroup import (
     NumericalSemigroup,
-    QuotientData,
     cached,
     contains,
     delta_period,
@@ -84,28 +82,25 @@ from .semigroup import (
     span,
 )
 
+# typing is not loaded at run time: every annotation here is a string
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from array import array
 
 
-@dataclass(frozen=True)
-class StructureConstants:
-    gen_sum: int
-    period: int
-    records: tuple[QuotientData, ...]
+class StructureConstants(namedtuple("StructureConstants", "gen_sum period records")):
+    """records: the QuotientData of each generator index, in order."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PeriodicityCertificate:
+class PeriodicityCertificate(namedtuple("PeriodicityCertificate", "start period window_periods mode union_horizon")):
     """Evidence that per-element delta sets repeat with the stated period
     from `start` on: verified by direct computation for every x in
-    [start, start + window_periods * period)."""
+    [start, start + window_periods * period). mode is "theorem-backed" or
+    "empirical"."""
 
-    start: int
-    period: int
-    window_periods: int
-    mode: str  # "theorem-backed" | "empirical"
-    union_horizon: int
+    __slots__ = ()
 
 
 def structure_constants(s: NumericalSemigroup) -> StructureConstants:

@@ -15,7 +15,7 @@ in i's component, or b - a_1 is not in S at all).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .factorization import DeltaSet, factored_value, support
 from .families import verify_gluing
@@ -28,13 +28,11 @@ from .semigroup import (
 )
 
 
-@dataclass(frozen=True)
-class Trade:
+class Trade(namedtuple("Trade", "left right")):
     """Two factorizations of the same element with disjoint supports,
     oriented so the lexicographically smaller side comes first."""
 
-    left: tuple[int, ...]
-    right: tuple[int, ...]
+    __slots__ = ()
 
     def sides(self) -> frozenset:
         return frozenset((self.left, self.right))
@@ -51,20 +49,15 @@ def make_trade(s: NumericalSemigroup, z1, z2) -> Trade:
     return Trade(*sorted((z1, z2)))
 
 
-@dataclass(frozen=True)
-class MinimalPresentation:
-    trades: tuple[Trade, ...]
-    betti: tuple[int, ...]
+class MinimalPresentation(namedtuple("MinimalPresentation", "trades betti")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GluingExpression:
+class GluingExpression(namedtuple("GluingExpression", "pivot_index scale quotient")):
     """S = <a_pivot> + scale * S' with S' two-generated; scale is the gcd of
     the non-pivot generators and the pivot sits in S' as a non-generator."""
 
-    pivot_index: int
-    scale: int
-    quotient: NumericalSemigroup
+    __slots__ = ()
 
 
 def index_graph_components(s: NumericalSemigroup, x: int) -> list[tuple[int, ...]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, islice
 
 from .arith import cone_table
@@ -24,16 +24,10 @@ from .parallel import parallel
 from .semigroup import make_semigroup
 
 
-@dataclass(frozen=True)
-class SearchReport:
-    target: tuple[int, ...]
-    p: object
-    max_dim: int
-    max_gen: int
-    hits: tuple[tuple[int, ...], ...]
-    skipped: tuple[tuple[tuple[int, ...], str], ...]  # budget-limited candidates
-    tested: int
-    exhausted: bool
+class SearchReport(namedtuple("SearchReport", "target p max_dim max_gen hits skipped tested exhausted")):
+    """skipped holds the budget-limited candidates, each with its reason."""
+
+    __slots__ = ()
 
 
 def candidates(max_dim: int, max_gen: int, min_dim: int = 2):

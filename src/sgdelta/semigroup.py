@@ -15,47 +15,66 @@ processes, each with its own memo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .arith import INT64_MAX, ConeTable, ceil_div, cone_table, modinv, residue_table
 from .errors import InvalidGenerators, NonCoprimeGenerators, NotAMember, PeriodOverflow
 
 
-@dataclass(frozen=True)
-class AperyTable:
+class AperyTable(namedtuple("AperyTable", "modulus entries")):
     """Least semigroup element in each residue class modulo a nonzero member.
 
     entries[r] is the least element congruent to r; entries[0] = 0.
     """
 
-    modulus: int
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.entries) != self.modulus:
+    def __new__(cls, modulus, entries):
+        if len(entries) != modulus:
             raise ValueError("need one entry per residue class")
+        return tuple.__new__(cls, (modulus, entries))
 
 
-@dataclass(frozen=True)
-class QuotientData:
+class QuotientData(namedtuple("QuotientData", "index complement_gcd quotient_generators inverse margin")):
     """Per-index residual data: the gcd of all other generators, the minimal
     generators of the scaled-down semigroup they span, the inverse of the
     chosen generator modulo that gcd (0 when the gcd is 1) and the fill
     margin: how far below x / a_i the dominant max-norm lengths are
     guaranteed to fill their residue class."""
 
-    index: int
-    complement_gcd: int
-    quotient_generators: tuple[int, ...]
-    inverse: int
-    margin: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class NumericalSemigroup:
-    generators: tuple[int, ...]
-    removed: tuple[int, ...] = field(default=(), compare=False, repr=False)
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    """Held by its minimal generators, which alone decide equality, hash and
+    repr; `removed` lists the inputs construction dropped and `_cache` holds
+    what `cached` builds. Fields cannot be assigned; an instance can be
+    weakly referenced."""
+
+    __slots__ = ("generators", "removed", "_cache", "__weakref__")
+
+    def __init__(self, generators: tuple[int, ...], removed: tuple[int, ...] = ()):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "removed", removed)
+        object.__setattr__(self, "_cache", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.generators == other.generators
+
+    def __hash__(self):
+        return hash((self.generators,))
+
+    def __reduce__(self):
+        # the cache is not pickled
+        return NumericalSemigroup, (self.generators, self.removed)
 
     def __repr__(self):
         return f"NumericalSemigroup{self.generators}"

@@ -24,7 +24,7 @@ ValueError rather than pass vacuously.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache, partial
 
 from .budget import check_element
@@ -74,21 +74,29 @@ from .zero import (
 SUITE_GENS = ((4, 6, 9), (3, 10, 11), (6, 9, 20), (5, 13, 16))
 
 
-@dataclass(frozen=True)
-class Instance:
-    claim: str
-    label: str
-    status: str  # "pass" | "fail" | "report" | "budget"
-    detail: str = ""
+class Instance(namedtuple("Instance", "claim label status detail", defaults=("",))):
+    """status is "pass", "fail", "report" or "budget"."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClaimSpec:
-    id: str
-    summary: str
-    kind: str  # "verified" | "report-only"
-    runner: object = field(compare=False)
-    reads: tuple[str, ...] = ()  # the keys of OPTIONAL its runner reads
+class ClaimSpec(namedtuple("ClaimSpec", "id summary kind runner reads", defaults=((),))):
+    """kind is "verified" or "report-only"; reads holds the keys of OPTIONAL
+    its runner reads. The runner takes no part in equality or hash."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return self.id, self.summary, self.kind, self.reads
+
+    def __eq__(self, other):
+        return isinstance(other, ClaimSpec) and self._key() == other._key()
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 # The CLI flag of each parameter a claim takes only if it reads it; all take quick, workers, budget.

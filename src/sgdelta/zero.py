@@ -16,7 +16,7 @@ H + 1 bits, at most 2^k * log2(H / a_1) shifted ORs in all (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .arith import ConeTable
@@ -26,11 +26,10 @@ from .factorization import DeltaSet
 from .semigroup import NumericalSemigroup, cached, span
 
 
-@dataclass(frozen=True)
-class SupportProfile:
-    support: tuple[int, ...]  # 1-based generator indices
-    gcd: int
-    threshold: int
+class SupportProfile(namedtuple("SupportProfile", "support gcd threshold")):
+    """support: 1-based generator indices."""
+
+    __slots__ = ()
 
 
 def _cones(s: NumericalSemigroup) -> list[tuple[tuple[int, ...], int, ConeTable]]:

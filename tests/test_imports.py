@@ -9,6 +9,9 @@ shows the modules it loads: the max-norm engine, the claim registry,
 hashlib and the family, presentation and 0-norm modules only where the
 command needs them. No command loads numpy: enumeration, the element
 queries at every p and the max-norm certificate's sweep are plain Python.
+No command loads dataclasses and what it imports, since records are plain
+classes; without the site hook, which may load typing and pathlib itself,
+neither of those loads either.
 """
 
 import ast
@@ -124,12 +127,12 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
-def loaded_after(*argv: str, script: str = LOADED_AFTER) -> set[str]:
-    """The modules a fresh interpreter holds after `sgdelta` runs argv, or
-    after `script` runs."""
+def loaded_after(*argv: str, script: str = LOADED_AFTER, flags: tuple[str, ...] = ()) -> set[str]:
+    """The modules a fresh interpreter, started with `flags`, holds after
+    `sgdelta` runs argv, or after `script` runs."""
     env = {**os.environ, "PYTHONPATH": str(Path(sgdelta.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(argv)],
+        [sys.executable, *flags, "-c", script, json.dumps(argv)],
         capture_output=True,
         text=True,
         env=env,
@@ -142,6 +145,8 @@ def loaded_after(*argv: str, script: str = LOADED_AFTER) -> set[str]:
 # array is a shared library too: loading it showed in the peak RSS of
 # `family gaps:k=9 --p 0`
 HEAVY = {"numpy", "sgdelta.infinity", "sgdelta.verification", "concurrent.futures", "hashlib", "_hashlib", "array"}
+# dataclasses and the modules it imports, which cost every child about 8 ms
+RECORD_MACHINERY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 @pytest.mark.parametrize(
@@ -158,15 +163,27 @@ HEAVY = {"numpy", "sgdelta.infinity", "sgdelta.verification", "concurrent.future
     ids=["version", "delta-p0", "delta-semigroup-p0", "family-p0", "family-gaps9-p0", "search-p0", "apery"],
 )
 def test_p0_commands_load_no_heavy_module(argv):
-    assert sorted(loaded_after(*argv) & HEAVY) == []
+    assert sorted(loaded_after(*argv) & (HEAVY | RECORD_MACHINERY)) == []
 
 
 @pytest.mark.parametrize("p", ["1", "inf"])
 def test_element_queries_load_no_numpy(p):
     # the 1-norm table and the min-max tables are plain Python
     loaded = loaded_after("compute", "--gens", "7,11,13,17", "delta", "--x", "3000", "--p", p)
-    assert "numpy" not in loaded
+    assert sorted(loaded & ({"numpy"} | RECORD_MACHINERY)) == []
     assert ("sgdelta.infinity" in loaded) == (p == "inf")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--version"], ["compute", "--gens", "7,11,13,17", "delta", "--x", "3000", "--p", "inf"]],
+    ids=["version", "delta-inf"],
+)
+def test_commands_without_the_site_hook_load_no_typing_or_pathlib(argv):
+    # a site hook may import both; -S shows what the package itself loads
+    loaded = loaded_after(*argv, flags=("-S",))
+    assert "sgdelta.cli" in loaded
+    assert sorted(loaded & ({"typing", "pathlib"} | RECORD_MACHINERY)) == []
 
 
 LATE = {"sgdelta.families", "sgdelta.presentation", "sgdelta.zero"}
@@ -194,7 +211,7 @@ def test_max_norm_commands_load_no_numpy(argv):
     # the max-norm sweep is plain Python; the probe still sees the max-norm
     # engine load, so it sees what a command imports
     loaded = loaded_after(*argv)
-    assert "numpy" not in loaded
+    assert sorted(loaded & ({"numpy"} | RECORD_MACHINERY)) == []
     assert "sgdelta.infinity" in loaded
 
 

@@ -4,16 +4,19 @@ Each entry of MUTANTS is one exact text replacement in one file under src/
 and the tests that must fail once it is made. For each mutant the script
 copies src/, tests/, perfbench/ (which tests/test_bench_names.py reads) and
 pyproject.toml into a fresh temporary directory, applies the mutant there
-and runs only its tests against the copy. The repository itself is never
-changed.
+and runs only its tests against the copy, all of them to the end. The
+repository itself is never changed.
 
-A mutant is killed only when pytest ran every collected test and reports at
-least one failure. A collection error, a usage error or a run that collects
-nothing kills nothing: an import that breaks in the copy must not read as a
-caught mutant. Each run is stopped after TIMEOUT_S seconds, and a run that
-is stopped is reported as timed out, never as a kill: a mutant that makes a
-loop run forever has not been caught by a failing test. Before any mutant,
-the named tests must pass on an unmutated copy.
+Each named test's outcome is read from the run's junit report and printed:
+"fail" when one of its test cases fails, "error" when one errors or none
+was collected, else "pass". A mutant is killed only when every named test
+fails: a named test that no longer catches its mutant must show, even when
+another one still does. A collection error, a usage error or a run that
+collects nothing kills nothing: an import that breaks in the copy must not
+read as a caught mutant. Each run is stopped after TIMEOUT_S seconds, and a
+run that is stopped is reported as timed out, never as a kill: a mutant
+that makes a loop run forever has not been caught by a failing test. Before
+any mutant, every named test must pass on an unmutated copy.
 
     python tools/mutants.py
 
@@ -46,7 +49,7 @@ class Mutant(NamedTuple):
     path: str  # relative to the repository root
     old: str  # must occur exactly once in the file
     new: str
-    tests: tuple[str, ...]  # pytest ids, at least one of which must fail
+    tests: tuple[str, ...]  # pytest ids, every one of which must fail
 
 
 MUTANTS = (
@@ -127,7 +130,10 @@ MUTANTS = (
         "src/sgdelta/zero.py",
         "cone.conductor + total",
         "cone.conductor",
-        ("tests/test_zero.py",),
+        (
+            "tests/test_zero.py::test_stability_bound_two_generators",
+            "tests/test_zero.py::test_singleton_profiles_threshold_is_the_generator",
+        ),
     ),
     Mutant(
         "round-robin-keeps-its-own-path",
@@ -212,15 +218,30 @@ def _copy(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
-def _run(tree: Path, tests: tuple[str, ...]) -> tuple[str, float]:
-    """"pass", "fail", "error" or "timeout" for the tests in `tree`, and the
-    seconds taken."""
+def _outcome(test: str, cases: list[tuple[str, str, str]]) -> str:
+    """"fail", "error" or "pass" for the pytest id `test` (a file, or a
+    test in it), from the (classname, name, result) of every junit case."""
+    path, _, name = test.partition("::")
+    module = path.removesuffix(".py").replace("/", ".")
+    mine = [
+        result
+        for classname, case, result in cases
+        if classname == module and (not name or case == name or case.startswith(name + "["))
+    ]
+    if not mine or "error" in mine:
+        return "error"
+    return "fail" if "failure" in mine else "pass"
+
+
+def _run(tree: Path, tests: tuple[str, ...]) -> tuple[dict[str, str], float]:
+    """The outcome of each test in `tree`, "pass", "fail", "error" or
+    "timeout", and the seconds taken."""
     report = tree / "report.xml"
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     started = time.monotonic()
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", f"--junitxml={report}", *tests],
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junitxml={report}", *tests],
             cwd=tree,
             env=env,
             capture_output=True,
@@ -228,16 +249,20 @@ def _run(tree: Path, tests: tuple[str, ...]) -> tuple[str, float]:
             timeout=TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:
-        return "timeout", time.monotonic() - started
+        return dict.fromkeys(tests, "timeout"), time.monotonic() - started
     seconds = time.monotonic() - started
     if proc.returncode not in (0, 1) or not report.exists():
-        return "error", seconds
-    suite = ET.parse(report).getroot()
-    suite = suite if suite.tag == "testsuite" else suite.find("testsuite")
-    errors, failures, ran = (int(suite.get(k, 0)) for k in ("errors", "failures", "tests"))
-    if errors or not ran:
-        return "error", seconds
-    return ("fail" if failures else "pass"), seconds
+        return dict.fromkeys(tests, "error"), seconds
+    cases = []
+    for case in ET.parse(report).iter("testcase"):
+        results = [child.tag for child in case if child.tag in ("failure", "error")]
+        cases.append((case.get("classname", ""), case.get("name", ""), results[0] if results else "pass"))
+    return {t: _outcome(t, cases) for t in tests}, seconds
+
+
+def _show(outcomes: dict[str, str]) -> None:
+    for test, outcome in outcomes.items():
+        print(f"    {outcome:8} {test}")
 
 
 def main() -> int:
@@ -245,9 +270,11 @@ def main() -> int:
         clean = Path(tmp) / "clean"
         _copy(clean)
         tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
-        outcome, seconds = _run(clean, tests)
-        print(f"unmutated: {outcome} ({seconds:.1f} s)")
-        if outcome != "pass":
+        outcomes, seconds = _run(clean, tests)
+        passed = all(o == "pass" for o in outcomes.values())
+        print(f"unmutated: {'pass' if passed else 'NOT PASSING'} ({seconds:.1f} s)")
+        if not passed:
+            _show({t: o for t, o in outcomes.items() if o != "pass"})
             return 2
         survived = []
         for n, m in enumerate(MUTANTS):
@@ -260,15 +287,11 @@ def main() -> int:
                 survived.append(m.name)
                 continue
             target.write_text(text.replace(m.old, m.new))
-            outcome, seconds = _run(tree, m.tests)
-            verdict = {
-                "fail": "killed",
-                "pass": "SURVIVED",
-                "error": "NOT KILLED (tests errored)",
-                "timeout": f"NOT KILLED (timed out after {TIMEOUT_S} s)",
-            }[outcome]
-            print(f"{m.name}: {verdict} ({seconds:.1f} s)")
-            if outcome != "fail":
+            outcomes, seconds = _run(tree, m.tests)
+            killed = all(o == "fail" for o in outcomes.values())
+            print(f"{m.name}: {'killed' if killed else 'NOT KILLED'} ({seconds:.1f} s)")
+            _show(outcomes)
+            if not killed:
                 survived.append(m.name)
             shutil.rmtree(tree)
     print(f"{len(MUTANTS) - len(survived)} of {len(MUTANTS)} mutants killed")
