@@ -352,17 +352,39 @@ def _render(args, command: str, envelope: dict, started: float) -> str:
     return json.dumps(out, sort_keys=True, default=str)
 
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help formatter at the width it picks itself, the terminal
+    columns minus 2, read as `shutil.get_terminal_size` reads them: COLUMNS,
+    then the terminal of stdout, else 80. argparse imports shutil for that,
+    and with it bz2 and lzma, in every command; every parser builds this
+    formatter, its own -h included."""
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+        if width is None:
+            try:
+                width = int(os.environ["COLUMNS"])
+            except (KeyError, ValueError):
+                width = 0
+            if width <= 0:
+                try:
+                    width = os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+                except (AttributeError, ValueError, OSError):
+                    width = 80
+            width -= 2
+        super().__init__(prog, indent_increment, max_help_position, width)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
+    shared = argparse.ArgumentParser(add_help=False, formatter_class=_Formatter)
     shared.add_argument("--format", choices=("json", "csv"), default="json")
     shared.add_argument("--budget-elements", type=int, default=None)
     shared.add_argument("--threads", type=int, default=1)
 
-    top = argparse.ArgumentParser(prog="sgdelta", description=__doc__)
+    top = argparse.ArgumentParser(prog="sgdelta", description=__doc__, formatter_class=_Formatter)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("compute", parents=[shared], help="compute one invariant")
+    c = sub.add_parser("compute", parents=[shared], formatter_class=_Formatter, help="compute one invariant")
     c.add_argument("--gens", required=True, help="comma-separated generators")
     c.add_argument(
         "what",
@@ -383,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--cache-dir", default=None, help="result cache; SGDELTA_CACHE_DIR when unset")
     c.set_defaults(func=_cmd_compute)
 
-    v = sub.add_parser("verify", parents=[shared], help="run registered claims")
+    v = sub.add_parser("verify", parents=[shared], formatter_class=_Formatter, help="run registered claims")
     v.add_argument("claim", help="claim id or 'all'")
     v.add_argument("--quick", action="store_true")
     v.add_argument("--extended", action="store_true")
@@ -395,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--gens", default=None)
     v.set_defaults(func=_cmd_verify)
 
-    se = sub.add_parser("search", parents=[shared], help="bounded realization search")
+    se = sub.add_parser("search", parents=[shared], formatter_class=_Formatter, help="bounded realization search")
     se.add_argument("--target", required=True, help="comma-separated delta values")
     se.add_argument("--p", required=True, help="0 or inf")
     se.add_argument("--max-dim", type=int, default=3)
@@ -403,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--budget-seconds", type=float, default=None, help="start no batch after S seconds")
     se.set_defaults(func=_cmd_search)
 
-    f = sub.add_parser("family", parents=[shared], help="construct, predict and check")
+    f = sub.add_parser("family", parents=[shared], formatter_class=_Formatter, help="construct, predict and check")
     f.add_argument("spec", help="e.g. geometric:a=2,b=3,k=3")
     f.add_argument("--p", default="both", help="0, inf or both")
     f.set_defaults(func=_cmd_family)

@@ -39,9 +39,50 @@ last length of x, so at each x of N_l that had a length before it reads a
 gap d, and x joins the bitset G[d]. Every length of x is at most x // a_1,
 so the state ints keep their origin at l * a_1 and each level cuts off the
 x below it. The row of a non-member is empty, like that of a member with
-one length. A sweep to hi takes hi // a_1 + 1 levels, each a few dozen
-operations on bitsets as wide as the live band of x, at most
-hi - l * a_1 bits: O(live band / 64) word operations per level.
+one length.
+
+Past the saturation of the searches the state shrinks to a window of x.
+Let c_1 be the conductor of <a_2, ..., a_k> and g_1 its gcd, let L be the
+first level at which every search has saturated, and w = c_1 + 2 * a_1.
+  - Lemma 1: for l >= L, reach_i(l) = <others_i> ∩ [0, hi - l * a_i].
+    Proof: a search stops once its masked set is closed under adding each
+    generator under the mask; it holds 0, so it holds every member under
+    the mask, and each later set is it, masked.
+  - Lemma 2: if g_1 = 1 and l - 1 >= L, each x <= hi with
+    x >= l * a_1 + c_1 has the lengths l - 1 and l. Proof: x - l * a_1 and
+    x - (l - 1) * a_1 are at least c_1, so both lie in <a_2, ..., a_k>,
+    under their masks since x <= hi; by Lemma 1 they are in reach_1 at
+    levels l and l - 1.
+So where g_1 = 1, each event of an x at or above l * a_1 + c_1 is a gap of
+1, and from level L + 2 on the state ints hold only the window
+[l * a_1, l * a_1 + w), capped at hi. An x enters it at a level
+l >= L + 2 from x >= (l - 1) * a_1 + w: by Lemma 2 it had the lengths
+l - 2 and l - 1, so it enters with seen = 1 and counter 0, and as
+x >= l * a_1 + c_1 + a_1 it has the length l too, so its gap of 1 is
+recorded inside the window. Each level's new bits are window-wide slices
+of the saturated sets, and a frame skips the levels whose window ends at
+or below lo. Where g_1 > 1, every length of x at index 1 is one class mod
+g_1 and no such window exists: the state keeps the whole live band of x.
+
+Call a window level steady when its origin is l * a_1, hi does not cap
+the window (l * a_1 + w <= hi + 1) and l * (a_2 - a_1) >= w, so that only
+index 1 reaches into it. Steady levels run in one stretch, and each one
+after the first applies the same map to the state (seen and every counter
+slice): cut a_1 bits, set seen on the a_1 entering bits, add 1 to every
+counter, split the hits of reach_1 ∩ [0, w) and reset their counters. Its
+gap groups, relative to the origin, follow from the state before it. So
+once the state after a steady level equals the state after the one
+before, every later uncapped level repeats that level's groups, each
+a_1 further up: all of them are OR-ed in with O(log n) doubling shifts,
+and the walk resumes at the first level where hi caps the window. This
+rests on the map being deterministic, not on the periodicity theorem.
+
+Cost: a sweep to hi walks the levels up to L, about hi / A, on the live
+band, O(live band / 64) word operations each; then, where g_1 = 1, about
+w / a_1 steady levels before the fixed point and w / a_1 capped ones, each
+O(w / 64), plus one doubling per gap size. Where g_1 > 1 (k = 2 among
+them) it walks all hi // a_1 + 1 levels on the live band, at most
+hi - l * a_1 bits.
 
 Each instance caches one engine and one sweep. The engine grows by doubling
 until every table reaches its top, and is never rebuilt after that; the
@@ -221,8 +262,10 @@ def _sweep(gens: tuple[int, ...], lo: int, hi: int) -> dict[int, int]:
     """The gap bitsets of the frame of elements x in [lo, hi]: bit x - lo of
     gaps[d] is set iff d is the difference of two consecutive max-norm
     lengths of x. The levels run in ascending order, x is the bit axis, and
-    bit b of every state int stands for x = max(lo, l * a_1) + b at level l
-    (the module docstring has the argument)."""
+    bit b of every state int stands for x = max(lo, l * a_1) + b at level l.
+    Where g_1 = 1, the state holds only the window of x from two levels
+    past the saturation of the searches on, and a steady level that
+    repeats is walked once (the module docstring has both arguments)."""
     a1 = gens[0]
     total = sum(gens)
     searches = [_level_sets(gens[:i] + gens[i + 1 :], hi + 1, a) for i, a in enumerate(gens)]
@@ -231,6 +274,11 @@ def _sweep(gens: tuple[int, ...], lo: int, hi: int) -> dict[int, int]:
     seen = 0  # the x with a length below the current level
     gaps: dict[int, int] = {}
     origin = lo
+    # where g_1 = 1, the state shrinks to the window [l * a_1, l * a_1 +
+    # width) of the module docstring once every search has saturated, at
+    # the end of the level after busy + 1
+    width = cone_table(gens[1:]).conductor + 2 * a1 if math.gcd(*gens[1:]) == 1 else None
+    busy = 0  # the last level at which a search yielded
     for level in range(hi // a1 + 1):
         for i, search in enumerate(searches):
             r = next(search, None)
@@ -238,6 +286,7 @@ def _sweep(gens: tuple[int, ...], lo: int, hi: int) -> dict[int, int]:
                 reach[i] &= (1 << max(0, hi + 1 - level * gens[i])) - 1
             else:
                 reach[i] = r
+                busy = level
         if level * total < lo:  # every length-l element lies below the frame
             continue
         cut = max(lo, level * a1) - origin
@@ -258,6 +307,67 @@ def _sweep(gens: tuple[int, ...], lo: int, hi: int) -> dict[int, int]:
         if hit:
             _split(hit, counter, len(counter) - 1, 0, gaps, origin - lo)
         seen |= new
+        if width and level > busy + 1:
+            break
+    else:
+        return gaps
+
+    # the window phase: every x from level * a_1 + width on has seen = 1
+    # and counter 0, and enters the window with that state later; the
+    # searches are done, and reach holds their saturated sets
+    top = max(origin, min(hi + 1, level * a1 + width))  # the state holds the x in [origin, top)
+    mask = (1 << top - origin) - 1
+    seen &= mask
+    counter = [bits & mask for bits in counter]
+    prev = None  # the state after the last steady level
+    # a window that ends at or below lo is empty, and so is the state
+    level = max(level, (lo - width) // a1) + 1
+    while level <= hi // a1:
+        bottom = max(lo, level * a1)
+        cut, origin = bottom - origin, bottom
+        end = min(hi + 1, level * a1 + width)
+        n = end - origin
+        seen = seen >> cut | (1 << n) - (1 << max(0, top - origin))  # with the x entering from above
+        top = end
+        new = 0
+        for a, r in zip(gens, reach):
+            up = level * a - origin
+            if up < n:  # a slice of n bits
+                r &= (1 << n - up) - 1
+                new |= r << up if up >= 0 else r >> -up
+        carry = seen
+        for j, bits in enumerate(counter):  # counter += 1 on every seen x
+            bits >>= cut
+            counter[j] = bits ^ carry
+            carry &= bits
+        if carry:
+            counter.append(carry)
+        hit = new & seen
+        groups: dict[int, int] = {}
+        if hit:
+            _split(hit, counter, len(counter) - 1, 0, groups, 0)
+        seen |= new
+        repeats = 1
+        # a steady level: origin l * a_1, uncapped, out of reach of every i >= 2
+        if origin == level * a1 and n == width and level * (gens[1] - a1) >= width:
+            state = (seen, *counter)
+            if state == prev:
+                # a fixed point of the steady map: every uncapped level
+                # from here on repeats this level's groups, a_1 further up
+                repeats = (hi + 1 - width) // a1 + 1 - level
+            prev = state
+        for d, bits in groups.items():
+            # OR in bits << j * a_1 for every j < repeats, by doubling
+            bits <<= origin - lo
+            copies = 1
+            while copies < repeats:
+                more = min(copies, repeats - copies)
+                bits |= bits << more * a1
+                copies += more
+            gaps[d] = gaps.get(d, 0) | bits
+        level += repeats
+        origin += (repeats - 1) * a1
+        top += (repeats - 1) * a1
     return gaps
 
 

@@ -317,6 +317,66 @@ def sweep_rows_reference(gens, tables, win, lo, hi):
     return rows
 
 
+def full_band_sweep(gens, lo, hi):
+    """The gap bitsets of the frame [lo, hi] from the library's former
+    max-norm sweep, which keeps every x of the live band at every level and
+    walks every level: bit x - lo of gaps[d] is set iff d is the difference
+    of two consecutive max-norm lengths of x. The reference for
+    `infinity._sweep`, which keeps only a window of x past the saturation
+    of its level searches and walks a repeating level once."""
+    a1 = gens[0]
+    total = sum(gens)
+    searches = [infinity._level_sets(gens[:i] + gens[i + 1 :], hi + 1, a) for i, a in enumerate(gens)]
+    reach = [0] * len(gens)
+    counter = []  # counter[j]: the x whose counter has bit j set
+    seen = 0  # the x with a length below the current level
+    gaps = {}
+    origin = lo
+    for level in range(hi // a1 + 1):
+        for i, search in enumerate(searches):
+            r = next(search, None)
+            if r is None:  # saturated: only the mask shrinks
+                reach[i] &= (1 << max(0, hi + 1 - level * gens[i])) - 1
+            else:
+                reach[i] = r
+        if level * total < lo:  # every length-l element lies below the frame
+            continue
+        cut = max(lo, level * a1) - origin
+        origin += cut
+        new = 0
+        for a, r in zip(gens, reach):
+            up = level * a - origin
+            new |= r << up if up >= 0 else r >> -up
+        seen >>= cut
+        carry = seen
+        for j, bits in enumerate(counter):  # counter += 1 on every seen x
+            bits >>= cut
+            counter[j] = bits ^ carry
+            carry &= bits
+        if carry:
+            counter.append(carry)
+        hit = new & seen
+        if hit:
+            _full_band_split(hit, counter, len(counter) - 1, 0, gaps, origin - lo)
+        seen |= new
+    return gaps
+
+
+def _full_band_split(xs, counter, j, value, gaps, shift):
+    """OR into gaps[d] the x of xs whose counter reads d, and reset their
+    counters to 0, by splitting xs on the counter bits from bit j down;
+    value holds the bits above j."""
+    while j >= 0:
+        one = xs & counter[j]
+        if one:
+            if one != xs:
+                _full_band_split(xs ^ one, counter, j - 1, value, gaps, shift)
+            xs, value = one, value | 1 << j
+            counter[j] ^= xs
+        j -= 1
+    gaps[value] = gaps.get(value, 0) | xs << shift
+
+
 def gap_rows(s, gaps, lo, stop):
     """Rows x in [lo, stop) of the library's max-norm gap bitsets
     (`infinity._deltas`) in the form of `full_mask_deltas`, with membership

@@ -10,8 +10,8 @@ hashlib and the family, presentation and 0-norm modules only where the
 command needs them. No command loads numpy: enumeration, the element
 queries at every p and the max-norm certificate's sweep are plain Python.
 No command loads dataclasses and what it imports, since records are plain
-classes; without the site hook, which may load typing and pathlib itself,
-neither of those loads either.
+classes; without the site hook, which may load typing, pathlib and shutil
+itself, none of those loads either, nor bz2 and lzma, which shutil imports.
 """
 
 import ast
@@ -184,6 +184,19 @@ def test_commands_without_the_site_hook_load_no_typing_or_pathlib(argv):
     loaded = loaded_after(*argv, flags=("-S",))
     assert "sgdelta.cli" in loaded
     assert sorted(loaded & ({"typing", "pathlib"} | RECORD_MACHINERY)) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--version"], ["compute", "--gens", "4,6,9", "delta-semigroup", "--p", "inf"]],
+    ids=["version", "delta-semigroup-inf"],
+)
+def test_commands_without_the_site_hook_load_no_shutil(argv):
+    # argparse's own help formatter imports shutil, and with it bz2 and
+    # lzma, for the terminal width; the CLI's formatter reads it without
+    loaded = loaded_after(*argv, flags=("-S",))
+    assert "sgdelta.cli" in loaded
+    assert sorted(loaded & {"shutil", "bz2", "lzma"}) == []
 
 
 LATE = {"sgdelta.families", "sgdelta.presentation", "sgdelta.zero"}

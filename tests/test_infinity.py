@@ -282,6 +282,28 @@ def test_one_row_batches_match_full_mask(gens, lo, stop):
     assert got == [full_mask_deltas(eng, x) for x in range(lo, stop)]
 
 
+def test_sweep_walks_a_repeating_level_once(monkeypatch):
+    # <3,25,26> to start + 3 periods: the full band splits the hits of
+    # 9,609 of its 9,613 levels; past the saturation of the level searches
+    # only the levels before the steady map's fixed point and those where hi
+    # caps the window are walked
+    outermost = []
+    depth = [0]
+    split = infinity._split
+
+    def counting(*args):
+        outermost.append(depth[0] == 0)
+        depth[0] += 1
+        try:
+            return split(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(infinity, "_split", counting)
+    infinity._sweep((3, 25, 26), 0, 28_837)
+    assert 0 < sum(outermost) < 1_500
+
+
 def test_full_aap_range_reaches_certificate_horizon():
     # without --quick every member from 0 to start + (W+1) * period is checked
     s = make_semigroup([4, 6, 9])

@@ -2,9 +2,10 @@
 against enumeration, the semigroup-level delta route against the engine of
 each norm, the round-robin residue tables against a heap Dijkstra, the
 plain-Python min-max and 1-norm tables against the former numpy builders,
-the max-norm sweep against the full length mask and its frames against a
-sweep from 0, and the former windowed sweep kernel, now an oracle, against
-its plain-Python reference."""
+the max-norm sweep against the full length mask, its frames against a
+sweep from 0 and the sweep against its former full-band kernel, and the
+former windowed sweep kernel, now an oracle, against its plain-Python
+reference."""
 
 import math
 from itertools import combinations
@@ -25,6 +26,7 @@ from _oracles import (
     component_least_factorizations,
     cone_union_deltas,
     five_start_terms,
+    full_band_sweep,
     full_mask_deltas,
     grid_factorizations,
     minimal_generators_brute,
@@ -228,6 +230,51 @@ def test_sweep_frames_match_a_sweep_from_zero(gens, lo, width):
     whole = infinity._sweep(gens, 0, hi)
     frame = infinity._sweep(gens, lo, hi)
     assert frame == {d: bits >> lo for d, bits in whole.items() if bits >> lo}
+
+
+@st.composite
+def sweep_frames(draw):
+    """A frame [lo, hi] of `infinity._sweep`: canonical generators with a_1
+    in 2..7 and the others below 90, hi up to 30,000, and lo at 0, anywhere
+    in [0, hi], or in [hi / 2, hi], past the window of many of the levels
+    after the level searches saturate (about level hi / A)."""
+    a1 = draw(st.integers(2, 7))
+    rest = draw(st.lists(st.integers(a1 + 1, 89), min_size=1, max_size=4, unique=True))
+    assume(math.gcd(a1, *rest) == 1)
+    gens = sg.make_semigroup([a1, *rest]).generators
+    hi = draw(st.integers(0, 30_000))
+    lo = draw(st.one_of(st.just(0), st.integers(0, hi), st.integers(hi // 2, hi)))
+    return gens, lo, hi
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(frame=sweep_frames())
+# the inf-theorem semigroups with g_1 = 1, each to start + 3 periods of its certificate
+@example(frame=((3, 10, 11), 0, 2_377))
+@example(frame=((6, 9, 20), 0, 5_443))
+@example(frame=((5, 13, 16), 0, 9_983))
+@example(frame=((3, 13, 14), 0, 5_221))
+@example(frame=((3, 16, 17), 0, 7_561))
+@example(frame=((3, 19, 20), 0, 13_861))
+@example(frame=((3, 22, 23), 0, 18_865))
+@example(frame=((3, 25, 26), 0, 28_837))
+@example(frame=((7, 11, 13, 17), 0, 16_149))
+@example(frame=((11, 13, 17, 19, 23), 0, 48_646))
+# g_1 > 1 keeps the full band: g_1 = 3, and k = 2 (g_1 = 9, an empirical start)
+@example(frame=((4, 6, 9), 0, 2_908))
+@example(frame=((8, 9), 0, 34_292))
+# theorem-backed, start 171,667, period 4,998
+@example(frame=((3, 49, 50), 0, 171_667 + 3 * 4_998))
+# the state reaches a fixed point while a counter still differs from the
+# steady one: a fixed-point test on `seen` alone skips too early here
+@example(frame=((8, 41, 58, 67), 0, 802))
+# index 2 still reaches the window at the first levels where the rest of
+# the steady conditions hold
+@example(frame=((8, 9, 23), 0, 1_679))
+def test_sweep_matches_the_full_band_sweep(frame):
+    # the window and the level skip change no bit of any gap bitset
+    gens, lo, hi = frame
+    assert infinity._sweep(gens, lo, hi) == full_band_sweep(gens, lo, hi)
 
 
 @st.composite

@@ -95,6 +95,37 @@ MUTANTS = (
         ("tests/test_properties.py::test_sweep_frames_match_a_sweep_from_zero",),
     ),
     Mutant(
+        "sweep-skips-past-the-last-uncapped-level",
+        "src/sgdelta/infinity.py",
+        "(hi + 1 - width) // a1 + 1 - level",
+        "(hi + 1 - width) // a1 + 2 - level",
+        ("tests/test_properties.py::test_sweep_matches_the_full_band_sweep",),
+    ),
+    Mutant(
+        "sweep-steady-while-index-2-reaches-the-window",
+        "src/sgdelta/infinity.py",
+        " and level * (gens[1] - a1) >= width",
+        "",
+        ("tests/test_properties.py::test_sweep_matches_the_full_band_sweep",),
+    ),
+    Mutant(
+        "sweep-fixed-point-compares-only-seen",
+        "src/sgdelta/infinity.py",
+        "state = (seen, *counter)",
+        "state = seen",
+        ("tests/test_properties.py::test_sweep_matches_the_full_band_sweep",),
+    ),
+    Mutant(
+        "sweep-window-where-g1-exceeds-1",
+        "src/sgdelta/infinity.py",
+        "if math.gcd(*gens[1:]) == 1 else None",
+        "",
+        (
+            "tests/test_properties.py::test_sweep_matches_the_full_band_sweep",
+            "tests/test_infinity.py::test_sweep_rows_match_full_mask_on_suite",
+        ),
+    ),
+    Mutant(
         "level-search-adds-one-generator-per-level",
         "src/sgdelta/infinity.py",
         "new |= (new << v) & mask",
