@@ -135,15 +135,19 @@ def _cmd_compute(args) -> tuple[dict, int]:
     gens = _parse_gens(args.gens)
     what = args.what
     budget = _budget(args)
+    # as in verify, a flag the computation does not read is refused
     if what in ("membership", "lengths", "delta"):
         if args.x is None:
             raise ValueError(f"{what} needs --x")
         check_element(args.x, budget)
+    elif args.x is not None:
+        raise ValueError(f"{what} does not read x (--x)")
     elif budget is not None and what in ("apery", "frobenius", "betti", "presentation"):
-        # as in verify, a flag the computation does not read is refused
         raise ValueError(f"{what} does not read budget (--budget-elements)")
     if what == "apery" and args.m is None:
         raise ValueError("apery needs --m")
+    elif what != "apery" and args.m is not None:
+        raise ValueError(f"{what} does not read m (--m)")
 
     cdir = _cache_dir(args)
     key = _cache_key(args) if cdir else None

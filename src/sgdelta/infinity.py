@@ -41,7 +41,12 @@ so the state ints keep their origin at l * a_1 and each level cuts off the
 x below it. The row of a non-member is empty, like that of a member with
 one length.
 
-Past the saturation of the searches the state shrinks to a window of x.
+One loop walks the levels. The state ints hold the x in [origin, top), and
+level l's band ends at l * a_1 + window, capped at hi + 1: the full band
+while window = hi + 1. Once no search yields they are dropped, and reach
+keeps their last sets; a level masks a set to the n - up bits that land in
+its band of n bits only where the set is longer, so a set that fits is
+shifted as it is. Past the saturation the state shrinks to a window of x.
 Let c_1 be the conductor of <a_2, ..., a_k> and g_1 its gcd, let L be the
 first level at which every search has saturated, and w = c_1 + 2 * a_1.
   - Lemma 1: for l >= L, reach_i(l) = <others_i> ∩ [0, hi - l * a_i].
@@ -53,16 +58,22 @@ first level at which every search has saturated, and w = c_1 + 2 * a_1.
     x - (l - 1) * a_1 are at least c_1, so both lie in <a_2, ..., a_k>,
     under their masks since x <= hi; by Lemma 1 they are in reach_1 at
     levels l and l - 1.
-So where g_1 = 1, each event of an x at or above l * a_1 + c_1 is a gap of
-1, and from level L + 2 on the state ints hold only the window
-[l * a_1, l * a_1 + w), capped at hi. An x enters it at a level
-l >= L + 2 from x >= (l - 1) * a_1 + w: by Lemma 2 it had the lengths
-l - 2 and l - 1, so it enters with seen = 1 and counter 0, and as
+So where g_1 = 1, past level L + 1 every x >= l * a_1 + c_1 has seen = 1
+and counter 0, and its only events are gaps of 1, which G[1] already
+holds: keeping, dropping or re-entering such an x changes no gap. At the
+first level l >= L + 2 with l * A >= lo (a frame skips the levels below
+it), window becomes w, the state is cut to
+the previous level's window, below (l - 1) * a_1 + w, and from then on it
+holds [l * a_1, l * a_1 + w), capped at hi. An x enters it at level l
+from x >= (l - 1) * a_1 + w: by Lemma 2 it had the lengths l - 2 and
+l - 1, so it enters with seen = 1 and counter 0, and as
 x >= l * a_1 + c_1 + a_1 it has the length l too, so its gap of 1 is
-recorded inside the window. Each level's new bits are window-wide slices
-of the saturated sets, and a frame skips the levels whose window ends at
-or below lo. Where g_1 > 1, every length of x at index 1 is one class mod
-g_1 and no such window exists: the state keeps the whole live band of x.
+recorded inside the window. (Cutting to level l's own window keeps x
+whose state is that same one.) At the entry a frame moves to the first
+level whose window ends above lo: the skipped windows hold only x below
+lo, so the cut state is empty, and every x of the first window enters by
+the argument above. Where g_1 > 1, every length of x at index 1 is one
+class mod g_1 and no such window exists: window stays hi + 1.
 
 Call a window level steady when its origin is l * a_1, hi does not cap
 the window (l * a_1 + w <= hi + 1) and l * (a_2 - a_1) >= w, so that only
@@ -263,9 +274,12 @@ def _sweep(gens: tuple[int, ...], lo: int, hi: int) -> dict[int, int]:
     gaps[d] is set iff d is the difference of two consecutive max-norm
     lengths of x. The levels run in ascending order, x is the bit axis, and
     bit b of every state int stands for x = max(lo, l * a_1) + b at level l.
-    Where g_1 = 1, the state holds only the window of x from two levels
-    past the saturation of the searches on, and a steady level that
-    repeats is walked once (the module docstring has both arguments)."""
+    One loop walks the levels. Level l's band of x ends at
+    l * a_1 + window, capped at hi: the full band while window = hi + 1,
+    and where g_1 = 1 the window of width c_1 + 2 * a_1 from two levels
+    past the saturation of the searches on. A reach set is masked to its
+    band only where it is longer, and a steady level that repeats is walked
+    once (the module docstring has the arguments)."""
     a1 = gens[0]
     total = sum(gens)
     searches = [_level_sets(gens[:i] + gens[i + 1 :], hi + 1, a) for i, a in enumerate(gens)]
@@ -273,67 +287,46 @@ def _sweep(gens: tuple[int, ...], lo: int, hi: int) -> dict[int, int]:
     counter: list[int] = []  # counter[j]: the x whose counter has bit j set
     seen = 0  # the x with a length below the current level
     gaps: dict[int, int] = {}
-    origin = lo
-    # where g_1 = 1, the state shrinks to the window [l * a_1, l * a_1 +
-    # width) of the module docstring once every search has saturated, at
-    # the end of the level after busy + 1
-    width = cone_table(gens[1:]).conductor + 2 * a1 if math.gcd(*gens[1:]) == 1 else None
+    origin, top = lo, hi + 1  # the state holds the x in [origin, top)
+    window = hi + 1  # level l's band ends at l * a_1 + window, capped at hi
+    width = cone_table(gens[1:]).conductor + 2 * a1 if math.gcd(*gens[1:]) == 1 else hi + 1
     busy = 0  # the last level at which a search yielded
-    for level in range(hi // a1 + 1):
-        for i, search in enumerate(searches):
-            r = next(search, None)
-            if r is None:  # saturated: only the mask shrinks
-                reach[i] &= (1 << max(0, hi + 1 - level * gens[i])) - 1
-            else:
-                reach[i] = r
-                busy = level
+    prev = None  # the state after the last steady level
+    level, last = -1, hi // a1
+    while level < last:
+        level += 1
+        if searches:
+            for i, search in enumerate(searches):
+                r = next(search, None)
+                if r is not None:
+                    reach[i], busy = r, level
+            if busy < level:  # every search has saturated; reach holds its sets
+                searches = None
         if level * total < lo:  # every length-l element lies below the frame
             continue
-        cut = max(lo, level * a1) - origin
-        origin += cut
-        new = 0
-        for a, r in zip(gens, reach):
-            up = level * a - origin
-            new |= r << up if up >= 0 else r >> -up
-        seen >>= cut
-        carry = seen
-        for j, bits in enumerate(counter):  # counter += 1 on every seen x
-            bits >>= cut
-            counter[j] = bits ^ carry
-            carry &= bits
-        if carry:
-            counter.append(carry)
-        hit = new & seen
-        if hit:
-            _split(hit, counter, len(counter) - 1, 0, gaps, origin - lo)
-        seen |= new
-        if width and level > busy + 1:
-            break
-    else:
-        return gaps
-
-    # the window phase: every x from level * a_1 + width on has seen = 1
-    # and counter 0, and enters the window with that state later; the
-    # searches are done, and reach holds their saturated sets
-    top = max(origin, min(hi + 1, level * a1 + width))  # the state holds the x in [origin, top)
-    mask = (1 << top - origin) - 1
-    seen &= mask
-    counter = [bits & mask for bits in counter]
-    prev = None  # the state after the last steady level
-    # a window that ends at or below lo is empty, and so is the state
-    level = max(level, (lo - width) // a1) + 1
-    while level <= hi // a1:
+        if width < window and level > busy + 2:
+            # every x from (l - 1) * a_1 + width on has seen = 1 and counter
+            # 0; a window that ends at or below lo is empty, and so is the state
+            window = width
+            top = max(origin, min(hi + 1, (level - 1) * a1 + width))
+            mask = (1 << top - origin) - 1
+            seen &= mask
+            counter = [bits & mask for bits in counter]
+            level = max(level, (lo - width) // a1 + 1)
         bottom = max(lo, level * a1)
         cut, origin = bottom - origin, bottom
-        end = min(hi + 1, level * a1 + width)
+        end = min(hi + 1, level * a1 + window)
         n = end - origin
-        seen = seen >> cut | (1 << n) - (1 << max(0, top - origin))  # with the x entering from above
-        top = end
+        seen >>= cut
+        if top < end:  # the x from top on enter the window
+            seen |= (1 << n) - (1 << max(0, top - origin))
+            top = end
         new = 0
         for a, r in zip(gens, reach):
             up = level * a - origin
             if up < n:  # a slice of n bits
-                r &= (1 << n - up) - 1
+                if r.bit_length() > n - up:
+                    r &= (1 << n - up) - 1
                 new |= r << up if up >= 0 else r >> -up
         carry = seen
         for j, bits in enumerate(counter):  # counter += 1 on every seen x
@@ -343,31 +336,31 @@ def _sweep(gens: tuple[int, ...], lo: int, hi: int) -> dict[int, int]:
         if carry:
             counter.append(carry)
         hit = new & seen
-        groups: dict[int, int] = {}
+        # a steady level: origin l * a_1, uncapped, out of reach of every
+        # i >= 2; a full band level never is, as only level 0 has n = hi + 1
+        steady = n == window and origin == level * a1 and level * (gens[1] - a1) >= window
+        groups: dict[int, int] = {} if steady else gaps
         if hit:
-            _split(hit, counter, len(counter) - 1, 0, groups, 0)
+            _split(hit, counter, len(counter) - 1, 0, groups, origin - lo)
         seen |= new
-        repeats = 1
-        # a steady level: origin l * a_1, uncapped, out of reach of every i >= 2
-        if origin == level * a1 and n == width and level * (gens[1] - a1) >= width:
-            state = (seen, *counter)
+        if steady:
+            state, repeats = (seen, *counter), 1
             if state == prev:
                 # a fixed point of the steady map: every uncapped level
                 # from here on repeats this level's groups, a_1 further up
-                repeats = (hi + 1 - width) // a1 + 1 - level
+                repeats = (hi + 1 - window) // a1 + 1 - level
             prev = state
-        for d, bits in groups.items():
-            # OR in bits << j * a_1 for every j < repeats, by doubling
-            bits <<= origin - lo
-            copies = 1
-            while copies < repeats:
-                more = min(copies, repeats - copies)
-                bits |= bits << more * a1
-                copies += more
-            gaps[d] = gaps.get(d, 0) | bits
-        level += repeats
-        origin += (repeats - 1) * a1
-        top += (repeats - 1) * a1
+            for d, bits in groups.items():
+                # OR in bits << j * a_1 for every j < repeats, by doubling
+                copies = 1
+                while copies < repeats:
+                    more = min(copies, repeats - copies)
+                    bits |= bits << more * a1
+                    copies += more
+                gaps[d] = gaps.get(d, 0) | bits
+            level += repeats - 1
+            origin += (repeats - 1) * a1
+            top += (repeats - 1) * a1
     return gaps
 
 

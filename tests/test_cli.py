@@ -268,6 +268,26 @@ def test_compute_refuses_a_budget_it_does_not_read(capsys, what):
     assert doc["error"] == {"code": "invalid-argument", "message": f"{what} does not read budget (--budget-elements)"}
 
 
+@pytest.mark.parametrize(
+    "what, flags",
+    [
+        ("frobenius", ("--x", "5")),
+        ("apery", ("--m", "4", "--x", "5")),
+        ("delta-semigroup", ("--x", "5", "--m", "3")),
+        ("betti", ("--m", "3")),
+        ("delta", ("--x", "21", "--m", "3")),
+    ],
+)
+def test_compute_refuses_an_element_or_modulus_it_does_not_read(capsys, tmp_path, what, flags):
+    # refused before the cache is read, so no entry is keyed on a flag
+    # that cannot change the result
+    code, doc = run_json(capsys, "compute", "--gens", "4,6,9", what, *flags, "--cache-dir", str(tmp_path))
+    flag = "m" if what in ("betti", "delta") else "x"
+    assert code == 1
+    assert doc["error"] == {"code": "invalid-argument", "message": f"{what} does not read {flag} (--{flag})"}
+    assert not any(tmp_path.iterdir())
+
+
 def test_verify_zero_norm_claims_honour_budget(capsys):
     # the stability bounds (111 for <3,10,11>) exceed the budget, as in
     # compute delta-semigroup --p 0, so those rows are budget rows

@@ -255,23 +255,27 @@ def _sweep_matches_oracle(gens, stop):
 @pytest.mark.parametrize("gens", [(8, 9), (7, 8), (30, 42, 70, 105)])
 def test_sweep_batches_stay_within_their_cells(gens):
     # every row of the bit-sliced sweep to the search's budget, 30,000,
-    # against the windowed oracle, whose narrow batches hold many rows
-    # here; the windows of <30,42,70,105> are wider than x / 30
+    # against the windowed oracle; the batches and their cell budget are the
+    # oracle's (`_oracles.sweep_batches`), not the library's, and its narrow
+    # batches hold many rows here; the windows of <30,42,70,105> are wider
+    # than x / 30
     _sweep_matches_oracle(gens, 30_001)
 
 
 @pytest.mark.parametrize("gens, stop", [((3, 260, 262), 35_001), ((2, 601), 21_001)])
 def test_batches_with_more_columns_than_cells(gens, stop):
     # every row of the bit-sliced sweep against the windowed oracle where
-    # its W columns pass its cell budget (W = 11,480 for <3,260,262>): past
-    # x = 24,700 the length range passes the cell budget, and past 34,600 W
+    # the oracle's W columns pass the oracle's cell budget
+    # (`_oracles.sweep_batches`; W = 11,480 for <3,260,262>): past x = 24,700
+    # the length range passes the cell budget, and past 34,600 W
     _sweep_matches_oracle(gens, stop)
 
 
 @pytest.mark.parametrize("gens, lo, stop", [((3, 260, 262), 24_700, 24_800), ((3, 260, 262), 34_600, 34_700)])
 def test_one_row_batches_match_full_mask(gens, lo, stop):
-    # a frame of the sweep alone, where the windowed oracle takes one row
-    # per batch, against the oracle and the full length mask
+    # a frame of the sweep alone, where the windowed oracle's batches
+    # (`_oracles.sweep_batches`) take one row each, against the oracle and
+    # the full length mask
     s = make_semigroup(gens)
     # every x here lies past the Frobenius number, so each is a member
     assert lo > frobenius(s)

@@ -271,6 +271,13 @@ def sweep_frames(draw):
 # index 2 still reaches the window at the first levels where the rest of
 # the steady conditions hold
 @example(frame=((8, 9, 23), 0, 1_679))
+# the window entry moves the frame's level from 549 to 6,465
+@example(frame=((3, 25, 26), 20_000, 28_837))
+# g_1 = 1, but the last level comes before the window applies
+@example(frame=((7, 8, 9), 0, 30))
+# g_1 = 3: the searches saturate at level 154, and about 570 levels run
+# after they are dropped
+@example(frame=((4, 6, 9), 2_000, 2_908))
 def test_sweep_matches_the_full_band_sweep(frame):
     # the window and the level skip change no bit of any gap bitset
     gens, lo, hi = frame

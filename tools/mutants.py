@@ -80,8 +80,8 @@ MUTANTS = (
     Mutant(
         "sweep-dead-cut-one-level-early",
         "src/sgdelta/infinity.py",
-        "cut = max(lo, level * a1) - origin",
-        "cut = max(lo, (level + 1) * a1) - origin",
+        "bottom = max(lo, level * a1)",
+        "bottom = max(lo, (level + 1) * a1)",
         (
             "tests/test_properties.py::test_sweep_rows_match_full_mask",
             "tests/test_infinity.py::test_sweep_rows_match_full_mask_on_suite",
@@ -97,33 +97,40 @@ MUTANTS = (
     Mutant(
         "sweep-skips-past-the-last-uncapped-level",
         "src/sgdelta/infinity.py",
-        "(hi + 1 - width) // a1 + 1 - level",
-        "(hi + 1 - width) // a1 + 2 - level",
+        "(hi + 1 - window) // a1 + 1 - level",
+        "(hi + 1 - window) // a1 + 2 - level",
         ("tests/test_properties.py::test_sweep_matches_the_full_band_sweep",),
     ),
     Mutant(
         "sweep-steady-while-index-2-reaches-the-window",
         "src/sgdelta/infinity.py",
-        " and level * (gens[1] - a1) >= width",
+        " and level * (gens[1] - a1) >= window",
         "",
         ("tests/test_properties.py::test_sweep_matches_the_full_band_sweep",),
     ),
     Mutant(
         "sweep-fixed-point-compares-only-seen",
         "src/sgdelta/infinity.py",
-        "state = (seen, *counter)",
-        "state = seen",
+        "state, repeats = (seen, *counter), 1",
+        "state, repeats = seen, 1",
         ("tests/test_properties.py::test_sweep_matches_the_full_band_sweep",),
     ),
     Mutant(
         "sweep-window-where-g1-exceeds-1",
         "src/sgdelta/infinity.py",
-        "if math.gcd(*gens[1:]) == 1 else None",
+        "if math.gcd(*gens[1:]) == 1 else hi + 1",
         "",
         (
             "tests/test_properties.py::test_sweep_matches_the_full_band_sweep",
             "tests/test_infinity.py::test_sweep_rows_match_full_mask_on_suite",
         ),
+    ),
+    Mutant(
+        "sweep-slice-guard-never-masks",
+        "src/sgdelta/infinity.py",
+        "if r.bit_length() > n - up:",
+        "if False:",
+        ("tests/test_properties.py::test_sweep_matches_the_full_band_sweep",),
     ),
     Mutant(
         "level-search-adds-one-generator-per-level",
