@@ -87,11 +87,15 @@ def _cache_dir(args) -> Path | None:
 
 def _cache_key(args) -> str:
     """Hashes the arguments that can change a result together with the
-    package source, so an entry written by other code is a miss."""
+    package source, so an entry written by other code is a miss. --p has a
+    default, so it is hashed only where the computation reads it."""
     import hashlib
     from pathlib import Path
 
-    read = {k: v for k, v in vars(args).items() if k not in ("func", "format", "threads", "cache_dir")}
+    unread = ("func", "format", "threads", "cache_dir")
+    if args.what not in ("lengths", "delta", "delta-semigroup"):
+        unread += ("p",)
+    read = {k: v for k, v in vars(args).items() if k not in unread}
     digest = hashlib.sha256(json.dumps(read, sort_keys=True).encode())
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.read_bytes())

@@ -3,21 +3,33 @@
 For a support set I with d = gcd{a_i : i in I}, x has a factorization with
 support exactly I iff d | x - sum_I and (x - sum_I)/d lies in the span of
 {a_i / d}. Once x clears every support's threshold
-    d * (F(<a_i/d : i in I>) + 1) + sum_I,
+    c_I + sum_I,  c_I = d * (F(<a_i/d : i in I>) + 1),
 having any support implies having every superset support, so the 0-length
 set is an interval and per-element deltas collapse to {1} or nothing.
 
-The span tables of the supports (`_cones`) give those thresholds and the
-support sizes of one element. The union of per-element deltas up to a
-horizon H does not read them: it is a subset DP over Python-int bitsets of
-H + 1 bits, at most 2^k * log2(H / a_1) shifted ORs in all (see
-`_delta_union_to`).
+The bound X0 is the largest threshold, and three facts find it without a
+span table per support:
+- a singleton {a} spans every multiple of a, so c = 0 and its threshold
+  is a; the largest of these, a_k, starts the maximum;
+- a pair {a, b} with d = gcd(a, b) has c = d * (a/d - 1) * (b/d - 1)
+  (Sylvester, 1884), so every pair is read in closed form;
+- for any I, Schur's bound (Brauer, 1942) on the gcd-1 set I/d gives
+  c_I <= d * (min I/d - 1) * (max I/d - 1). A larger support's table is
+  built only when this upper bound plus sum_I exceeds the running
+  maximum; a support it skips has a threshold at or below that maximum,
+  so skipping it leaves the maximum exact.
+
+The span tables of the supports (`_cones`) give the support sizes of one
+element. The union of per-element deltas up to a horizon H does not read
+them: it is a subset DP over Python-int bitsets of H + 1 bits, at most
+2^k * log2(H / a_1) shifted ORs in all (see `_delta_union_to`).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations
+from math import gcd
 
 from .arith import ConeTable
 from .budget import DEFAULT_ZERO_BUDGET, MAX_SUBSET_DIM, Budget
@@ -32,11 +44,15 @@ class SupportProfile(namedtuple("SupportProfile", "support gcd threshold")):
     __slots__ = ()
 
 
+def _check_subsets(k: int) -> None:
+    if k > MAX_SUBSET_DIM:
+        raise BudgetExceeded(f"2^{k} support subsets exceed the scan budget")
+
+
 def _cones(s: NumericalSemigroup) -> list[tuple[tuple[int, ...], int, ConeTable]]:
     """(support, sum of its generators, membership oracle) per nonempty I."""
     k = s.embedding_dim
-    if k > MAX_SUBSET_DIM:
-        raise BudgetExceeded(f"2^{k} support subsets exceed the scan budget")
+    _check_subsets(k)
     return cached(
         s,
         "zero-cones",
@@ -53,9 +69,23 @@ def support_profiles(s: NumericalSemigroup) -> list[SupportProfile]:
 
 
 def delta0_stability_bound(s: NumericalSemigroup) -> int:
-    """Least X0 from the profile table: above it every 0-length set is an
-    interval. Taken over all nonempty supports (over-approximation is safe)."""
-    return max(p.threshold for p in support_profiles(s))
+    """X0, above which every 0-length set is an interval: the largest
+    support threshold, pairs in closed form and a larger support's table
+    built only where Schur's bound could beat the maximum so far."""
+    gens = s.generators
+    k = len(gens)
+    _check_subsets(k)
+    best = gens[-1]
+    for a, b in combinations(gens, 2):
+        d = gcd(a, b)
+        best = max(best, d * (a // d - 1) * (b // d - 1) + a + b)
+    for size in range(3, k + 1):
+        for sub in combinations(gens, size):
+            d = gcd(*sub)
+            total = sum(sub)
+            if d * (sub[0] // d - 1) * (sub[-1] // d - 1) + total > best:
+                best = max(best, ConeTable.build(sub).conductor + total)
+    return best
 
 
 def support_length_set(s: NumericalSemigroup, x: int) -> tuple[int, ...]:

@@ -9,12 +9,14 @@ once built those tables with them, and now builds every table by level
 search. `minmax_subset_sums` is that search with its former level step,
 one shift per subset sum of the generators. `minmax_shift_points` gives
 each min-max table's shift point from its explicit formula, and
-`five_start_terms` the theorem start's former five validity bounds. Three
+`five_start_terms` the theorem start's former five validity bounds. Four
 oracles are the engines' former passes, which read library tables in a
 different way:
 `full_mask_deltas` (the per-x max-norm mask),
-`doubling_empirical_start` (the empirical start over doubling horizons) and
-`cone_union_deltas` (one span-table membership pass per 0-norm support).
+`doubling_empirical_start` (the empirical start over doubling horizons),
+`cone_union_deltas` (one span-table membership pass per 0-norm support) and
+`stability_bound_all_tables` (the 0-norm stability bound from one span
+table per support).
 `component_least_factorizations` reads the library's enumeration, the
 oracle for the presentation representatives picked from span tables.
 `apery_table` is the library's former residue-table builder, a heap
@@ -522,6 +524,17 @@ def cone_union_deltas(s, horizon):
         sizes = [b + 1 for b in range(32) if m >> b & 1]
         union.update(b - a for a, b in zip(sizes, sizes[1:]))
     return union
+
+
+def stability_bound_all_tables(s):
+    """The 0-norm stability bound as the engine once took it: the largest
+    conductor + support sum over a span table for every nonempty support."""
+    gens = s.generators
+    return max(
+        ConeTable.build(sub).conductor + sum(sub)
+        for size in range(1, len(gens) + 1)
+        for sub in combinations(gens, size)
+    )
 
 
 def support_sizes_brute(gens, x):

@@ -663,6 +663,24 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.glob("*.json"))
 
 
+def test_cache_key_leaves_out_an_unread_p(tmp_path, capsys):
+    # frobenius does not read --p, so every value of it is one entry
+    for p in ("1", "inf", "0"):
+        code, doc = run_json(capsys, "compute", "--gens", "4,6,9", "frobenius", "--p", p, "--cache-dir", str(tmp_path))
+        assert code == 0 and doc["result"]["frobenius"] == 11
+    assert len(list(tmp_path.glob("*.json"))) == 1
+    assert doc["timing"]["cached"]
+
+
+def test_cache_key_holds_a_read_p(tmp_path, capsys):
+    for p in ("1", "inf"):
+        code, doc = run_json(
+            capsys, "compute", "--gens", "4,6,9", "lengths", "--x", "36", "--p", p, "--cache-dir", str(tmp_path)
+        )
+        assert code == 0 and not doc["timing"]["cached"] and doc["result"]["p"] == p
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+
 def test_cache_entry_written_by_other_code_is_a_miss(tmp_path):
     # the key holds the package source, so after any edit, a comment line
     # included, an entry written before it is a miss

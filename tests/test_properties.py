@@ -39,6 +39,7 @@ from _oracles import (
     one_norm_lengths,
     one_norm_table,
     gap_rows,
+    stability_bound_all_tables,
     sweep_rows,
     sweep_rows_reference,
 )
@@ -481,6 +482,16 @@ def test_zero_union_matches_oracles(gens, per_mille):
                 if sg.contains(s, x):
                     by_element.update(sg.delta_set_of_element(s, x, sg.P0).values)
             assert got == by_element, horizon
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(gens=st.lists(st.integers(2, 149), min_size=2, max_size=6, unique=True).filter(lambda g: math.gcd(*g) == 1))
+@example(gens=[6, 10, 15])  # a triple sets the bound; every pair has gcd > 1
+def test_stability_bound_matches_all_tables(gens):
+    # pairs in closed form and larger supports pruned by Schur's bound give
+    # the maximum over one span table per support
+    s = sg.make_semigroup(gens)
+    assert sg.delta0_stability_bound(s) == stability_bound_all_tables(s)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

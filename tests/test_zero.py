@@ -1,10 +1,14 @@
+import json
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from sgdelta import (
+    BudgetExceeded,
     NotAMember,
     P0,
+    arith,
     check_l0_interval,
     contains,
     delta0_semigroup,
@@ -15,13 +19,16 @@ from sgdelta import (
     iter_factorizations,
     make_semigroup,
     p_length,
+    search,
     support_length_set,
     support_profiles,
     verification,
     zero,
 )
+from sgdelta.budget import MAX_SUBSET_DIM
+from sgdelta.cli import main
 
-from _oracles import support_sizes_brute
+from _oracles import stability_bound_all_tables, support_sizes_brute
 
 
 def test_stability_bound_two_generators():
@@ -96,8 +103,9 @@ def test_delta_values_stay_below_embedding_dim(geo, med3, mcnugget):
 
 
 def test_registry_rows_share_zero_norm_cones(monkeypatch):
-    # singleton-trades and med-delta0 read the shared registry instances, so
-    # only three-gen-gluing, which keeps fresh instances, builds these again
+    # the stability bound builds no support cones, so only l0-interval-tail,
+    # which reads the 0-length sets of <4,6,9>, builds them, once: the rows
+    # that read the shared registry instances build no second set
     builds = Counter()
     orig = zero.cached
 
@@ -109,5 +117,56 @@ def test_registry_rows_share_zero_norm_cones(monkeypatch):
     verification._suite_semigroup.cache_clear()
     monkeypatch.setattr(zero, "cached", counting)
     verification.run_all(quick=True)
-    for gens in ((4, 6, 9), (3, 10, 11), (6, 10, 15)):
-        assert 1 <= builds[gens] <= 2, (gens, builds[gens])
+    assert builds == {(4, 6, 9): 1}
+
+
+def test_stability_bound_matches_all_tables_on_search_candidates():
+    for gens in search.candidates(4, 24):
+        s = make_semigroup(gens)
+        assert delta0_stability_bound(s) == stability_bound_all_tables(s), gens
+
+
+@pytest.mark.parametrize(
+    "gens, bound, best_pair",
+    [((6, 10, 15), 61, 35), ((10, 15, 24), 151, 123), ((5, 12, 14, 21), 127, 106)],
+)
+def test_stability_bound_set_by_a_larger_support(gens, bound, best_pair):
+    # no singleton or pair reaches the bound: a support of size >= 3 sets it,
+    # so its table must be built, not pruned
+    s = make_semigroup(gens)
+    assert max(arith.ConeTable.build(pair).conductor + sum(pair) for pair in combinations(gens, 2)) == best_pair
+    assert delta0_stability_bound(s) == bound == stability_bound_all_tables(s)
+
+
+@pytest.mark.parametrize(
+    "gens, bound",
+    [
+        ((11, 13, 17, 19, 23), 438),
+        ((245, 4267, 23845, 33383), 1_335_321),
+        ((512, 768, 896, 1216, 1504, 1968, 2488, 3212, 4094, 8329), 34_098_927),  # gaps:k=9
+    ],
+)
+def test_pinned_stability_bounds(gens, bound):
+    assert delta0_stability_bound(make_semigroup(gens)) == bound
+
+
+def test_subset_budget_refuses_before_any_support_table(monkeypatch, capsys):
+    # k = 25 > MAX_SUBSET_DIM: both 0-norm routes refuse before they build
+    # one support table
+    gens = tuple(range(25, 50))
+    s = make_semigroup(gens)
+    assert s.embedding_dim == 25 > MAX_SUBSET_DIM
+    built = []
+    orig = arith.cone_table
+    monkeypatch.setattr(arith, "cone_table", lambda g: built.append(g) or orig(g))
+    monkeypatch.delenv("SGDELTA_CACHE_DIR", raising=False)
+    with pytest.raises(BudgetExceeded):
+        delta0_stability_bound(s)
+    with pytest.raises(BudgetExceeded):
+        support_length_set(s, 100)
+    text = ",".join(map(str, gens))
+    for argv in (("delta-semigroup", "--p", "0"), ("lengths", "--x", "100", "--p", "0")):
+        code = main(["compute", "--gens", text, *argv])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 3 and doc["error"]["code"] == "budget-exceeded", argv
+    assert built == []

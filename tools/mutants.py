@@ -174,6 +174,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "zero-pair-threshold-off-by-one-factor",
+        "src/sgdelta/zero.py",
+        "d * (a // d - 1) * (b // d - 1)",
+        "d * (a // d) * (b // d - 1)",
+        (
+            "tests/test_properties.py::test_stability_bound_matches_all_tables",
+            "tests/test_zero.py::test_stability_bound_matches_all_tables_on_search_candidates",
+        ),
+    ),
+    Mutant(
+        "zero-schur-pruning-inverted",
+        "src/sgdelta/zero.py",
+        "(sub[-1] // d - 1) + total > best:",
+        "(sub[-1] // d - 1) + total < best:",
+        (
+            "tests/test_zero.py::test_stability_bound_set_by_a_larger_support",
+            "tests/test_zero.py::test_stability_bound_matches_all_tables_on_search_candidates",
+        ),
+    ),
+    Mutant(
         "round-robin-keeps-its-own-path",
         "src/sgdelta/arith.py",
         "            else:\n                n = old\n",
