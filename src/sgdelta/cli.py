@@ -23,12 +23,6 @@ from .errors import BudgetExceeded, SemigroupError
 from .factorization import P0, P1, PINF, delta_of_sorted_set, delta_set_of_semigroup, factored_value, length_set
 from .semigroup import apery_set, contains, frobenius, make_semigroup
 
-# every annotation here is a string, so pathlib loads only where a command
-# has a cache directory
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from pathlib import Path
-
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BUDGET = 3
@@ -73,71 +67,14 @@ def _budget_echo(budget: Budget | None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# cache
-
-
-def _cache_dir(args) -> Path | None:
-    where = args.cache_dir or os.environ.get("SGDELTA_CACHE_DIR")
-    if not where:
-        return None
-    from pathlib import Path
-
-    return Path(where)
-
-
-def _cache_key(args) -> str:
-    """Hashes the arguments that can change a result together with the
-    package source, so an entry written by other code is a miss. --p has a
-    default, so it is hashed only where the computation reads it."""
-    import hashlib
-    from pathlib import Path
-
-    unread = ("func", "format", "threads", "cache_dir")
-    if args.what not in ("lengths", "delta", "delta-semigroup"):
-        unread += ("p",)
-    read = {k: v for k, v in vars(args).items() if k not in unread}
-    digest = hashlib.sha256(json.dumps(read, sort_keys=True).encode())
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
-def _cache_get(cdir: Path | None, key: str):
-    """The stored payload, or None on a miss. An unreadable entry is a miss,
-    so the result is recomputed and the entry overwritten."""
-    if cdir is None:
-        return None
-    try:
-        doc = json.loads((cdir / f"{key}.json").read_text())
-    except (OSError, ValueError):
-        return None
-    return doc if isinstance(doc, dict) and "result" in doc else None
-
-
-def _cache_put(cdir: Path | None, key: str, value: dict) -> None:
-    """Writes a per-process temp file and renames it over the entry, so no
-    reader ever sees a partly written entry. A cache that cannot be written
-    costs the entry, not the result: one line goes to stderr."""
-    if cdir is None:
-        return
-    tmp = cdir / f"{key}.{os.getpid()}.tmp"
-    try:
-        cdir.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(json.dumps(value, sort_keys=True))
-        os.replace(tmp, cdir / f"{key}.json")
-    except OSError as e:
-        print(f"sgdelta: result not cached: {e}", file=sys.stderr)
-        with contextlib.suppress(OSError):
-            tmp.unlink(missing_ok=True)
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 
 def _cmd_compute(args) -> tuple[dict, int]:
     gens = _parse_gens(args.gens)
     what = args.what
+    # --p defaults to inf, so a valid value is accepted where it is unread
+    p = _parse_p(args.p)
     budget = _budget(args)
     # as in verify, a flag the computation does not read is refused
     if what in ("membership", "lengths", "delta"):
@@ -152,12 +89,6 @@ def _cmd_compute(args) -> tuple[dict, int]:
         raise ValueError("apery needs --m")
     elif what != "apery" and args.m is not None:
         raise ValueError(f"{what} does not read m (--m)")
-
-    cdir = _cache_dir(args)
-    key = _cache_key(args) if cdir else None
-    cached = _cache_get(cdir, key)
-    if cached is not None:
-        return {**cached, "cached": True}, EXIT_OK
 
     s = make_semigroup(gens)
     result: dict = {"generators": list(s.generators)}
@@ -188,7 +119,6 @@ def _cmd_compute(args) -> tuple[dict, int]:
             for t in pres.trades
         ]
     elif what in ("lengths", "delta"):
-        p = _parse_p(args.p)
         ls = length_set(s, args.x, p)
         result["x"] = args.x
         result["p"] = _p_name(p)
@@ -196,7 +126,6 @@ def _cmd_compute(args) -> tuple[dict, int]:
         if what == "delta":
             result["delta"] = list(delta_of_sorted_set(ls.values).values)
     elif what == "delta-semigroup":
-        p = _parse_p(args.p)
         result["p"] = _p_name(p)
         if p == P0:
             from .zero import delta0_semigroup, delta0_stability_bound
@@ -215,7 +144,6 @@ def _cmd_compute(args) -> tuple[dict, int]:
     else:
         raise ValueError(f"unknown computation {what!r}")
 
-    _cache_put(cdir, key, payload)
     return payload, EXIT_OK
 
 
@@ -345,12 +273,11 @@ def _csv_lines(command: str, envelope: dict) -> list[str]:
 
 
 def _render(args, command: str, envelope: dict, started: float) -> str:
-    envelope = dict(envelope)
     out = {
         "command": command,
         "input": {k: v for k, v in vars(args).items() if k not in ("func", "format") and v is not None},
         "result": envelope.get("result"),
-        "timing": {"seconds": round(time.monotonic() - started, 6), "cached": envelope.get("cached", False)},
+        "timing": {"seconds": round(time.monotonic() - started, 6)},
         "budget": _budget_echo(_budget(args)),
     }
     if "certificate" in envelope:
@@ -410,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--x", type=int, default=None)
     c.add_argument("--m", type=int, default=None)
     c.add_argument("--p", default="inf")
-    c.add_argument("--cache-dir", default=None, help="result cache; SGDELTA_CACHE_DIR when unset")
     c.set_defaults(func=_cmd_compute)
 
     v = sub.add_parser("verify", parents=[shared], formatter_class=_Formatter, help="run registered claims")

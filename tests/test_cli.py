@@ -1,6 +1,5 @@
 import json
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -75,7 +74,6 @@ def test_compute_budget_exit_code(capsys):
 def test_certificate_past_the_engine_horizon_exits_3(capsys, monkeypatch):
     # the sweep refuses a horizon past MAX_ENGINE_HORIZON as the engine
     # does; <3,10,11> sweeps to 2017 + 3 * 120 = 2377
-    monkeypatch.delenv("SGDELTA_CACHE_DIR", raising=False)
     argv = ("compute", "--gens", "3,10,11", "delta-semigroup", "--p", "inf")
     monkeypatch.setattr(infinity, "MAX_ENGINE_HORIZON", 2376)
     code, doc = run_json(capsys, *argv)
@@ -278,14 +276,30 @@ def test_compute_refuses_a_budget_it_does_not_read(capsys, what):
         ("delta", ("--x", "21", "--m", "3")),
     ],
 )
-def test_compute_refuses_an_element_or_modulus_it_does_not_read(capsys, tmp_path, what, flags):
-    # refused before the cache is read, so no entry is keyed on a flag
-    # that cannot change the result
-    code, doc = run_json(capsys, "compute", "--gens", "4,6,9", what, *flags, "--cache-dir", str(tmp_path))
+def test_compute_refuses_an_element_or_modulus_it_does_not_read(capsys, what, flags):
+    code, doc = run_json(capsys, "compute", "--gens", "4,6,9", what, *flags)
     flag = "m" if what in ("betti", "delta") else "x"
     assert code == 1
     assert doc["error"] == {"code": "invalid-argument", "message": f"{what} does not read {flag} (--{flag})"}
-    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("what", ["membership", "apery", "frobenius", "betti", "presentation"])
+def test_compute_parses_a_p_it_does_not_read(capsys, what):
+    # --p defaults to inf, so a valid value is accepted where it is unread,
+    # and an invalid one is refused whatever the computation
+    flags = {"membership": ("--x", "17"), "apery": ("--m", "4")}.get(what, ())
+    for p in ("banana", "7"):
+        code, doc = run_json(capsys, "compute", "--gens", "4,6,9", what, *flags, "--p", p)
+        assert code == 1, p
+        assert doc["error"] == {"code": "invalid-argument", "message": f"p must be 0, 1 or inf, got {p!r}"}
+    code, doc = run_json(capsys, "compute", "--gens", "4,6,9", what, *flags, "--p", "0")
+    assert code == 0 and "p" not in doc["result"]
+
+
+@pytest.mark.parametrize("p", ["1", "inf"])
+def test_compute_lengths_echoes_its_p(capsys, p):
+    code, doc = run_json(capsys, "compute", "--gens", "4,6,9", "lengths", "--x", "36", "--p", p)
+    assert code == 0 and doc["result"]["p"] == p
 
 
 def test_verify_zero_norm_claims_honour_budget(capsys):
@@ -438,14 +452,20 @@ def test_out_of_range_counts_are_errors(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("verify", "all", "--quick"), ("search", "--target", "1", "--p", "0", "--max-gen", "8"), ("family", "three_gap:m=3")],
-    ids=["verify", "search", "family"],
+    [
+        ("compute", "--gens", "3,5", "frobenius"),
+        ("verify", "all", "--quick"),
+        ("search", "--target", "1", "--p", "0", "--max-gen", "8"),
+        ("family", "three_gap:m=3"),
+    ],
+    ids=["compute", "verify", "search", "family"],
 )
-def test_cache_dir_only_on_compute(tmp_path, argv):
-    # compute alone reads the cache, so elsewhere the flag is a usage error
+def test_no_command_reads_a_cache_dir(tmp_path, capsys, argv):
+    # no command keeps a result cache, so the flag is a usage error everywhere
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--cache-dir", str(tmp_path)])
     assert exc.value.code == 2
+    assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -597,116 +617,6 @@ def test_search_time_budget_must_be_finite_and_nonnegative(capsys, seconds):
     doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} is not JSON"))
     assert code == 1
     assert doc["error"]["code"] == "invalid-argument"
-
-
-def test_cache_roundtrip(tmp_path, capsys):
-    argv = [
-        "compute",
-        "--gens",
-        "3,10,11",
-        "delta-semigroup",
-        "--p",
-        "inf",
-        "--cache-dir",
-        str(tmp_path),
-    ]
-    code1, doc1 = run_json(capsys, *argv)
-    assert code1 == 0 and not doc1["timing"]["cached"]
-    assert list(tmp_path.glob("*.json"))
-    code2, doc2 = run_json(capsys, *argv)
-    assert code2 == 0 and doc2["timing"]["cached"]
-    assert doc2["result"]["delta"] == doc1["result"]["delta"]
-    assert doc2["certificate"] == doc1["certificate"]
-
-
-def test_cache_unreadable_entry_is_a_miss(tmp_path, capsys):
-    argv = ["compute", "--gens", "3,10,11", "delta-semigroup", "--p", "inf", "--cache-dir", str(tmp_path)]
-    _, doc1 = run_json(capsys, *argv)
-    (entry,) = tmp_path.glob("*.json")
-    entry.write_text(entry.read_text()[:20])
-    code, doc2 = run_json(capsys, *argv)
-    assert code == 0 and not doc2["timing"]["cached"]
-    assert doc2["result"] == doc1["result"] and doc2["certificate"] == doc1["certificate"]
-    # the recomputed result was written back whole
-    code, doc3 = run_json(capsys, *argv)
-    assert code == 0 and doc3["timing"]["cached"] and doc3["result"] == doc1["result"]
-    assert [f.name for f in tmp_path.iterdir()] == [entry.name]
-
-
-def test_cache_unwritable_keeps_the_result(tmp_path, capsys):
-    argv = ["compute", "--gens", "3,5", "frobenius", "--cache-dir"]
-    # the cache directory is a file, so no entry can be written
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    code = main([*argv, str(blocker)])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert json.loads(captured.out)["result"]["frobenius"] == 7
-    assert len(captured.err.splitlines()) == 1 and "not cached" in captured.err
-    assert blocker.read_text() == ""
-    # the entry's path is a directory, so the rename fails; its temp file goes
-    cdir = tmp_path / "cache"
-    run_json(capsys, *argv, str(cdir))
-    (entry,) = cdir.iterdir()
-    entry.unlink()
-    entry.mkdir()
-    code = main([*argv, str(cdir)])
-    captured = capsys.readouterr()
-    assert code == 0 and json.loads(captured.out)["result"]["frobenius"] == 7
-    assert len(captured.err.splitlines()) == 1 and "not cached" in captured.err
-    assert list(cdir.iterdir()) == [entry]
-
-
-def test_cache_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SGDELTA_CACHE_DIR", str(tmp_path))
-    run_json(capsys, "compute", "--gens", "2,3", "frobenius")
-    assert list(tmp_path.glob("*.json"))
-
-
-def test_cache_key_leaves_out_an_unread_p(tmp_path, capsys):
-    # frobenius does not read --p, so every value of it is one entry
-    for p in ("1", "inf", "0"):
-        code, doc = run_json(capsys, "compute", "--gens", "4,6,9", "frobenius", "--p", p, "--cache-dir", str(tmp_path))
-        assert code == 0 and doc["result"]["frobenius"] == 11
-    assert len(list(tmp_path.glob("*.json"))) == 1
-    assert doc["timing"]["cached"]
-
-
-def test_cache_key_holds_a_read_p(tmp_path, capsys):
-    for p in ("1", "inf"):
-        code, doc = run_json(
-            capsys, "compute", "--gens", "4,6,9", "lengths", "--x", "36", "--p", p, "--cache-dir", str(tmp_path)
-        )
-        assert code == 0 and not doc["timing"]["cached"] and doc["result"]["p"] == p
-    assert len(list(tmp_path.glob("*.json"))) == 2
-
-
-def test_cache_entry_written_by_other_code_is_a_miss(tmp_path):
-    # the key holds the package source, so after any edit, a comment line
-    # included, an entry written before it is a miss
-    pkg = tmp_path / "src" / "sgdelta"
-    shutil.copytree(Path(sgdelta.__file__).parent, pkg, ignore=shutil.ignore_patterns("__pycache__"))
-    env = {**os.environ, "PYTHONPATH": str(pkg.parent), "PYTHONDONTWRITEBYTECODE": "1"}
-    argv = ["compute", "--gens", "4,6,9", "delta-semigroup", "--p", "inf", "--cache-dir", str(tmp_path / "cache")]
-
-    def cached() -> bool:
-        proc = subprocess.run(
-            [sys.executable, "-m", "sgdelta.cli", *argv], capture_output=True, text=True, env=env, timeout=60, check=True
-        )
-        return json.loads(proc.stdout)["timing"]["cached"]
-
-    assert [cached(), cached()] == [False, True]
-    with (pkg / "infinity.py").open("a") as f:
-        f.write("# one more comment line\n")
-    assert cached() is False
-
-
-def test_cache_entry_is_not_served_under_another_budget(tmp_path, capsys):
-    argv = ["compute", "--gens", "4,6,9", "delta-semigroup", "--p", "inf", "--cache-dir", str(tmp_path)]
-    code, _ = run_json(capsys, *argv)
-    assert code == 0 and list(tmp_path.glob("*.json"))
-    code, doc = run_json(capsys, *argv, "--budget-elements", "2000")
-    assert code == 3 and doc["error"]["code"] == "budget-exceeded"
 
 
 def test_json_keys_sorted(capsys):

@@ -5,10 +5,11 @@ test dependencies bring no linter, so this walks each module's syntax tree,
 imports inside functions included. The package `__init__` is left out: it
 resolves its names on first use from one table, which is checked here
 against the modules. Each CLI command runs in a fresh interpreter, which
-shows the modules it loads: the max-norm engine, the claim registry,
-hashlib and the family, presentation and 0-norm modules only where the
-command needs them. No command loads numpy: enumeration, the element
-queries at every p and the max-norm certificate's sweep are plain Python.
+shows the modules it loads: the max-norm engine, the claim registry and
+the family, presentation and 0-norm modules only where the command needs
+them. No command loads hashlib: none keeps a result cache. No command
+loads numpy: enumeration, the element queries at every p and the max-norm
+certificate's sweep are plain Python.
 No command loads dataclasses and what it imports, since records are plain
 classes; without the site hook, which may load typing, pathlib and shutil
 itself, none of those loads either, nor bz2 and lzma, which shutil imports.
@@ -228,10 +229,22 @@ def test_max_norm_commands_load_no_numpy(argv):
     assert "sgdelta.infinity" in loaded
 
 
-def test_cached_command_loads_hashlib(tmp_path):
-    # the probe sees hashlib where a command needs it: only the cache key hashes
-    loaded = loaded_after("compute", "--gens", "6,9,20", "apery", "--m", "7", "--cache-dir", str(tmp_path))
-    assert {"hashlib", "_hashlib"} <= loaded
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--gens", "6,9,20", "apery", "--m", "7"],
+        ["compute", "--gens", "4,6,9", "delta-semigroup", "--p", "inf"],
+    ],
+    ids=["apery", "delta-semigroup-inf"],
+)
+def test_compute_keeps_no_result_cache(argv, tmp_path, monkeypatch):
+    # nothing reads SGDELTA_CACHE_DIR: compute writes nothing there and loads
+    # no module to hash or store a result
+    monkeypatch.setenv("SGDELTA_CACHE_DIR", str(tmp_path))
+    loaded = loaded_after(*argv, flags=("-S",))
+    assert "sgdelta.cli" in loaded
+    assert sorted(loaded & {"hashlib", "_hashlib", "pathlib"}) == []
+    assert not any(tmp_path.iterdir())
 
 
 def test_enumeration_loads_no_numpy():

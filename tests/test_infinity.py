@@ -308,6 +308,27 @@ def test_sweep_walks_a_repeating_level_once(monkeypatch):
     assert 0 < sum(outermost) < 1_500
 
 
+@pytest.mark.parametrize(
+    "gens, lo, hi, bound",
+    [((3, 25, 26), 20_000, 28_837, 1_000), ((3, 49, 50), 150_000, 186_661, 3_000)],
+)
+def test_window_entry_skips_the_levels_below_the_frame(monkeypatch, gens, lo, hi, bound):
+    # a frame that starts far past saturation: once the window opens, every
+    # level whose window ends at or below lo is empty and is not walked. The
+    # walk keeps about 2 * width / a_1 levels (584 and 1,959); walking each
+    # level up to the frame takes 6,500 and 49,317. _sweep calls zip once
+    # per walked level
+    walked = [0]
+
+    def counting(*args):
+        walked[0] += 1
+        return zip(*args)
+
+    monkeypatch.setattr(infinity, "zip", counting, raising=False)
+    infinity._sweep(gens, lo, hi)
+    assert 0 < walked[0] < bound
+
+
 def test_full_aap_range_reaches_certificate_horizon():
     # without --quick every member from 0 to start + (W+1) * period is checked
     s = make_semigroup([4, 6, 9])

@@ -159,7 +159,6 @@ def test_subset_budget_refuses_before_any_support_table(monkeypatch, capsys):
     built = []
     orig = arith.cone_table
     monkeypatch.setattr(arith, "cone_table", lambda g: built.append(g) or orig(g))
-    monkeypatch.delenv("SGDELTA_CACHE_DIR", raising=False)
     with pytest.raises(BudgetExceeded):
         delta0_stability_bound(s)
     with pytest.raises(BudgetExceeded):

@@ -243,11 +243,11 @@ MUTANTS = (
         ("tests/test_properties.py::test_zero_union_matches_oracles",),
     ),
     Mutant(
-        "cache-key-ignores-the-source",
-        "src/sgdelta/cli.py",
-        "        digest.update(path.read_bytes())\n",
-        "        pass\n",
-        ("tests/test_cli.py::test_cache_entry_written_by_other_code_is_a_miss",),
+        "window-entry-keeps-the-level",
+        "src/sgdelta/infinity.py",
+        "            level = max(level, (lo - width) // a1 + 1)\n",
+        "            pass\n",
+        ("tests/test_infinity.py::test_window_entry_skips_the_levels_below_the_frame",),
     ),
     Mutant(
         "verify-refuses-what-a-claim-reads",
